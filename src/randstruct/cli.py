@@ -156,6 +156,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource error: out of memory ({exc})", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

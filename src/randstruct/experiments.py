@@ -7,6 +7,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -95,6 +96,15 @@ def _run_chunk(args):
     return [exp.rep_fn(params, make_stream(seed, r)) for r in range(lo, hi)]
 
 
+def _plan_workers(workers: int, reps: int, cpus: int | None) -> tuple[int, list]:
+    """Pool size and replicate ranges [lo, hi): the pool never exceeds the
+    workers asked for, the CPUs, or the number of ranges."""
+    workers = min(workers, cpus or 1)
+    chunk = max(1, math.ceil(reps / (4 * workers)))
+    bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
+    return min(workers, len(bounds)), bounds
+
+
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """Dispatch to the named experiment; merge replicates in index order."""
     if cfg.experiment not in REGISTRY:
@@ -103,13 +113,12 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     exp = REGISTRY[cfg.experiment]
     params = _coerce_params(exp, cfg.params)
     start = time.perf_counter()
-    if cfg.workers == 1 or cfg.reps == 1:
+    pool_size, bounds = _plan_workers(cfg.workers, cfg.reps, os.cpu_count())
+    if pool_size == 1:
         rows = _run_chunk((exp.name, params, cfg.master_seed, 0, cfg.reps))
     else:
-        chunk = max(1, math.ceil(cfg.reps / (4 * cfg.workers)))
-        tasks = [(exp.name, params, cfg.master_seed, lo, min(lo + chunk, cfg.reps))
-                 for lo in range(0, cfg.reps, chunk)]
-        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
+        tasks = [(exp.name, params, cfg.master_seed, lo, hi) for lo, hi in bounds]
+        with concurrent.futures.ProcessPoolExecutor(pool_size) as pool:
             rows = [row for part in pool.map(_run_chunk, tasks) for row in part]
     matrix = np.array(rows, dtype=float)
     summary, verdicts = exp.summarize(params, matrix)

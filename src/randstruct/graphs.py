@@ -10,15 +10,28 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .exact import fluid_curve
 from .rng import RngStream, make_stream
 from .stats import mean_ci
 from .walks import LatticePath
 
 _SPARSE_P = 0.1
 _SPECTRAL_N_CAP = 4096
+_DENSE_BLOCK = 1 << 20      # uniforms per draw of the dense sampler
+_PAIR_N_CAP = 3_037_000_499  # largest n with n(n+1) < 2^63
+
+
+class _UpperPairs:
+    """Distinct pairs i < j in row-major order, as the samplers emit them;
+    Graph() builds from them without its checks and sort."""
+
+    __slots__ = ("i", "j")
+
+    def __init__(self, i: np.ndarray, j: np.ndarray):
+        self.i = i
+        self.j = j
 
 
 class Graph:
@@ -32,25 +45,33 @@ class Graph:
     def __init__(self, n: int, edges: np.ndarray):
         if n < 0:
             raise InvalidParameterError("n must be >= 0")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise InvalidParameterError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise InvalidParameterError("loops are not allowed")
+        if isinstance(edges, _UpperPairs):
+            i, j = edges.i, edges.j
+        else:
+            edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            if edges.size:
+                if edges.min() < 0 or edges.max() >= n:
+                    raise InvalidParameterError("edge endpoint out of range")
+                if np.any(edges[:, 0] == edges[:, 1]):
+                    raise InvalidParameterError("loops are not allowed")
+            i, j = edges.min(axis=1), edges.max(axis=1)
+            order = np.lexsort((j, i))
+            i, j = i[order], j[order]
+            if np.any((np.diff(i) == 0) & (np.diff(j) == 0)):
+                raise InvalidParameterError("duplicate edge")
+        # The pairs are the strict upper triangle U in CSR order, so no sort
+        # is needed: U + U^T puts each row's lower neighbours, from the
+        # counting sort of the transpose, before its upper ones.
+        rows = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=n), out=rows[1:])
+        upper = sparse.csr_matrix((np.ones(i.size, dtype=np.int8), j, rows),
+                                  shape=(n, n))
+        both = upper + upper.T
+        both.sum_duplicates()  # sorts the rows unless the merge kept them sorted
         self.n = n
-        self.m = int(edges.shape[0])
-        both = np.concatenate([edges, edges[:, ::-1]]) if edges.size else edges
-        order = np.lexsort((both[:, 1], both[:, 0])) if both.size else []
-        sorted_pairs = both[order] if both.size else both.reshape(0, 2)
-        if sorted_pairs.size and np.any(
-                (np.diff(sorted_pairs[:, 0]) == 0) & (np.diff(sorted_pairs[:, 1]) == 0)):
-            raise InvalidParameterError("duplicate edge")
-        counts = np.bincount(sorted_pairs[:, 0], minlength=n) if both.size \
-            else np.zeros(n, dtype=np.int64)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.indices = sorted_pairs[:, 1].copy() if both.size \
-            else np.empty(0, dtype=np.int64)
+        self.m = i.size
+        self.indptr = both.indptr.astype(np.int64)
+        self.indices = both.indices.astype(np.int64)
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
@@ -93,20 +114,22 @@ def graph_from_lines(lines) -> Graph:
 # Sampling
 
 
-def _pair_from_linear(linear: np.ndarray, n: int) -> np.ndarray:
-    """Map linear indices over row-major pairs (i < j) back to pairs."""
-    b = 2 * n - 1
-    i = ((b - np.sqrt(b * b - 8.0 * linear)) // 2).astype(np.int64)
-    # float sqrt can be off by one row; fix against exact row offsets
-    off = i * (2 * n - 1 - i) // 2
-    too_big = off > linear
-    i[too_big] -= 1
-    off = i * (2 * n - 1 - i) // 2
-    too_small = linear - off >= n - 1 - i
-    i[too_small] += 1
-    off = i * (2 * n - 1 - i) // 2
-    j = linear - off + i + 1
-    return np.column_stack([i, j])
+def _pair_from_linear(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map linear indices over row-major pairs (i < j) back to pairs, exactly.
+
+    Counted from the last pair, index r lies in the row with k + 1 pairs where
+    k(k+1)/2 <= r < (k+1)(k+2)/2; a float triangular root estimates k and
+    exact integer row offsets correct it.  Needs n(n+1) < 2^63.
+    """
+    r = n * (n - 1) // 2 - 1 - np.asarray(linear, dtype=np.int64)
+    k = np.floor((np.sqrt(8.0 * r + 1.0) - 1.0) * 0.5).astype(np.int64)
+    while True:
+        start = k * (k + 1) // 2
+        over, under = start > r, start + k + 1 <= r
+        if not (over.any() or under.any()):
+            return n - 2 - k, n - 1 - (r - start)
+        k += under
+        k -= over
 
 
 def _sample_gnp_sparse(n: int, p: float, rng: RngStream) -> Graph:
@@ -122,18 +145,16 @@ def _sample_gnp_sparse(n: int, p: float, rng: RngStream) -> Graph:
         expect = max(16, expect // 2)
     linear = np.cumsum(np.concatenate(gaps)) - 1
     linear = linear[linear < total]
-    return Graph(n, _pair_from_linear(linear, n))
+    return Graph(n, _UpperPairs(*_pair_from_linear(linear, n)))
 
 
 def _sample_gnp_dense(n: int, p: float, rng: RngStream) -> Graph:
-    """One Bernoulli draw per vertex pair."""
-    edges = []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.gen.random(n - 1 - i) < p) + i + 1
-        if hits.size:
-            edges.append(np.column_stack([np.full(hits.size, i), hits]))
-    stacked = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
-    return Graph(n, stacked)
+    """One Bernoulli draw per vertex pair, in row-major pair order.  The
+    uniforms come in blocks of _DENSE_BLOCK, which continue one stream."""
+    total = n * (n - 1) // 2
+    hits = [start + np.flatnonzero(rng.gen.random(min(_DENSE_BLOCK, total - start)) < p)
+            for start in range(0, total, _DENSE_BLOCK)]
+    return Graph(n, _UpperPairs(*_pair_from_linear(np.concatenate(hits), n)))
 
 
 def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
@@ -144,6 +165,8 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
         raise InvalidParameterError("p must be in [0, 1]")
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
+    if n > _PAIR_N_CAP:
+        raise ResourceLimitError(f"G(n, p) limited to n <= {_PAIR_N_CAP}")
     if p == 0.0 or n < 2:
         return Graph(n, np.empty((0, 2), dtype=np.int64))
     if p < _SPARSE_P:
@@ -155,50 +178,26 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
 # Components
 
 
+def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
+    return connected_components(g.adjacency_csr(), directed=True,
+                                connection="weak")
+
+
 def components(g: Graph) -> np.ndarray:
-    """Component sizes, sorted descending (union-find with path halving)."""
-    parent = list(range(g.n))
-    size = [1] * g.n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edge_array():
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-    sizes = [size[v] for v in range(g.n) if find(v) == v]
-    return np.array(sorted(sizes, reverse=True), dtype=np.int64)
+    """Component sizes, sorted descending."""
+    if g.n == 0:
+        return np.empty(0, dtype=np.int64)
+    sizes = np.sort(np.bincount(_component_labels(g)[1]))
+    return sizes[::-1]
 
 
 def connected(g: Graph) -> bool:
-    """Breadth-first reachability of all vertices from vertex 0."""
+    """Whether the graph has one component; any isolated vertex answers no."""
     if g.n <= 1:
         return True
     if np.any(np.diff(g.indptr) == 0):
         return False
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = np.array([0])
-    reached = 1
-    while frontier.size:
-        starts = g.indptr[frontier]
-        counts = g.indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        before = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        flat = np.repeat(starts - before, counts) + np.arange(total)
-        nbrs = g.indices[flat]
-        new = np.unique(nbrs[~seen[nbrs]])
-        seen[new] = True
-        reached += new.size
-        frontier = new
-    return reached == g.n
+    return _component_labels(g)[0] == 1
 
 
 def isolated_count(g: Graph) -> int:
@@ -222,46 +221,42 @@ class ExplorationTrace:
 def explore_luka(g: Graph) -> ExplorationTrace:
     """Reveal the graph one vertex per step, always popping the minimal-label
     stack vertex; the walk increment is (#untouched neighbors found) - 1 and
-    each excursion above the running minimum explores one component."""
+    each excursion above the running minimum explores one component.  Every
+    vertex enters the heap once, so the heap is the stack."""
     n = g.n
-    untouched = np.ones(n, dtype=bool)
-    in_stack = np.zeros(n, dtype=bool)
+    indptr = g.indptr.tolist()
+    indices = g.indices.tolist()
+    touched = bytearray(n)
     heap: list[int] = []
-    increments = np.empty(n, dtype=np.int64)
-    stack_sizes = np.empty(n, dtype=np.int64)
+    push, pop = heapq.heappush, heapq.heappop
+    increments = [0] * n
+    stack_sizes = [0] * n
     next_fresh = 0
-    stack_count = 0
     comp_sizes = []
     comp_len = 0
     for k in range(n):
-        if stack_count == 0:
-            while next_fresh < n and not untouched[next_fresh]:
+        if not heap:
+            while touched[next_fresh]:
                 next_fresh += 1
-            untouched[next_fresh] = False
-            in_stack[next_fresh] = True
-            heapq.heappush(heap, next_fresh)
-            stack_count = 1
+            touched[next_fresh] = 1
+            heap.append(next_fresh)
             if comp_len:
                 comp_sizes.append(comp_len)
             comp_len = 0
-        stack_sizes[k] = stack_count
-        x = heapq.heappop(heap)
-        while not in_stack[x]:
-            x = heapq.heappop(heap)
-        in_stack[x] = False
-        stack_count -= 1
+        stack_sizes[k] = len(heap)
+        x = pop(heap)
         comp_len += 1
-        nbrs = g.neighbors(x)
-        fresh = nbrs[untouched[nbrs]]
-        untouched[fresh] = False
-        in_stack[fresh] = True
-        for y in fresh:
-            heapq.heappush(heap, int(y))
-        stack_count += fresh.size
-        increments[k] = fresh.size - 1
+        step = -1
+        for y in indices[indptr[x]:indptr[x + 1]]:
+            if not touched[y]:
+                touched[y] = 1
+                push(heap, y)
+                step += 1
+        increments[k] = step
     comp_sizes.append(comp_len)
-    return ExplorationTrace(LatticePath(increments),
-                            np.array(comp_sizes, dtype=np.int64), stack_sizes)
+    return ExplorationTrace(LatticePath(np.array(increments, dtype=np.int64)),
+                            np.array(comp_sizes, dtype=np.int64),
+                            np.array(stack_sizes, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +403,9 @@ class SpectralMoments:
 def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     """Normalized traces of adjacency powers, exact walk counts.
 
-    Powers are accumulated in float64, which is exact while every entry stays
-    below 2^53; a degree-based bound enforces that.
+    Tr(A^k) is the entry sum of A^a * A^b (elementwise), a = floor(k/2) and
+    b = ceil(k/2), from sparse int64 powers.  A degree-based bound keeps every
+    count below 2^53, so each moment is the correctly rounded quotient.
     """
     if not 1 <= k_max <= 12:
         raise InvalidParameterError("k_max must be in 1..12")
@@ -421,17 +417,13 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     max_deg = int(g.degrees().max(initial=0))
     if n * float(max(max_deg, 1)) ** k_max >= 2.0 ** 53:
         raise ResourceLimitError("walk counts would overflow exact float range")
-    dense = np.zeros((n, n))
-    arr = g.edge_array()
-    if arr.size:
-        dense[arr[:, 0], arr[:, 1]] = 1.0
-        dense[arr[:, 1], arr[:, 0]] = 1.0
-    moments = np.empty(k_max)
-    power = dense
-    moments[0] = 0.0
+    a = g.adjacency_csr()
+    powers = [None, a]
+    for _ in range(2, (k_max + 1) // 2 + 1):
+        powers.append(powers[-1] @ a)
+    moments = np.zeros(k_max)
     for k in range(2, k_max + 1):
-        power = power @ dense
-        moments[k - 1] = np.trace(power) / n
+        moments[k - 1] = int(powers[k // 2].multiply(powers[k - k // 2]).sum()) / n
     return SpectralMoments(k_max, moments)
 
 

@@ -262,10 +262,12 @@ def _conditioned_increments(law: OffspringLaw, n: int, rng: RngStream,
     """One vector of n offspring-minus-one increments conditioned on sum -1."""
     batch = max(4, min(20_000, 4 * int(np.sqrt(n)) * 8))
     for _ in range(max_batches):
-        draws = law.sample(rng, size=(batch, n)) - 1
+        draws = law.sample(rng, size=(batch, n))
+        draws -= 1
         good = np.flatnonzero(draws.sum(axis=1) == -1)
         if good.size:
-            return draws[good[0]]
+            return draws[good[0]].copy()
+        del draws  # a rejected batch goes before the next is drawn
     raise ResourceLimitError(
         f"no draw of {n} increments hit total -1 in {max_batches} batches")
 

@@ -190,3 +190,29 @@ def test_verify_detects_broken_oracle(monkeypatch, capsys):
         "07 giant component", *broken("fast", V.MASTER_SEED), 0.0)]]
     assert not results[0].passed
     assert "largest c=2" in results[0].detail
+
+
+def test_worker_plan_caps_the_pool():
+    # no more processes than asked for, than CPUs, or than replicate ranges
+    assert experiments._plan_workers(1, 100, 8)[0] == 1
+    assert experiments._plan_workers(4, 100, 2)[0] == 2
+    assert experiments._plan_workers(10**6, 100, 8)[0] == 8
+    assert experiments._plan_workers(8, 3, 8)[0] == 3
+    assert experiments._plan_workers(8, 1, 8)[0] == 1
+    assert experiments._plan_workers(3, 100, None)[0] == 1
+    for workers, reps, cpus in [(1, 7, 2), (2, 16, 2), (10**6, 37, 4), (5, 5, 64)]:
+        size, bounds = experiments._plan_workers(workers, reps, cpus)
+        assert 1 <= size <= min(workers, cpus, len(bounds))
+        # the ranges cover every replicate once, in index order
+        assert [r for lo, hi in bounds for r in range(lo, hi)] == list(range(reps))
+
+
+def test_cli_memory_error_is_a_resource_error(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.53 GiB")
+
+    monkeypatch.setattr(trees, "sample_bgw_conditioned", exhausted)
+    code = run_cli("dump", "--kind", "plane-tree", "--n", "100000", "--count", "1",
+                   "--out", str(tmp_path / "t.txt"))
+    assert code == cli.EXIT_RESOURCE == 3
+    assert "resource error" in capsys.readouterr().err

@@ -1,0 +1,351 @@
+"""The array kernels of randstruct.graphs against the loop implementations
+they replaced, kept here as references.  Every kernel makes the same draws in
+the same order, so on the same stream it must give bit-identical output."""
+
+import heapq
+import math
+
+import numpy as np
+import pytest
+
+from randstruct import graphs
+from randstruct.errors import InvalidParameterError, ResourceLimitError
+from randstruct.graphs import Graph
+from randstruct.rng import make_stream
+
+# ---------------------------------------------------------------------------
+# Reference implementations
+
+
+def ref_csr(n, edges):
+    """Lexsort CSR build of both orientations, with the duplicate scan."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    both = np.concatenate([edges, edges[:, ::-1]])
+    sorted_pairs = both[np.lexsort((both[:, 1], both[:, 0]))]
+    assert not np.any((np.diff(sorted_pairs[:, 0]) == 0)
+                      & (np.diff(sorted_pairs[:, 1]) == 0))
+    counts = np.bincount(sorted_pairs[:, 0], minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return indptr, sorted_pairs[:, 1].copy()
+
+
+def ref_pair_from_linear(linear, n):
+    """Float-sqrt decoder with one correction step (exact for small n)."""
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8.0 * linear)) // 2).astype(np.int64)
+    off = i * (2 * n - 1 - i) // 2
+    i[off > linear] -= 1
+    off = i * (2 * n - 1 - i) // 2
+    i[linear - off >= n - 1 - i] += 1
+    off = i * (2 * n - 1 - i) // 2
+    return np.column_stack([i, linear - off + i + 1])
+
+
+def ref_sample_gnp(n, p, rng):
+    """Edge list of the sampler: gap skipping below p = 0.1, one uniform
+    draw per row above it."""
+    if p == 0.0 or n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    if p < 0.1:
+        total = n * (n - 1) // 2
+        gaps, pos = [], -1
+        expect = int(total * p + 6 * math.sqrt(total * p + 1) + 16)
+        while pos < total:
+            block = rng.gen.geometric(p, size=expect)
+            gaps.append(block)
+            pos += int(block.sum())
+            expect = max(16, expect // 2)
+        linear = np.cumsum(np.concatenate(gaps)) - 1
+        return ref_pair_from_linear(linear[linear < total], n)
+    edges = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.gen.random(n - 1 - i) < p) + i + 1
+        if hits.size:
+            edges.append(np.column_stack([np.full(hits.size, i), hits]))
+    return np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
+
+
+def ref_components(g):
+    """Union-find with path halving over the edge list."""
+    parent = list(range(g.n))
+    size = [1] * g.n
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edge_array():
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+    sizes = [size[v] for v in range(g.n) if find(v) == v]
+    return np.array(sorted(sizes, reverse=True), dtype=np.int64)
+
+
+def ref_connected(g):
+    """Breadth-first reachability from vertex 0."""
+    if g.n <= 1:
+        return True
+    if np.any(np.diff(g.indptr) == 0):
+        return False
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    reached = 1
+    while frontier.size:
+        starts = g.indptr[frontier]
+        counts = g.indptr[frontier + 1] - starts
+        before = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        flat = np.repeat(starts - before, counts) + np.arange(int(counts.sum()))
+        nbrs = g.indices[flat]
+        new = np.unique(nbrs[~seen[nbrs]])
+        seen[new] = True
+        reached += new.size
+        frontier = new
+    return reached == g.n
+
+
+def ref_explore(g):
+    """Min-label heap with lazy deletion and boolean masks, one numpy call
+    per vertex.  Returns (increments, component sizes, stack sizes)."""
+    n = g.n
+    untouched = np.ones(n, dtype=bool)
+    in_stack = np.zeros(n, dtype=bool)
+    heap = []
+    increments = np.empty(n, dtype=np.int64)
+    stack_sizes = np.empty(n, dtype=np.int64)
+    next_fresh = stack_count = comp_len = 0
+    comp_sizes = []
+    for k in range(n):
+        if stack_count == 0:
+            while next_fresh < n and not untouched[next_fresh]:
+                next_fresh += 1
+            untouched[next_fresh] = False
+            in_stack[next_fresh] = True
+            heapq.heappush(heap, next_fresh)
+            stack_count = 1
+            if comp_len:
+                comp_sizes.append(comp_len)
+            comp_len = 0
+        stack_sizes[k] = stack_count
+        x = heapq.heappop(heap)
+        while not in_stack[x]:
+            x = heapq.heappop(heap)
+        in_stack[x] = False
+        stack_count -= 1
+        comp_len += 1
+        nbrs = g.neighbors(x)
+        fresh = nbrs[untouched[nbrs]]
+        untouched[fresh] = False
+        in_stack[fresh] = True
+        for y in fresh:
+            heapq.heappush(heap, int(y))
+        stack_count += fresh.size
+        increments[k] = fresh.size - 1
+    comp_sizes.append(comp_len)
+    return increments, np.array(comp_sizes, dtype=np.int64), stack_sizes
+
+
+def ref_spectral(g, k_max):
+    """Dense float64 adjacency powers and their traces."""
+    n = g.n
+    dense = np.zeros((n, n))
+    arr = g.edge_array()
+    if arr.size:
+        dense[arr[:, 0], arr[:, 1]] = 1.0
+        dense[arr[:, 1], arr[:, 0]] = 1.0
+    moments = np.empty(k_max)
+    power = dense
+    moments[0] = 0.0
+    for k in range(2, k_max + 1):
+        power = power @ dense
+        moments[k - 1] = np.trace(power) / n
+    return moments
+
+
+def assert_same_csr(g, indptr, indices):
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    assert g.m * 2 == indices.size
+
+
+# ---------------------------------------------------------------------------
+# Sampling and the CSR build
+
+# (n, p): both sides of the 0.1 switch, the extremes, and the sizes of
+# criteria 07-11 (07 and 08 at their fast-profile n)
+CASES = [(0, 0.5), (1, 0.5), (2, 0.0), (2, 1.0), (2, 0.05), (2, 0.5),
+         (7, 1.0), (30, 0.0999), (30, 0.1), (40, 0.02), (50, 0.7),
+         (301, 0.3), (3_000, 1.5 / 3_000), (2_000, 2.0 / 2_000),
+         (10_000, (math.log(10_000) - 1.0) / 10_000), (20_000, 2.0 / 20_000)]
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_sample_gnp_matches_reference(n, p):
+    for rep in range(3):
+        rng, ref_rng = make_stream(31, rep), make_stream(31, rep)
+        g = graphs.sample_gnp(n, p, rng)
+        assert_same_csr(g, *ref_csr(n, ref_sample_gnp(n, p, ref_rng)))
+        # the stream is left where the reference leaves it
+        assert rng.gen.random() == ref_rng.gen.random()
+
+
+def test_dense_sampler_across_blocks(monkeypatch):
+    # blocks of 7 uniforms cut through rows; the stream runs on unchanged
+    monkeypatch.setattr(graphs, "_DENSE_BLOCK", 7)
+    for n, p in [(2, 0.5), (9, 0.5), (40, 0.3), (57, 0.9)]:
+        g = graphs.sample_gnp(n, p, make_stream(32, n))
+        assert_same_csr(g, *ref_csr(n, ref_sample_gnp(n, p, make_stream(32, n))))
+
+
+def test_dense_sampler_at_criterion_11_size():
+    g = graphs.sample_gnp(2_000, 0.5, make_stream(33, 0))
+    ref = ref_csr(2_000, ref_sample_gnp(2_000, 0.5, make_stream(33, 0)))
+    assert_same_csr(g, *ref)
+
+
+def test_public_graph_matches_reference():
+    rng = make_stream(34, 0)
+    for _ in range(200):
+        n = int(rng.gen.integers(0, 30))
+        g = graphs.sample_gnp(n, float(rng.gen.random()), rng)
+        edges = g.edge_array()
+        # any order and either orientation give the same CSR
+        edges = edges[rng.gen.permutation(len(edges))]
+        flip = rng.gen.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]
+        built = Graph(n, edges)
+        assert built.n == n and built.m == len(edges)
+        assert_same_csr(built, *ref_csr(n, edges))
+        assert_same_csr(built, g.indptr, g.indices)
+
+
+def test_public_graph_still_validates():
+    for n, edges, message in [
+            (3, [[0, 0]], "loops"),
+            (3, [[0, 3]], "out of range"),
+            (3, [[-1, 2]], "out of range"),
+            (3, [[0, 1], [0, 1]], "duplicate"),
+            (3, [[0, 1], [1, 0]], "duplicate"),
+            (4, [[2, 3], [0, 1], [3, 2]], "duplicate")]:
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(n, edges)
+    with pytest.raises(InvalidParameterError, match="n must be"):
+        Graph(-1, [])
+    empty = Graph(0, [])
+    assert empty.indptr.tolist() == [0] and empty.indices.size == 0
+
+
+# ---------------------------------------------------------------------------
+# Pair decoding
+
+
+def row_boundaries(n, rows):
+    """First and last linear index of each row i of the pair order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    first = rows * (2 * n - 1 - rows) // 2
+    return first, first + (n - 2 - rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1_000, 10**6, 3 * 10**8, 10**9])
+def test_pair_decoder_exact_at_row_boundaries(n):
+    span = np.arange(min(n - 1, 200))
+    rows = np.unique(np.concatenate([span, (n - 1) // 2 - span // 2 + 50,
+                                     n - 2 - span]))
+    rows = rows[(rows >= 0) & (rows <= n - 2)]
+    first, last = row_boundaries(n, rows)
+    for linear, j in ((first, rows + 1), (last, np.full(rows.size, n - 1))):
+        i_got, j_got = graphs._pair_from_linear(linear, n)
+        assert np.array_equal(i_got, rows)
+        assert np.array_equal(j_got, j)
+
+
+def test_pair_decoder_known_large_case():
+    i, j = graphs._pair_from_linear(np.array([499_999_999_499_999_997]), 10**9)
+    assert (i[0], j[0]) == (999_999_997, 999_999_998)
+
+
+def test_pair_decoder_every_index_small_n():
+    for n in range(2, 40):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        i, j = graphs._pair_from_linear(np.arange(len(pairs)), n)
+        assert list(zip(i.tolist(), j.tolist())) == pairs
+
+
+def test_gnp_refuses_n_beyond_exact_pair_indices():
+    with pytest.raises(ResourceLimitError):
+        graphs.sample_gnp(graphs._PAIR_N_CAP + 1, 1e-20, make_stream(35, 0))
+
+
+# ---------------------------------------------------------------------------
+# Components, connectivity, exploration, spectral moments
+
+
+def small_graphs():
+    rng = make_stream(36, 0)
+    yield Graph(0, [])
+    yield Graph(1, [])
+    yield Graph(2, [])
+    yield Graph(2, [[0, 1]])
+    for _ in range(150):
+        n = int(rng.gen.integers(1, 60))
+        yield graphs.sample_gnp(n, min(1.0, float(rng.gen.random() * 4 / n)), rng)
+
+
+def criterion_graphs():
+    """One graph at each full-profile size of criteria 07-11."""
+    yield graphs.sample_gnp(100_000, 1.5 / 100_000, make_stream(37, 0))
+    yield graphs.sample_gnp(100_000, 2.0 / 100_000, make_stream(37, 1))
+    for c in (-1.0, 0.0, 2.0):
+        yield graphs.sample_gnp(10_000, (math.log(10_000) + c) / 10_000,
+                                make_stream(37, 2))
+    yield graphs.sample_gnp(3_000, 1.5 / 3_000, make_stream(37, 3))
+    yield graphs.sample_gnp(2_000, 2.0 / 2_000, make_stream(37, 4))
+
+
+def test_components_and_connected_match_reference():
+    for g in list(small_graphs()) + list(criterion_graphs()):
+        sizes = graphs.components(g)
+        assert sizes.dtype == np.int64
+        assert np.array_equal(sizes, ref_components(g))
+        assert graphs.connected(g) == ref_connected(g)
+
+
+def test_explore_matches_reference():
+    for g in list(small_graphs()) + list(criterion_graphs()):
+        trace = graphs.explore_luka(g)
+        increments, comp_sizes, stack_sizes = ref_explore(g)
+        for got, want in ((trace.walk.increments, increments),
+                          (trace.component_sizes, comp_sizes),
+                          (trace.stack_sizes, stack_sizes)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+def test_spectral_moments_match_reference():
+    rng = make_stream(38, 0)
+    cases = [(Graph(1, []), 12), (Graph(2, [[0, 1]]), 12),
+             (graphs.sample_gnp(7, 1.0, rng), 12)]
+    for _ in range(60):
+        n = int(rng.gen.integers(2, 40))
+        cases.append((graphs.sample_gnp(n, float(rng.gen.random()), rng),
+                      int(rng.gen.integers(1, 13))))
+    # criterion 11's large graphs, at its k_max
+    cases += [(graphs.sample_gnp(2_000, 2.0 / 2_000, make_stream(38, r)), 3)
+              for r in range(3)]
+    checked = 0
+    for g, k_max in cases:
+        if g.n * float(max(int(g.degrees().max(initial=0)), 1)) ** k_max >= 2.0 ** 53:
+            with pytest.raises(ResourceLimitError):
+                graphs.spectral_moments(g, k_max)
+            continue
+        got = graphs.spectral_moments(g, k_max).moments
+        assert np.array_equal(got, ref_spectral(g, k_max)), (g.n, k_max)
+        checked += 1
+    assert checked >= len(cases) // 2

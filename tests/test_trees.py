@@ -319,3 +319,39 @@ def test_percolation_binary_subtree_fixed_point():
         for _ in range(100_000):
             z = h(z)
         assert (z < 1.0 - 1e-3) == expect_sub_one
+
+
+def test_rejected_batches_are_released():
+    import tracemalloc
+    # Poisson(0) has no offspring, so no batch is ever accepted
+    n, max_batches = 400, 3
+    batch_bytes = 32 * int(math.sqrt(n)) * n * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            trees._conditioned_increments(OffspringLaw.poisson(0.0), n,
+                                          make_stream(41, 0), max_batches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch_bytes <= peak < 1.5 * batch_bytes
+
+
+def test_conditioned_increments_draws_unchanged():
+    # the batch loop as it was, subtracting into a second array
+    def reference(law, n, rng):
+        batch = max(4, min(20_000, 4 * int(np.sqrt(n)) * 8))
+        while True:
+            draws = law.sample(rng, size=(batch, n)) - 1
+            good = np.flatnonzero(draws.sum(axis=1) == -1)
+            if good.size:
+                return draws[good[0]]
+
+    # (seeds 1-3 of geometric(0.62) at 60 vertices need 5 to 7 batches)
+    for law, n in [(OffspringLaw.geometric(0.62), 60), (OffspringLaw.poisson(1.0), 50),
+                   (OffspringLaw.binomial(2, 0.5), 9)]:
+        for seed in range(5):
+            a, b = make_stream(42, seed), make_stream(42, seed)
+            got = trees._conditioned_increments(law, n, a, 10_000)
+            assert np.array_equal(got, reference(law, n, b))
+            assert a.gen.random() == b.gen.random()
