@@ -411,8 +411,11 @@ _register(Experiment(
 ))
 
 
+_PM_ONE = exact.OffspringLaw.from_pmf({0: 0.5, 2: 0.5})  # steps -1 and +1
+
+
 def _arcsine_rep(p, s):
-    path = walks.sample_path(walks.StepLaw.pm_one(), p["n"], s)
+    path = walks.sample_path(_PM_ONE, p["n"], s)
     return (walks.argmax_time(path) / p["n"],)
 
 

@@ -1,5 +1,5 @@
 """Erdos-Renyi samplers, component statistics, the minimal-label exploration
-walk, threshold experiments, cliques, triangles, spectral moments, and the
+walk, threshold replicates, cliques, triangles, spectral moments, and the
 stacked / size-randomized exploration walks."""
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .rng import RngStream, make_stream
-from .stats import mean_ci
+from .rng import RngStream
 from .walks import LatticePath
 
 _SPARSE_P = 0.1
@@ -260,46 +259,19 @@ def explore_luka(g: Graph) -> ExplorationTrace:
 
 
 # ---------------------------------------------------------------------------
-# Threshold experiments
-
-
-@dataclass(frozen=True)
-class GiantSummary:
-    largest_fraction: float
-    largest_half_width: float
-    second_fraction: float
-    second_half_width: float
-    rows: np.ndarray  # columns: largest, second
+# Threshold replicates (run through experiments.run_experiment)
 
 
 def giant_rep(n: int, c: float, stream: RngStream) -> tuple[int, int]:
+    """Sizes of the two largest components of one G(n, c/n)."""
     sizes = components(sample_gnp(n, c / n, stream))
     largest = int(sizes[0]) if sizes.size else 0
     second = int(sizes[1]) if sizes.size > 1 else 0
     return largest, second
 
 
-def giant_experiment(n: int, c: float, reps: int, seed: int) -> GiantSummary:
-    """Mean rescaled sizes of the two largest components of G(n, c/n)."""
-    if c <= 0:
-        raise InvalidParameterError("c must be > 0")
-    rows = np.array([giant_rep(n, c, make_stream(seed, r)) for r in range(reps)],
-                    dtype=np.int64)
-    largest, lhw = mean_ci(rows[:, 0] / n)
-    second, shw = mean_ci(rows[:, 1] / n)
-    return GiantSummary(largest, lhw, second, shw, rows)
-
-
-@dataclass(frozen=True)
-class ConnectivitySummary:
-    connected_fraction: float
-    connected_half_width: float
-    no_isolated_fraction: float
-    no_isolated_half_width: float
-    rows: np.ndarray  # columns: connected, no_isolated
-
-
 def connectivity_rep(n: int, c: float, stream: RngStream) -> tuple[bool, bool]:
+    """(connected, no isolated vertex) for one G(n, p) at p = (log n + c)/n."""
     p = (math.log(n) + c) / n
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("(log n + c) / n is outside [0, 1]")
@@ -308,15 +280,6 @@ def connectivity_rep(n: int, c: float, stream: RngStream) -> tuple[bool, bool]:
     no_iso = isolated_count(g) == 0
     assert not conn or no_iso, "a connected graph cannot have isolated vertices"
     return conn, no_iso
-
-
-def connectivity_experiment(n: int, c: float, reps: int, seed: int) -> ConnectivitySummary:
-    """Fractions of connected / no-isolated-vertex graphs at p = (log n + c)/n."""
-    rows = np.array([connectivity_rep(n, c, make_stream(seed, r))
-                     for r in range(reps)], dtype=np.int64)
-    conn, chw = mean_ci(rows[:, 0].astype(float))
-    iso, ihw = mean_ci(rows[:, 1].astype(float))
-    return ConnectivitySummary(conn, chw, iso, ihw, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -346,22 +346,11 @@ def _population_line_stats(k: int, t: float, rng: RngStream):
             np.array([n_other[u] for u in alive]))
 
 
-def _burn_plain_subtree(k: int, horizon: float, rng: RngStream) -> None:
-    """Simulate one ordinary subtree's jump chain up to the remaining horizon."""
-    count = 1
-    now = 0.0
-    while True:
-        now += rng.gen.exponential(1.0 / count)
-        if now > horizon:
-            return
-        count += k - 1
-
-
 def _spine_line_stats(k: int, t: float, rng: RngStream) -> tuple[int, int]:
     """Line statistics of the distinguished particle: the marked line branches
-    at rate k, continues in a uniform position, and hangs k - 1 ordinary
-    subtrees at every branch point (simulated, although the line statistics
-    do not depend on them)."""
+    at rate k and continues in a uniform position.  The k - 1 ordinary subtrees
+    it hangs at every branch point do not affect these statistics, so they are
+    not simulated."""
     now = 0.0
     n_last = 0
     n_other = 0
@@ -373,8 +362,6 @@ def _spine_line_stats(k: int, t: float, rng: RngStream) -> tuple[int, int]:
             n_last += 1
         else:
             n_other += 1
-        for _ in range(k - 1):
-            _burn_plain_subtree(k, t - now, rng)
 
 
 def many_to_one_table(k: int, t: float, functionals, reps: int,
@@ -406,13 +393,6 @@ def many_to_one_table(k: int, t: float, functionals, reps: int,
         rhs_mean, rhs_hw = mean_ci(growth * rhs[f], level=0.99)
         out[f] = ManyToOneResult(lhs_mean, lhs_hw, rhs_mean, rhs_hw)
     return out
-
-
-def many_to_one_check(k: int, t: float, functional: tuple[str, int], reps: int,
-                      rng: RngStream) -> ManyToOneResult:
-    """Compare E[sum of F over particles at t] against e^((k-1)t) E[F along the
-    biased line], both by simulation, at 99% confidence."""
-    return many_to_one_table(k, t, [functional], reps, rng)[tuple(functional)]
 
 
 # ---------------------------------------------------------------------------
@@ -489,38 +469,3 @@ def ok_corral_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
         alive = (a[active] > 0) & (b[active] > 0)
         active = active[alive]
     return a + b
-
-
-# ---------------------------------------------------------------------------
-# Aggregated chain statistics
-
-
-@dataclass(frozen=True)
-class GrowthStats:
-    degree_fractions: np.ndarray  # pooled fraction of out-degree k, k = 0..k_max
-    max_degrees: np.ndarray
-    heights: np.ndarray
-    root_degrees: np.ndarray
-
-
-def growth_stats(chain: str, n: int, reps: int, rng: RngStream,
-                 k_max: int = 8) -> GrowthStats:
-    """Per-replicate degree / height statistics for the named growth chain."""
-    if chain not in ("rrt", "ba"):
-        raise InvalidParameterError("chain must be 'rrt' or 'ba'")
-    builder = rrt_chain if chain == "rrt" else ba_chain
-    pooled = np.zeros(k_max + 1, dtype=np.int64)
-    max_degrees = np.empty(reps, dtype=np.int64)
-    heights = np.empty(reps, dtype=np.int64)
-    root_degrees = np.empty(reps, dtype=np.int64)
-    total = 0
-    for r in range(reps):
-        tree = builder(n, rng)
-        out = tree.out_degrees()
-        hist = np.bincount(out, minlength=k_max + 1)
-        pooled += hist[:k_max + 1]
-        total += out.size
-        max_degrees[r] = out.max()
-        heights[r] = tree.height()
-        root_degrees[r] = out[0]
-    return GrowthStats(pooled / total, max_degrees, heights, root_degrees)

@@ -1,4 +1,4 @@
-"""Seeded randomness substrate: deterministic streams and standard distributions.
+"""Seeded randomness substrate: deterministic, independently addressable streams.
 
 Streams are counter-based (Philox keyed by ``(master_seed, stream_index)``),
 so deriving stream ``i`` is O(1) and distinct indices never overlap.  Parallel
@@ -7,8 +7,6 @@ regardless of how replicates are scheduled.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,133 +40,3 @@ class RngStream:
 def make_stream(master_seed: int, stream_index: int = 0) -> RngStream:
     """Create the deterministic stream for the given seed and index."""
     return RngStream(master_seed, stream_index)
-
-
-@dataclass(frozen=True)
-class DistributionSpec:
-    """A named scalar law with validated parameters; build via the factories below."""
-
-    kind: str
-    params: tuple
-
-
-def uniform01() -> DistributionSpec:
-    return DistributionSpec("uniform01", ())
-
-
-def bernoulli(p: float) -> DistributionSpec:
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"bernoulli p={p} not in [0, 1]")
-    return DistributionSpec("bernoulli", (float(p),))
-
-
-def binomial(n: int, p: float) -> DistributionSpec:
-    if n < 0:
-        raise InvalidParameterError(f"binomial n={n} must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"binomial p={p} not in [0, 1]")
-    return DistributionSpec("binomial", (int(n), float(p)))
-
-
-def geometric(p: float) -> DistributionSpec:
-    """Number of trials until the first success; support {1, 2, ...}."""
-    if not 0.0 < p <= 1.0:
-        raise InvalidParameterError(f"geometric p={p} not in (0, 1]")
-    return DistributionSpec("geometric", (float(p),))
-
-
-def geometric_shifted(p: float) -> DistributionSpec:
-    """Number of failures before the first success; support {0, 1, ...}."""
-    if not 0.0 < p <= 1.0:
-        raise InvalidParameterError(f"geometric p={p} not in (0, 1]")
-    return DistributionSpec("geometric_shifted", (float(p),))
-
-
-def poisson(lam: float) -> DistributionSpec:
-    if lam < 0.0:
-        raise InvalidParameterError(f"poisson lambda={lam} must be >= 0")
-    return DistributionSpec("poisson", (float(lam),))
-
-
-def exponential(rate: float) -> DistributionSpec:
-    """Exponential law with the given rate, i.e. expectation 1/rate."""
-    if rate <= 0.0:
-        raise InvalidParameterError(f"exponential rate={rate} must be > 0")
-    return DistributionSpec("exponential", (float(rate),))
-
-
-def gumbel() -> DistributionSpec:
-    """Standard Gumbel law, cdf exp(-exp(-x))."""
-    return DistributionSpec("gumbel", ())
-
-
-def rayleigh() -> DistributionSpec:
-    """Standard Rayleigh law, tail P(R > x) = exp(-x^2 / 2)."""
-    return DistributionSpec("rayleigh", ())
-
-
-def gamma(shape: float, rate: float) -> DistributionSpec:
-    """Gamma law with density x^(shape-1) e^(-rate x) rate^shape / Gamma(shape)."""
-    if shape <= 0.0 or rate <= 0.0:
-        raise InvalidParameterError("gamma shape and rate must be > 0")
-    return DistributionSpec("gamma", (float(shape), float(rate)))
-
-
-def sample(dist: DistributionSpec, rng: RngStream, size=None):
-    """Draw from ``dist``; scalar when ``size`` is None, ndarray otherwise."""
-    g = rng.gen
-    kind = dist.kind
-    if kind == "uniform01":
-        return g.random(size)
-    if kind == "bernoulli":
-        (p,) = dist.params
-        out = g.random(size) < p
-        return int(out) if size is None else out.astype(np.int64)
-    if kind == "binomial":
-        n, p = dist.params
-        out = g.binomial(n, p, size)
-        return int(out) if size is None else out
-    if kind == "geometric":
-        (p,) = dist.params
-        out = g.geometric(p, size)
-        return int(out) if size is None else out
-    if kind == "geometric_shifted":
-        (p,) = dist.params
-        out = g.geometric(p, size) - 1
-        return int(out) if size is None else out
-    if kind == "poisson":
-        (lam,) = dist.params
-        out = g.poisson(lam, size)
-        return int(out) if size is None else out
-    if kind == "exponential":
-        (rate,) = dist.params
-        out = g.exponential(1.0 / rate, size)
-        return float(out) if size is None else out
-    if kind == "gumbel":
-        out = g.gumbel(0.0, 1.0, size)
-        return float(out) if size is None else out
-    if kind == "rayleigh":
-        out = g.rayleigh(1.0, size)
-        return float(out) if size is None else out
-    if kind == "gamma":
-        shape, rate = dist.params
-        out = g.gamma(shape, 1.0 / rate, size)
-        return float(out) if size is None else out
-    raise InvalidParameterError(f"unknown distribution kind {kind!r}")
-
-
-def race(rates, rng: RngStream) -> tuple[int, float]:
-    """Run independent exponential clocks and report (winner index, minimum time).
-
-    The minimum is exponential with rate sum(rates) and clock ``i`` wins with
-    probability rates[i] / sum(rates); losers' residual clocks stay exponential
-    and are simply not reported.
-    """
-    rates = np.asarray(rates, dtype=float)
-    if rates.size == 0:
-        raise InvalidParameterError("race needs at least one rate")
-    if np.any(rates <= 0.0) or not np.all(np.isfinite(rates)):
-        raise InvalidParameterError("race rates must be positive and finite")
-    times = rng.gen.exponential(1.0 / rates)
-    winner = int(np.argmin(times))
-    return winner, float(times[winner])

@@ -85,8 +85,11 @@ def chi_square_gof(emp: EmpiricalDist, pmf, alpha_level: float = 0.01) -> TestRe
 
     ``pmf`` maps a support value to its probability.  For integer supports the
     cells cover every integer of the observed range (holes count as zero
-    observations), remaining pmf mass outside the range joins the end cells,
-    and the tail is merged right-to-left until every cell expects at least 5.
+    observations).  All pmf mass outside that range, the lower tail included,
+    goes into one extra cell at the right end; the tail is then merged
+    right-to-left until every cell expects at least 5.  A caller whose sample
+    may miss the support minimum must pass the full grid as an
+    ``EmpiricalDist`` with zero counts, as ``verify._height_clauses`` does.
     """
     if emp.total <= 0:
         raise InvalidTestError("empty empirical distribution")

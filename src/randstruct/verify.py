@@ -16,10 +16,11 @@ from scipy import stats as sps
 
 from . import exact, graphs, growth, permutations, trees, walks
 from .exact import OffspringLaw
+from .experiments import ExperimentConfig, run_experiment
 from .rng import make_stream
 from .stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
                     chi_square_two_sample, ks_test, mean_ci)
-from .walks import StepLaw, _good_shift_counts
+from .walks import _good_shift_counts
 
 MASTER_SEED = 20260810
 
@@ -190,15 +191,18 @@ def criterion_02_cycle_lemma(scale: str, seed: int) -> tuple[bool, str]:
 
 
 def criterion_03_kemperman(scale: str, seed: int) -> tuple[bool, str]:
+    # walk steps are offspring counts minus one
     chk = _Check()
-    lhs, rhs = walks.kemperman_check(StepLaw.pm_one(), 3, 1)
+    lhs, rhs = walks.kemperman_check(
+        OffspringLaw.from_pmf({0: Fraction(1, 2), 2: Fraction(1, 2)}), 3, 1)
     chk.add("pm1 n=3 k=1", lhs == rhs == Fraction(1, 8))
-    law = StepLaw.from_pmf({-1: Fraction(1, 2), 0: Fraction(1, 4), 1: Fraction(1, 4)})
+    law = OffspringLaw.from_pmf({0: Fraction(1, 2), 1: Fraction(1, 4),
+                                 2: Fraction(1, 4)})
     lhs, rhs = walks.kemperman_check(law, 4, 2)
     chk.add("half-quarter n=4 k=2", lhs == rhs)
     weights = [math.exp(-1.0) / math.factorial(j) for j in range(4)]
     z = sum(weights)
-    trunc = StepLaw.from_pmf({j - 1: w / z for j, w in enumerate(weights)})
+    trunc = OffspringLaw.from_pmf({j: w / z for j, w in enumerate(weights)})
     lhs, rhs = walks.kemperman_check(trunc, 5, 1)
     chk.add("truncated-poisson n=5 k=1", abs(lhs - rhs) < 1e-12)
     if scale == "full":
@@ -268,12 +272,13 @@ def criterion_07_giant(scale: str, seed: int) -> tuple[bool, str]:
     n = 100_000 if scale == "full" else 20_000
     reps = 50 if scale == "full" else 10
     for i, c in enumerate((0.5, 1.5, 2.0)):
-        summary = graphs.giant_experiment(n, c, reps, seed * 100 + i)
+        summary = run_experiment(ExperimentConfig(
+            "giant", {"n": n, "c": c}, master_seed=seed * 100 + i, reps=reps)).summary
         target = exact.giant_fraction(c)
-        chk.within(f"largest c={c}", summary.largest_fraction, target, 0.01)
+        chk.within(f"largest c={c}", summary["largest_frac_mean"], target, 0.01)
         if c == 2.0:
-            chk.add("second c=2", summary.second_fraction < 0.01,
-                    f" ({summary.second_fraction:.5f})")
+            chk.add("second c=2", summary["second_frac_mean"] < 0.01,
+                    f" ({summary['second_frac_mean']:.5f})")
     return chk.result()
 
 
@@ -293,13 +298,13 @@ def criterion_09_connectivity(scale: str, seed: int) -> tuple[bool, str]:
     n = 10_000 if scale == "full" else 3_000
     reps = 2_000 if scale == "full" else 400
     for i, c in enumerate((-1.0, 0.0, 2.0)):
-        summary = graphs.connectivity_experiment(n, c, reps, seed * 200 + i)
+        connected = run_experiment(ExperimentConfig(
+            "connectivity", {"n": n, "c": c}, master_seed=seed * 200 + i,
+            reps=reps)).summary["connected_mean"]
         target = exact.connectivity_limit(c)
-        hw = 2.576 * math.sqrt(max(summary.connected_fraction
-                                   * (1 - summary.connected_fraction), 1e-12) / reps)
-        chk.add(f"c={c} CI brackets limit",
-                abs(summary.connected_fraction - target) <= hw,
-                f" ({summary.connected_fraction:.4f} vs {target:.4f} hw {hw:.4f})")
+        hw = 2.576 * math.sqrt(max(connected * (1 - connected), 1e-12) / reps)
+        chk.add(f"c={c} CI brackets limit", abs(connected - target) <= hw,
+                f" ({connected:.4f} vs {target:.4f} hw {hw:.4f})")
     return chk.result()
 
 
@@ -421,9 +426,14 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     n = 100_000 if scale == "full" else 20_000
     rng = make_stream(seed, 14)
-    stats = growth.growth_stats("rrt", n, 5, rng, k_max=6)
-    ok = all(abs(stats.degree_fractions[k] - 2.0 ** (-k - 1)) < 0.005
-             for k in range(6))
+    pooled = np.zeros(7, dtype=np.int64)
+    total = 0
+    for _ in range(5):
+        out = growth.rrt_chain(n, rng).out_degrees()
+        pooled += np.bincount(out, minlength=7)[:7]
+        total += out.size
+    fractions = pooled / total
+    ok = all(abs(fractions[k] - 2.0 ** (-k - 1)) < 0.005 for k in range(6))
     chk.add("out-degree fractions vs 2^-k-1", ok)
     hreps = 200_000 if scale == "full" else 50_000
     rng = make_stream(seed, 141)
@@ -645,7 +655,6 @@ def criterion_19_determinism(scale: str, seed: int) -> tuple[bool, str]:
     import tempfile
     from pathlib import Path
 
-    from .experiments import ExperimentConfig, run_experiment
     chk = _Check()
     with tempfile.TemporaryDirectory() as tmp:
         outputs = []

@@ -58,90 +58,12 @@ class LatticePath:
         return f"LatticePath({self.increments.tolist()})"
 
 
-@dataclass(frozen=True)
-class StepLaw:
-    """Step law on {-1, 0, 1, 2, ...}: finite pmf or a named family."""
-
-    kind: str
-    params: tuple
-    pmf_pairs: tuple = ()
-
-    @classmethod
-    def from_pmf(cls, pairs) -> "StepLaw":
-        items = sorted((int(k), Fraction(p)) for k, p in dict(pairs).items())
-        if any(k < -1 for k, _ in items):
-            raise InvalidParameterError("steps below -1 are not allowed")
-        if any(p < 0 for _, p in items):
-            raise InvalidParameterError("probabilities must be >= 0")
-        if abs(float(sum(p for _, p in items)) - 1.0) > 1e-12:
-            raise InvalidParameterError("pmf must sum to 1")
-        return cls("pmf", (), tuple(items))
-
-    @classmethod
-    def pm_one(cls) -> "StepLaw":
-        return cls.from_pmf({-1: Fraction(1, 2), 1: Fraction(1, 2)})
-
-    @classmethod
-    def poisson_minus_one(cls, alpha: float) -> "StepLaw":
-        if alpha < 0:
-            raise InvalidParameterError("alpha must be >= 0")
-        return cls("poisson_m1", (float(alpha),))
-
-    @classmethod
-    def geometric_minus_one(cls, p: float) -> "StepLaw":
-        """Step G - 1 where G counts failures before a success: pmf p(1-p)^(k+1)."""
-        if not 0.0 < p <= 1.0:
-            raise InvalidParameterError("p must be in (0, 1]")
-        return cls("geometric_m1", (float(p),))
-
-    @classmethod
-    def from_offspring(cls, law: OffspringLaw) -> "StepLaw":
-        if law.kind == "pmf":
-            return cls.from_pmf({k - 1: p for k, p in law.pmf_pairs})
-        if law.kind == "poisson":
-            return cls.poisson_minus_one(law.params[0])
-        if law.kind == "geometric":
-            return cls.geometric_minus_one(law.params[0])
-        d, p = law.params
-        return cls("binomial_m1", (d, p))
-
-    @property
-    def mean(self) -> float:
-        if self.kind == "pmf":
-            return float(sum(k * p for k, p in self.pmf_pairs))
-        if self.kind == "poisson_m1":
-            return self.params[0] - 1.0
-        if self.kind == "geometric_m1":
-            p = self.params[0]
-            return (1.0 - p) / p - 1.0
-        d, p = self.params
-        return d * p - 1.0
-
-    def support(self):
-        """(values, exact probabilities); finite-pmf laws only."""
-        if self.kind != "pmf":
-            raise InvalidParameterError("support enumeration needs a finite pmf")
-        return tuple(k for k, _ in self.pmf_pairs), tuple(p for _, p in self.pmf_pairs)
-
-    def sample(self, rng: RngStream, size=None):
-        g = rng.gen
-        if self.kind == "poisson_m1":
-            return g.poisson(self.params[0], size) - 1
-        if self.kind == "geometric_m1":
-            return g.geometric(self.params[0], size) - 2
-        if self.kind == "binomial_m1":
-            d, p = self.params
-            return g.binomial(d, p, size) - 1
-        values = np.array([k for k, _ in self.pmf_pairs])
-        probs = np.array([float(p) for _, p in self.pmf_pairs])
-        return g.choice(values, size=size, p=probs / probs.sum())
-
-
-def sample_path(law: StepLaw, n: int, rng: RngStream) -> LatticePath:
-    """Walk of n i.i.d. increments of the given step law."""
+def sample_path(law: OffspringLaw, n: int, rng: RngStream) -> LatticePath:
+    """Walk of n i.i.d. increments, each an offspring count of ``law`` minus
+    one (the Lukasiewicz step); the +-1 walk is the law {0: 1/2, 2: 1/2}."""
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    return LatticePath(law.sample(rng, size=n))
+    return LatticePath(law.sample(rng, size=n) - 1)
 
 
 def hitting_time(path: LatticePath, k: int = 1):
@@ -185,12 +107,16 @@ def good_shift_count(path: LatticePath) -> int:
     return int(_good_shift_counts(path.increments[None, :], k)[0])
 
 
-def kemperman_check(law: StepLaw, n: int, k: int):
-    """Evaluate (1/n) P(S_n = -k) and (1/k) P(first passage to -k at n) by
-    exhaustive enumeration over the step support; returns the exact pair."""
+def kemperman_check(law: OffspringLaw, n: int, k: int):
+    """Evaluate (1/n) P(S_n = -k) and (1/k) P(first passage to -k at n) for the
+    walk with steps offspring - 1, by exhaustive enumeration over the finite
+    pmf of ``law``; returns the exact pair."""
     if n < 1 or k < 1:
         raise InvalidParameterError("need n >= 1 and k >= 1")
-    values, probs = law.support()
+    if law.kind != "pmf":
+        raise InvalidParameterError("support enumeration needs a finite pmf")
+    values = tuple(j - 1 for j, _ in law.pmf_pairs)
+    probs = tuple(p for _, p in law.pmf_pairs)
     if len(values) ** n > _ENUMERATION_CAP:
         raise ResourceLimitError("enumeration too large")
     p_end = 0

@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from randstruct import exact, graphs
 from randstruct.errors import InvalidParameterError, ResourceLimitError
+from randstruct.experiments import ExperimentConfig, run_experiment
 from randstruct.graphs import Graph
 from randstruct.rng import make_stream
 from randstruct.stats import (EmpiricalDist, chi_square_gof,
@@ -270,14 +271,16 @@ def test_poissonized_walk_critical_window_scaling():
 
 
 def test_giant_experiment_smoke():
-    summary = graphs.giant_experiment(5_000, 2.0, 10, seed=4)
-    assert abs(summary.largest_fraction - exact.giant_fraction(2.0)) < 0.03
-    assert summary.second_fraction < 0.02
+    summary = run_experiment(ExperimentConfig(
+        "giant", {"n": 5_000, "c": 2.0}, master_seed=4, reps=10)).summary
+    assert abs(summary["largest_frac_mean"] - exact.giant_fraction(2.0)) < 0.03
+    assert summary["second_frac_mean"] < 0.02
 
 
 def test_connectivity_experiment_smoke():
-    summary = graphs.connectivity_experiment(2_000, 0.0, 200, seed=4)
+    summary = run_experiment(ExperimentConfig(
+        "connectivity", {"n": 2_000, "c": 0.0}, master_seed=4, reps=200)).summary
     target = exact.connectivity_limit(0.0)
-    assert abs(summary.connected_fraction - target) < 5 * math.sqrt(
+    assert abs(summary["connected_mean"] - target) < 5 * math.sqrt(
         target * (1 - target) / 200)
-    assert summary.no_isolated_fraction >= summary.connected_fraction
+    assert summary["no_isolated_mean"] >= summary["connected_mean"]

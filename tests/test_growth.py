@@ -252,7 +252,8 @@ def test_ba_fixed_vertex_degree_scaling():
 
 def test_many_to_one_constant():
     rng = make_stream(4, 25)
-    result = growth.many_to_one_check(2, 3.0, ("constant-1", 0), 2_000, rng)
+    result = growth.many_to_one_table(2, 3.0, [("constant-1", 0)], 2_000,
+                                      rng)[("constant-1", 0)]
     assert result.rhs_mean == pytest.approx(math.exp(3.0))
     assert result.overlap()
 
@@ -346,20 +347,29 @@ def test_ok_corral_survivor_scaling():
     assert abs(scaled.mean() - target) < 3 * se
 
 
+def _pooled_out_degree_fractions(chain, n, reps, rng, k_max=6):
+    pooled = np.zeros(k_max + 1, dtype=np.int64)
+    total = 0
+    for _ in range(reps):
+        out = chain(n, rng).out_degrees()
+        pooled += np.bincount(out, minlength=k_max + 1)[:k_max + 1]
+        total += out.size
+    return pooled / total
+
+
 def test_growth_stats_rrt_degree_law():
     rng = make_stream(4, 34)
-    stats = growth.growth_stats("rrt", 100_000, 3, rng, k_max=6)
+    fractions = _pooled_out_degree_fractions(growth.rrt_chain, 100_000, 3, rng)
     for k in range(6):
-        assert abs(stats.degree_fractions[k] - 2.0 ** (-k - 1)) < 0.005
-    assert stats.heights.size == 3
+        assert abs(fractions[k] - 2.0 ** (-k - 1)) < 0.005
 
 
 def test_growth_stats_ba_degree_law():
     rng = make_stream(4, 35)
-    stats = growth.growth_stats("ba", 100_000, 3, rng, k_max=6)
+    fractions = _pooled_out_degree_fractions(growth.ba_chain, 100_000, 3, rng)
     for k in range(1, 6):
         target = 4.0 / ((k + 1) * (k + 2) * (k + 3))
-        assert abs(stats.degree_fractions[k] - target) < 0.005
+        assert abs(fractions[k] - target) < 0.005
 
 
 def test_rrt_vertex_height_law():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from randstruct import rng as R
+from randstruct import walks
 from randstruct.errors import InvalidParameterError
-from randstruct.stats import ks_test
+from randstruct.exact import OffspringLaw
 
 
 def test_same_seed_same_stream():
@@ -39,30 +40,15 @@ def test_streams_pairwise_uncorrelated():
     assert abs(corr) < 4 / math.sqrt(n)
 
 
-def test_exponential_mean():
-    s = R.make_stream(1, 0)
-    x = R.sample(R.exponential(2.0), s, size=1_000_000)
-    se = x.std() / math.sqrt(x.size)
-    assert abs(x.mean() - 0.5) < 3 * se
-
-
 def test_poisson_zero_degenerate():
     s = R.make_stream(1, 1)
-    assert R.sample(R.poisson(0.0), s, size=1_000).max() == 0
-
-
-def test_gumbel_cdf_at_zero():
-    s = R.make_stream(1, 2)
-    x = R.sample(R.gumbel(), s, size=1_000_000)
-    p = float(np.mean(x <= 0.0))
-    target = math.exp(-1.0)
-    assert abs(p - target) < 3 * math.sqrt(target * (1 - target) / x.size)
+    assert OffspringLaw.poisson(0.0).sample(s, size=1_000).max() == 0
 
 
 @pytest.mark.parametrize("n,p", [(10, 0.3), (100, 0.01)])
 def test_binomial_moments(n, p):
     s = R.make_stream(2, n)
-    x = R.sample(R.binomial(n, p), s, size=1_000_000).astype(float)
+    x = OffspringLaw.binomial(n, p).sample(s, size=1_000_000).astype(float)
     mean, var = n * p, n * p * (1 - p)
     se_mean = x.std() / math.sqrt(x.size)
     # variance standard error from the exact fourth central moment
@@ -77,7 +63,7 @@ def test_binomial_moments(n, p):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
 def test_poisson_mean_equals_variance(lam):
     s = R.make_stream(3, int(lam * 10))
-    x = R.sample(R.poisson(lam), s, size=1_000_000).astype(float)
+    x = OffspringLaw.poisson(lam).sample(s, size=1_000_000).astype(float)
     se_mean = x.std() / math.sqrt(x.size)
     mu4 = lam * (1 + 3 * lam)  # fourth central moment of the Poisson law
     se_var = math.sqrt((mu4 - lam ** 2 + 2 * lam ** 2 / (x.size - 1)) / x.size)
@@ -86,59 +72,19 @@ def test_poisson_mean_equals_variance(lam):
 
 
 def test_geometric_supports():
+    # failures before the first success start at 0; walk steps at -1
     s = R.make_stream(4, 0)
-    plain = R.sample(R.geometric(0.4), s, size=10_000)
-    shifted = R.sample(R.geometric_shifted(0.4), s, size=10_000)
-    assert plain.min() == 1
-    assert shifted.min() == 0
+    law = OffspringLaw.geometric(0.4)
+    assert law.sample(s, size=10_000).min() == 0
+    assert walks.sample_path(law, 10_000, s).increments.min() == -1
 
 
 @pytest.mark.parametrize("factory,args", [
-    (R.bernoulli, (1.5,)),
-    (R.binomial, (-1, 0.5)),
-    (R.geometric, (0.0,)),
-    (R.poisson, (-0.1,)),
-    (R.exponential, (0.0,)),
-    (R.gamma, (0.0, 1.0)),
+    (OffspringLaw.from_pmf, ({0: 0.5, 2: 0.4},)),
+    (OffspringLaw.binomial, (-1, 0.5)),
+    (OffspringLaw.geometric, (0.0,)),
+    (OffspringLaw.poisson, (-0.1,)),
 ])
 def test_invalid_parameters_rejected(factory, args):
     with pytest.raises(InvalidParameterError):
         factory(*args)
-
-
-def test_race_symmetric_winner():
-    s = R.make_stream(5, 0)
-    reps = 200_000
-    wins = sum(R.race((1.0, 1.0), s)[0] == 0 for _ in range(reps))
-    assert abs(wins / reps - 0.5) < 3 * math.sqrt(0.25 / reps)
-
-
-def test_race_rate_weighted_winner():
-    s = R.make_stream(5, 1)
-    reps = 200_000
-    wins = sum(R.race((1.0, 2.0), s)[0] == 1 for _ in range(reps))
-    p = 2.0 / 3.0
-    assert abs(wins / reps - p) < 3 * math.sqrt(p * (1 - p) / reps)
-
-
-def test_race_single_clock_mean():
-    s = R.make_stream(5, 2)
-    reps = 200_000
-    times = np.array([R.race((3.0,), s)[1] for _ in range(reps)])
-    assert abs(times.mean() - 1 / 3) < 3 * times.std() / math.sqrt(reps)
-
-
-def test_race_minimum_is_exponential_of_total_rate():
-    s = R.make_stream(5, 3)
-    reps = 100_000
-    times = np.sort([R.race((0.5, 1.0, 1.5), s)[1] for _ in range(reps)])
-    report = ks_test(times, lambda x: 1.0 - np.exp(-3.0 * x), alpha_level=0.01)
-    assert report.passed
-
-
-def test_race_rejects_bad_rates():
-    s = R.make_stream(5, 4)
-    with pytest.raises(InvalidParameterError):
-        R.race((), s)
-    with pytest.raises(InvalidParameterError):
-        R.race((1.0, -2.0), s)

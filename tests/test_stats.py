@@ -5,6 +5,7 @@ import pytest
 
 from randstruct import rng as R
 from randstruct.errors import InvalidParameterError, InvalidTestError
+from randstruct.exact import OffspringLaw
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
                               chi_square_two_sample, ks_test, mean_ci)
 
@@ -33,7 +34,7 @@ def test_chi_square_loaded_die_statistic_1500():
 def test_chi_square_merges_right_tail():
     # geometric-ish tail cells with tiny expectation must be pooled
     rng = R.make_stream(11, 0)
-    x = R.sample(R.poisson(2.0), rng, size=20_000)
+    x = OffspringLaw.poisson(2.0).sample(rng, size=20_000)
     emp = EmpiricalDist.from_samples(x)
     report = chi_square_gof(
         emp, lambda k: math.exp(-2.0 + k * math.log(2.0) - math.lgamma(k + 1)))
@@ -49,15 +50,18 @@ def test_chi_square_single_cell_invalid():
 
 def test_chi_square_two_sample_same_law_passes():
     rng = R.make_stream(11, 1)
-    a = np.bincount(R.sample(R.binomial(8, 0.4), rng, size=50_000), minlength=9)
-    b = np.bincount(R.sample(R.binomial(8, 0.4), rng, size=50_000), minlength=9)
+    law = OffspringLaw.binomial(8, 0.4)
+    a = np.bincount(law.sample(rng, size=50_000), minlength=9)
+    b = np.bincount(law.sample(rng, size=50_000), minlength=9)
     assert chi_square_two_sample(a, b).passed
 
 
 def test_chi_square_two_sample_detects_difference():
     rng = R.make_stream(11, 2)
-    a = np.bincount(R.sample(R.binomial(8, 0.4), rng, size=50_000), minlength=9)
-    b = np.bincount(R.sample(R.binomial(8, 0.5), rng, size=50_000), minlength=9)
+    a = np.bincount(OffspringLaw.binomial(8, 0.4).sample(rng, size=50_000),
+                    minlength=9)
+    b = np.bincount(OffspringLaw.binomial(8, 0.5).sample(rng, size=50_000),
+                    minlength=9)
     assert not chi_square_two_sample(a, b).passed
 
 
@@ -77,13 +81,13 @@ def test_ks_quantile_samples_pass():
 
 def test_ks_null_passes():
     rng = R.make_stream(12, 0)
-    x = np.sort(R.sample(R.exponential(1.0), rng, size=10_000))
+    x = np.sort(rng.gen.exponential(1.0, size=10_000))
     assert ks_test(x, lambda v: 1.0 - np.exp(-v), alpha_level=0.01).passed
 
 
 def test_ks_wrong_law_fails():
     rng = R.make_stream(12, 1)
-    x = np.sort(R.sample(R.exponential(1.0), rng, size=10_000))
+    x = np.sort(rng.gen.exponential(1.0, size=10_000))
     gumbel_cdf = lambda v: np.exp(-np.exp(-v))  # noqa: E731
     report = ks_test(x, gumbel_cdf, alpha_level=0.01)
     assert not report.passed

@@ -11,7 +11,10 @@ from randstruct import exact, walks
 from randstruct.errors import InvalidParameterError
 from randstruct.rng import make_stream
 from randstruct.stats import EmpiricalDist, chi_square_gof, ks_test
-from randstruct.walks import LatticePath, StepLaw
+from randstruct.exact import OffspringLaw
+from randstruct.walks import LatticePath
+
+PM_ONE = OffspringLaw.from_pmf({0: Fraction(1, 2), 2: Fraction(1, 2)})
 
 
 def test_path_rejects_deep_jumps():
@@ -26,19 +29,19 @@ def test_prefix_sums_match_cumsum(increments):
 
 
 def test_sample_path_delta_minus_one():
-    law = StepLaw.from_pmf({-1: 1})
+    law = OffspringLaw.from_pmf({0: 1})
     path = walks.sample_path(law, 3, make_stream(0, 0))
     assert path.increments.tolist() == [-1, -1, -1]
 
 
 def test_sample_path_pm_one_mean():
-    path = walks.sample_path(StepLaw.pm_one(), 1_000_000, make_stream(0, 1))
+    path = walks.sample_path(PM_ONE, 1_000_000, make_stream(0, 1))
     mean = path.increments.mean()
     assert abs(mean) < 4 / math.sqrt(path.n)
 
 
 def test_sample_path_poisson_mean():
-    law = StepLaw.poisson_minus_one(2.0)
+    law = OffspringLaw.poisson(2.0)
     path = walks.sample_path(law, 100_000, make_stream(0, 2))
     se = path.increments.std() / math.sqrt(path.n)
     assert abs(path.increments.mean() - 1.0) < 4 * se
@@ -73,22 +76,24 @@ def test_good_shift_count_always_k(increments):
 
 
 def test_kemperman_examples():
-    lhs, rhs = walks.kemperman_check(StepLaw.pm_one(), 3, 1)
+    lhs, rhs = walks.kemperman_check(PM_ONE, 3, 1)
     assert lhs == rhs == Fraction(1, 8)
-    law = StepLaw.from_pmf({-1: Fraction(1, 2), 0: Fraction(1, 4),
-                            1: Fraction(1, 4)})
+    law = OffspringLaw.from_pmf({0: Fraction(1, 2), 1: Fraction(1, 4),
+                                 2: Fraction(1, 4)})
     lhs, rhs = walks.kemperman_check(law, 4, 2)
     assert lhs == rhs
     weights = [math.exp(-1.0) / math.factorial(j) for j in range(4)]
     z = sum(weights)
-    trunc = StepLaw.from_pmf({j - 1: w / z for j, w in enumerate(weights)})
+    trunc = OffspringLaw.from_pmf({j: w / z for j, w in enumerate(weights)})
     lhs, rhs = walks.kemperman_check(trunc, 5, 1)
     assert abs(lhs - rhs) < 1e-12
+    with pytest.raises(InvalidParameterError):
+        walks.kemperman_check(OffspringLaw.poisson(1.0), 3, 1)
 
 
 def test_kemperman_rational_sweep():
-    law = StepLaw.from_pmf({-1: Fraction(1, 3), 0: Fraction(1, 3),
-                            2: Fraction(1, 3)})
+    law = OffspringLaw.from_pmf({0: Fraction(1, 3), 1: Fraction(1, 3),
+                                 3: Fraction(1, 3)})
     for n in range(1, 9):
         for k in (1, 2):
             lhs, rhs = walks.kemperman_check(law, n, k)
@@ -159,7 +164,7 @@ def test_argmax_symmetry():
     n = 400
     rng = make_stream(1, 2)
     for _ in range(reps):
-        path = walks.sample_path(StepLaw.pm_one(), n, rng)
+        path = walks.sample_path(PM_ONE, n, rng)
         half += walks.argmax_time(path) / n <= 0.5
     # P(K_n/n <= 1/2) is 1/2 + O(1/sqrt(n)) by symmetry of the arcsine limit
     assert abs(half / reps - 0.5) <= 3 * math.sqrt(0.25 / reps) + 2 / math.sqrt(n)
@@ -199,7 +204,7 @@ def test_record_examples():
 def test_record_duality_identity():
     # mean weak-ascending-record count equals the mean first-passage time
     # below zero, here 1/|drift| = 3
-    law = StepLaw.from_pmf({-1: Fraction(2, 3), 1: Fraction(1, 3)})
+    law = OffspringLaw.from_pmf({0: Fraction(2, 3), 2: Fraction(1, 3)})
     rng = make_stream(1, 4)
     reps = 10_000
     records = np.empty(reps)
