@@ -16,6 +16,9 @@ from .rng import RngStream
 from .stats import mean_ci
 
 _PARTICLE_CAP = 10_000_000
+# The batch chains draw their uniforms in blocks of at most this many values
+# (8 MiB of doubles); the draws themselves do not depend on the block size.
+_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -34,6 +37,14 @@ class GrowingTree:
         if par.size > 1 and par[1:].min() < 0:
             raise FormatError("parents must be existing vertices")
 
+    @classmethod
+    def _grown(cls, parent: np.ndarray) -> GrowingTree:
+        """Wrap an int64 parent array that a sampler built valid by
+        construction, skipping the checks of the public constructor."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "parent", parent)
+        return tree
+
     @property
     def n_vertices(self) -> int:
         return int(self.parent.size)
@@ -48,11 +59,16 @@ class GrowingTree:
         return deg
 
     def depths(self) -> np.ndarray:
-        par = self.parent.tolist()
-        depth = [0] * len(par)
-        for i in range(1, len(par)):
-            depth[i] = depth[par[i]] + 1
-        return np.array(depth, dtype=np.int64)
+        """Depth of every vertex by pointer doubling: depth[i] is the distance
+        from i to anc[i], and each pass doubles it until anc[i] is the root."""
+        depth = np.ones(self.n_vertices, dtype=np.int64)
+        depth[0] = 0
+        anc = self.parent.copy()
+        anc[0] = 0
+        while anc.any():
+            depth += depth[anc]
+            anc = anc[anc]
+        return depth
 
     def height(self) -> int:
         return int(self.depths().max())
@@ -80,28 +96,31 @@ def rrt_chain(n: int, rng: RngStream) -> GrowingTree:
     parent[0] = -1
     if n:
         parent[1:] = rng.gen.integers(0, np.arange(1, n + 1))
-    return GrowingTree(parent)
+    return GrowingTree._grown(parent)
 
 
 def ba_chain(n: int, rng: RngStream) -> GrowingTree:
     """Preferential attachment: vertex i joins vertex v with probability
-    deg(v) / (2 (i - 1)), realized by keeping one slot per unit of degree."""
+    deg(v) / (2 (i - 1)), realized by keeping one slot per unit of degree
+    (Batagelj & Brandes, PRE 71, 2005).  Vertex i >= 2 picks slot r < 2(i-1):
+    odd slot 2j-1 holds vertex j and even slot 2j-2 holds parent[j], j < i.
+    The copies are resolved by synchronous pointer jumping; a pending vertex
+    stores minus the vertex whose parent it copies."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     parent = np.empty(n + 1, dtype=np.int64)
     parent[0] = -1
     parent[1] = 0
-    if n == 1:
-        return GrowingTree(parent)
-    picks = rng.gen.integers(0, 2 * np.arange(1, n, dtype=np.int64))
-    slots = [0] * (2 * n)
-    slots[1] = 1
-    for i, r in enumerate(picks, start=2):
-        chosen = slots[r]
-        parent[i] = chosen
-        slots[2 * i - 2] = chosen
-        slots[2 * i - 1] = i
-    return GrowingTree(parent)
+    if n > 1:
+        picks = rng.gen.integers(0, np.arange(2, 2 * n, 2))
+        target = picks // 2 + 1
+        parent[2:] = np.where(picks & 1, target, -target)
+        todo = (parent[2:] < 0).nonzero()[0] + 2
+        while todo.size:
+            jumped = parent[-parent[todo]]
+            parent[todo] = jumped
+            todo = todo[jumped < 0]
+    return GrowingTree._grown(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +272,7 @@ def yule_to_rrt(tree: YuleTree, n: int) -> GrowingTree:
         block[first] = b            # left child continues the vertex
         block[first + 1] = j + 1    # right child starts vertex j + 1
         parent[j + 1] = b
-    return GrowingTree(parent)
+    return GrowingTree._grown(parent)
 
 
 def yule3_to_ba(tree0: YuleTree, tree1: YuleTree, n: int) -> GrowingTree:
@@ -284,7 +303,7 @@ def yule3_to_ba(tree0: YuleTree, tree1: YuleTree, n: int) -> GrowingTree:
         block[which][first + 1] = b
         block[which][first + 2] = v
         parent[v] = b
-    return GrowingTree(parent)
+    return GrowingTree._grown(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +418,35 @@ def many_to_one_table(k: int, t: float, functionals, reps: int,
 # Embedded-chain classics
 
 
+def _check_batch(n: int, reps: int) -> None:
+    if n < 2:
+        raise InvalidParameterError("n must be >= 2")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+
+
+def _block_rows(width: int, steps: int) -> int:
+    """Rows in one block of draws of ``width`` values each: at most ``steps``,
+    and at most what fits the draw budget, but always one."""
+    return min(steps, max(1, _BLOCK_VALUES // width))
+
+
+def _uniform_block(rng: RngStream, buf: np.ndarray, width: int,
+                   steps: int) -> np.ndarray:
+    """The next uniforms for ``width`` chains that can all take ``steps`` more
+    steps, one row per step, drawn into ``buf`` (reused across blocks): the
+    same doubles as one ``gen.random(width)`` call per row."""
+    block = buf[:_block_rows(width, steps) * width].reshape(-1, width)
+    rng.gen.random(out=block)
+    return block
+
+
+def _block_buffer(n: int, reps: int) -> np.ndarray:
+    """Room for the largest block of a chain that takes at most n steps per
+    replicate while it runs: min(n, budget // m) rows of m <= reps values."""
+    return np.empty(min(n * reps, max(_BLOCK_VALUES, reps)))
+
+
 def coupon_collector(n: int, rng: RngStream) -> int:
     """Draws needed to see all n coupon types: the sum over j of the geometric
     time to leave j distinct types."""
@@ -408,13 +456,15 @@ def coupon_collector(n: int, rng: RngStream) -> int:
     return int(rng.gen.geometric(p).sum())
 
 
-def coupon_collector_batch(n: int, reps: int, rng: RngStream,
-                           block: int = 256) -> np.ndarray:
+def coupon_collector_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
+    """``reps`` coupon-collector times, drawn in row blocks that fit the draw
+    budget; the draws are sequential, so the blocking does not change them."""
+    _check_batch(n, reps)
     out = np.empty(reps, dtype=np.int64)
     done = 0
     p = (n - np.arange(n)) / n
     while done < reps:
-        b = min(block, reps - done)
+        b = _block_rows(n, reps - done)
         out[done:done + b] = rng.gen.geometric(p, size=(b, n)).sum(axis=1)
         done += b
     return out
@@ -435,17 +485,36 @@ def pills(n: int, rng: RngStream) -> int:
 
 
 def pills_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
-    whole = np.full(reps, n, dtype=np.int64)
-    half = np.zeros(reps, dtype=np.int64)
+    """Half pills left in ``reps`` independent jars.  Each step of a jar draws
+    one uniform u and takes a whole pill when u * (whole + half) < whole.
+
+    No jar can empty within min(whole) steps, so the jars still running step
+    through blocks of that many rows, one ``gen.random`` call per block, the
+    same doubles as one call per step; emptied jars drop out between blocks.
+    The counts are kept as float64, exact below 2^53."""
+    _check_batch(n, reps)
+    out = np.empty(reps, dtype=np.int64)
     active = np.arange(reps)
+    whole = np.full(reps, float(n))
+    total = whole.copy()
+    buf = _block_buffer(n, reps)
+    prod = np.empty(reps)
+    took = np.empty(reps, dtype=bool)
     while active.size:
-        u = rng.gen.random(active.size)
-        total = whole[active] + half[active]
-        draw_whole = u * total < whole[active]
-        whole[active] -= draw_whole
-        half[active] += 2 * draw_whole - 1
-        active = active[whole[active] > 0]
-    return half
+        m = active.size
+        p, t = prod[:m], took[:m]
+        for u in _uniform_block(rng, buf, m, int(whole.min())):
+            np.multiply(u, total, out=p)
+            np.less(p, whole, out=t)
+            whole -= t
+            total -= 1.0
+            total += t
+        done = whole == 0.0
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, whole, total = active[keep], whole[keep], total[keep]
+    return out
 
 
 def ok_corral(n: int, rng: RngStream) -> int:
@@ -457,15 +526,30 @@ def ok_corral(n: int, rng: RngStream) -> int:
 
 
 def ok_corral_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
-    a = np.full(reps, n, dtype=np.int64)
-    b = np.full(reps, n, dtype=np.int64)
+    """Survivors of ``reps`` independent duels.  Each step draws one uniform u
+    and removes a shooter of side a when u * (a + b) < b, else one of side b.
+    Blocked like ``pills_batch``: no duel ends within min(a, b) steps."""
+    _check_batch(n, reps)
+    out = np.empty(reps, dtype=np.int64)
     active = np.arange(reps)
+    a = np.full(reps, float(n))
+    total = 2.0 * a
+    buf = _block_buffer(n, reps)
+    prod = np.empty(reps)
+    b = np.empty(reps)
+    hit = np.empty(reps, dtype=bool)
     while active.size:
-        u = rng.gen.random(active.size)
-        total = a[active] + b[active]
-        hit_a = u * total < b[active]
-        a[active] -= hit_a
-        b[active] -= ~hit_a
-        alive = (a[active] > 0) & (b[active] > 0)
-        active = active[alive]
-    return a + b
+        m = active.size
+        p, bm, h = prod[:m], b[:m], hit[:m]
+        for u in _uniform_block(rng, buf, m, int(np.minimum(a, total - a).min())):
+            np.multiply(u, total, out=p)
+            np.subtract(total, a, out=bm)
+            np.less(p, bm, out=h)
+            a -= h
+            total -= 1.0
+        done = (a == 0.0) | (a == total)
+        if done.any():
+            out[active[done]] = total[done]
+            keep = ~done
+            active, a, total = active[keep], a[keep], total[keep]
+    return out
