@@ -102,6 +102,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import MASTER_SEED, run_suite
     seed = MASTER_SEED if args.seed is None else args.seed
+    make_stream(seed)  # rejects a seed outside [0, 2^64) before any criterion runs
     results = run_suite(args.suite, seed, names=args.only or None)
     width = max(len(r.name) for r in results)
     failures = 0

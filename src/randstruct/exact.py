@@ -21,18 +21,10 @@ from scipy import fft as sp_fft, integrate
 from .errors import InvalidParameterError, ResourceLimitError
 from .rng import RngStream
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    atol: float = 1e-12
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if self.atol <= 0 or self.max_iter < 1:
-            raise InvalidParameterError("bad solver configuration")
-
-
-DEFAULT_SOLVER = SolverConfig()
+# root solves stop once the bracket is narrower than _ATOL, or after
+# _MAX_ITER halvings
+_ATOL = 1e-12
+_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +270,7 @@ def cauchy_cycle_type_pmf(multiplicities) -> Fraction:
 # Fixed points and special functions
 
 
-def _bisect(f, lo: float, hi: float, cfg: SolverConfig) -> float:
+def _bisect(f, lo: float, hi: float, atol: float = _ATOL) -> float:
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -287,10 +279,10 @@ def _bisect(f, lo: float, hi: float, cfg: SolverConfig) -> float:
         return hi
     if flo * fhi > 0.0:
         raise ResourceLimitError("bisection bracket does not change sign")
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or hi - lo < cfg.atol:
+        if fm == 0.0 or hi - lo < atol:
             return mid
         if flo * fm < 0.0:
             hi = mid
@@ -299,7 +291,7 @@ def _bisect(f, lo: float, hi: float, cfg: SolverConfig) -> float:
     return 0.5 * (lo + hi)
 
 
-def bgw_extinction(law: OffspringLaw, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def bgw_extinction(law: OffspringLaw) -> float:
     """Extinction probability: smallest fixed point of the offspring pgf in [0, 1].
 
     The fixed point is the increasing limit of u <- pgf(u) from u = 0 and
@@ -308,9 +300,9 @@ def bgw_extinction(law: OffspringLaw, cfg: SolverConfig = DEFAULT_SOLVER) -> flo
     if law.mean <= 1.0:
         return 1.0
     u = 0.0
-    for _ in range(min(cfg.max_iter, 200)):
+    for _ in range(200):
         nxt = law.pgf(u)
-        if nxt - u < cfg.atol:
+        if nxt - u < _ATOL:
             break
         u = nxt
     # refine: pgf(x) - x is positive on [0, alpha), negative on (alpha, 1)
@@ -319,53 +311,52 @@ def bgw_extinction(law: OffspringLaw, cfg: SolverConfig = DEFAULT_SOLVER) -> flo
         hi = u + 0.9 * (hi - u)
     if hi <= u:
         return u
-    return _bisect(lambda x: law.pgf(x) - x, u, hi, cfg)
+    return _bisect(lambda x: law.pgf(x) - x, u, hi)
 
 
 @lru_cache(maxsize=256)
-def _poisson_extinction(c: float, cfg: SolverConfig) -> float:
-    return bgw_extinction(OffspringLaw.poisson(c), cfg)
+def _poisson_extinction(c: float) -> float:
+    return bgw_extinction(OffspringLaw.poisson(c))
 
 
-def giant_fraction(c: float, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def giant_fraction(c: float) -> float:
     """Asymptotic density 1 - alpha(c) of the largest component of G(n, c/n),
     where alpha(c) is the smallest root of alpha = exp(-c (1 - alpha))."""
     if c <= 0.0:
         raise InvalidParameterError("c must be > 0")
     if c <= 1.0:
         return 0.0
-    return 1.0 - _poisson_extinction(float(c), cfg)
+    return 1.0 - _poisson_extinction(float(c))
 
 
-def fluid_curve(c: float, t: float, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Deterministic limit of the rescaled component-exploration walk at time t."""
+def fluid_curve(c: float, t):
+    """Deterministic limit of the rescaled component-exploration walk at time
+    t in [0, 1]: a float for a scalar t, an array for an array of times (one
+    fixed-point solve for the whole grid)."""
     if c <= 0.0:
         raise InvalidParameterError("c must be > 0")
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise InvalidParameterError("t must be in [0, 1]")
-    alpha = 1.0 - giant_fraction(c, cfg)
+    alpha = 1.0 - giant_fraction(c)
     t_star = 1.0 - alpha
-    if t <= t_star:
-        return 1.0 - math.exp(-c * t) - t
-    return 0.5 * (c * (1.0 + alpha - t) - 2.0) * (t - 1.0 + alpha)
+    rising = 1.0 - np.exp(-c * t) - t
+    parabola = 0.5 * (c * (1.0 + alpha - t) - 2.0) * (t - 1.0 + alpha)
+    out = np.where(t <= t_star, rising, parabola)
+    return float(out) if out.ndim == 0 else out
 
 
-_DICKMAN_CACHE: dict[tuple[float, int], np.ndarray] = {}
+_DICKMAN_STEP = 1e-4  # grid step of the tabulated Dickman function
 
 
-def _dickman_grid(x_max: int, step: float) -> np.ndarray:
-    key = (step, x_max)
-    grid = _DICKMAN_CACHE.get(key)
-    if grid is not None:
-        return grid
-    k = round(1.0 / step)
-    if abs(k * step - 1.0) > 1e-12:
-        raise InvalidParameterError("step must divide 1")
+@lru_cache(maxsize=None)
+def _dickman_grid(x_max: int) -> np.ndarray:
+    k = round(1.0 / _DICKMAN_STEP)
     m = x_max * k
     rho = np.empty(m + 1)
     rho[: k + 1] = 1.0
     integral = 1.0  # integral of rho over [y-1, y] at y = 1
-    h = step
+    h = _DICKMAN_STEP
     for j in range(k, m):
         # solve the integral form y rho(y) = int_{y-1}^{y} rho by trapezoid steps
         y_next = (j + 1) * h
@@ -374,18 +365,17 @@ def _dickman_grid(x_max: int, step: float) -> np.ndarray:
         rho[j + 1] = rho_next
         integral = integral + 0.5 * h * (rho[j] + rho_next) \
             - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-    _DICKMAN_CACHE[key] = rho
     return rho
 
 
-def dickman_rho(x: float, step: float = 1e-4) -> float:
+def dickman_rho(x: float) -> float:
     """Dickman's function: rho = 1 on [0, 1] and x rho'(x) = -rho(x - 1)."""
     if x < 0.0:
         raise InvalidParameterError("x must be >= 0")
     if x <= 1.0:
         return 1.0
-    grid = _dickman_grid(int(math.ceil(x)), step)
-    pos = x / step
+    grid = _dickman_grid(int(math.ceil(x)))
+    pos = x / _DICKMAN_STEP
     j = min(int(pos), len(grid) - 2)
     frac = pos - j
     return float((1.0 - frac) * grid[j] + frac * grid[j + 1])
@@ -398,7 +388,7 @@ def poisson_ld_rate(a: float) -> float:
     return a * math.log(a) - (a - 1.0)
 
 
-def poisson_ld_rate_inverse(c: float, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def poisson_ld_rate_inverse(c: float) -> float:
     """The root x >= 1 of poisson_ld_rate(x) = c."""
     if c < 0.0:
         raise InvalidParameterError("c must be >= 0")
@@ -407,15 +397,15 @@ def poisson_ld_rate_inverse(c: float, cfg: SolverConfig = DEFAULT_SOLVER) -> flo
     hi = 2.0
     while poisson_ld_rate(hi) < c:
         hi *= 2.0
-    return _bisect(lambda x: poisson_ld_rate(x) - c, 1.0, hi, cfg)
+    return _bisect(lambda x: poisson_ld_rate(x) - c, 1.0, hi)
 
 
-def ba_height_constant(cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def ba_height_constant() -> float:
     """Height constant of the preferential-attachment tree: 1/(2 gamma) with
     gamma the root of gamma e^(1+gamma) = 1."""
-    # the defining equation must hold to cfg.atol, so bracket well below it
-    tight = SolverConfig(atol=cfg.atol / 64.0, max_iter=cfg.max_iter)
-    gamma_root = _bisect(lambda g: g * math.exp(1.0 + g) - 1.0, 1e-9, 1.0, tight)
+    # the defining equation must hold to _ATOL, so bracket well below it
+    gamma_root = _bisect(lambda g: g * math.exp(1.0 + g) - 1.0, 1e-9, 1.0,
+                         atol=_ATOL / 64.0)
     return 1.0 / (2.0 * gamma_root)
 
 

@@ -271,7 +271,7 @@ def _parking_summary(params, matrix):
 
 _register(Experiment(
     "parking", {"n": int, "m": int}, ("parked",),
-    lambda p, s: (float(walks.parking_simulate(p["n"], m=p["m"], rng=s).success),),
+    lambda p, s: (float(walks.parking_success_batch(p["n"], p["m"], 1, s)[0]),),
     _parking_summary,
 ))
 
@@ -363,7 +363,7 @@ _register(Experiment(
 
 _register(Experiment(
     "coupon", {"n": int}, ("draws",),
-    lambda p, s: (float(growth.coupon_collector(p["n"], s)),),
+    lambda p, s: (float(growth.coupon_collector_batch(p["n"], 1, s)[0]),),
     _mean_summary(("draws",)),
 ))
 

@@ -13,6 +13,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParameterError, ResourceLimitError
+from .exact import fluid_curve
 from .rng import RngStream
 from .walks import LatticePath
 
@@ -423,16 +424,6 @@ def poissonized_walk(alpha: float, p: float, rng: RngStream,
     return LatticePath(rng.gen.poisson(lam) - 1)
 
 
-def fluid_curve_grid(c: float, t: np.ndarray) -> np.ndarray:
-    """Vectorized fluid limit over a time grid (single fixed-point solve)."""
-    from .exact import giant_fraction
-    alpha = 1.0 - giant_fraction(c)
-    t_star = 1.0 - alpha
-    rising = 1.0 - np.exp(-c * t) - t
-    parabola = 0.5 * (c * (1.0 + alpha - t) - 2.0) * (t - 1.0 + alpha)
-    return np.where(t <= t_star, rising, parabola)
-
-
 def fluid_sup_distance(n: int, c: float, stream: RngStream) -> float:
     """sup over t in [0, 1] of |S_(nt)/n - f_c(t)| for the component
     exploration walk of one G(n, c/n) sample; f_c is the piecewise limit with
@@ -440,7 +431,7 @@ def fluid_sup_distance(n: int, c: float, stream: RngStream) -> float:
     trace = explore_luka(sample_gnp(n, c / n, stream))
     s = np.concatenate([[0], trace.walk.prefix_sums()])
     t = np.arange(n + 1) / n
-    return float(np.max(np.abs(s / n - fluid_curve_grid(c, t))))
+    return float(np.max(np.abs(s / n - fluid_curve(c, t))))
 
 
 def stacked_sup_distance(n: int, p: float, c: float, stream: RngStream) -> float:

@@ -12,13 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError, ResourceLimitError
-from .rng import RngStream
+from .rng import RngStream, _block_buffer, _block_rows, _uniform_block
 from .stats import mean_ci
 
 _PARTICLE_CAP = 10_000_000
-# The batch chains draw their uniforms in blocks of at most this many values
-# (8 MiB of doubles); the draws themselves do not depend on the block size.
-_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,33 +124,47 @@ def ba_chain(n: int, rng: RngStream) -> GrowingTree:
 # Reinforcement urn
 
 
-def polya_urn(steps: int, r0: int, b0: int, rng: RngStream) -> np.ndarray:
-    """Two-color reinforcement urn trajectory; rows are (red, blue) counts."""
+def _urn_reds(steps: int, r0: int, b0: int, reps: int, rng: RngStream):
+    """Red counts of ``reps`` independent two-color reinforcement urns: each
+    draw takes one uniform u per urn and adds a red ball when u * total < red,
+    else a blue one.  Yields the counts before the first draw and after each
+    draw, as one array updated in place.  The uniforms come in row blocks of
+    the draw budget, the same doubles as one ``gen.random(reps)`` per draw."""
     if r0 < 1 or b0 < 1:
         raise InvalidParameterError("both colors must start with >= 1 ball")
     if steps < 0:
         raise InvalidParameterError("steps must be >= 0")
-    out = np.empty((steps + 1, 2), dtype=np.int64)
-    r, b = r0, b0
-    out[0] = r, b
-    u = rng.gen.random(steps)
-    for i in range(steps):
-        if u[i] * (r + b) < r:
-            r += 1
-        else:
-            b += 1
-        out[i + 1] = r, b
-    return out
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    r = np.full(reps, r0, dtype=np.int64)
+    yield r
+    if reps == 0:
+        return
+    total = r0 + b0
+    buf = _block_buffer(reps, steps)
+    done = 0
+    while done < steps:
+        block = _uniform_block(rng, buf, reps, steps - done)
+        for u in block:
+            r += u * total < r
+            total += 1
+            yield r
+        done += block.shape[0]
+
+
+def polya_urn(steps: int, r0: int, b0: int, rng: RngStream) -> np.ndarray:
+    """Two-color reinforcement urn trajectory; rows are (red, blue) counts.
+    The single-urn view of ``polya_final_batch``: the same draws."""
+    reds = np.fromiter((r[0] for r in _urn_reds(steps, r0, b0, 1, rng)),
+                       dtype=np.int64)
+    return np.column_stack([reds, r0 + b0 + np.arange(reds.size) - reds])
 
 
 def polya_final_batch(steps: int, r0: int, b0: int, reps: int,
                       rng: RngStream) -> np.ndarray:
     """Red counts after ``steps`` reinforcement draws, vectorized over reps."""
-    r = np.full(reps, r0, dtype=np.int64)
-    total = r0 + b0
-    for _ in range(steps):
-        r += rng.gen.random(reps) * total < r
-        total += 1
+    for r in _urn_reds(steps, r0, b0, reps, rng):
+        pass
     return r
 
 
@@ -190,8 +201,7 @@ class YuleTree:
 
 
 def yule_simulate(k: int, rng: RngStream, t: float | None = None,
-                  n_particles: int | None = None,
-                  particle_cap: int = _PARTICLE_CAP) -> YuleTree:
+                  n_particles: int | None = None) -> YuleTree:
     """Simulate the splitting tree as its jump chain: waiting times are
     exponential with rate equal to the current particle count and the particle
     that splits is uniform among the living."""
@@ -215,7 +225,7 @@ def yule_simulate(k: int, rng: RngStream, t: float | None = None,
         count = len(alive)
         if n_particles is not None and count >= n_particles:
             break
-        if count > particle_cap:
+        if count > _PARTICLE_CAP:
             raise ResourceLimitError("particle cap exceeded")
         wait = rng.gen.exponential(1.0 / count)
         pick = int(rng.gen.integers(0, count))
@@ -243,6 +253,8 @@ def yule_counts_at(k: int, t: float, reps: int, rng: RngStream) -> np.ndarray:
     """Particle counts at time t over independent order-k trees (count-only)."""
     if k < 2 or t < 0:
         raise InvalidParameterError("need k >= 2 and t >= 0")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
     counts = np.ones(reps, dtype=np.int64)
     clock = np.zeros(reps)
     active = np.arange(reps)
@@ -425,35 +437,10 @@ def _check_batch(n: int, reps: int) -> None:
         raise InvalidParameterError("reps must be >= 0")
 
 
-def _block_rows(width: int, steps: int) -> int:
-    """Rows in one block of draws of ``width`` values each: at most ``steps``,
-    and at most what fits the draw budget, but always one."""
-    return min(steps, max(1, _BLOCK_VALUES // width))
-
-
-def _uniform_block(rng: RngStream, buf: np.ndarray, width: int,
-                   steps: int) -> np.ndarray:
-    """The next uniforms for ``width`` chains that can all take ``steps`` more
-    steps, one row per step, drawn into ``buf`` (reused across blocks): the
-    same doubles as one ``gen.random(width)`` call per row."""
-    block = buf[:_block_rows(width, steps) * width].reshape(-1, width)
-    rng.gen.random(out=block)
-    return block
-
-
-def _block_buffer(n: int, reps: int) -> np.ndarray:
-    """Room for the largest block of a chain that takes at most n steps per
-    replicate while it runs: min(n, budget // m) rows of m <= reps values."""
-    return np.empty(min(n * reps, max(_BLOCK_VALUES, reps)))
-
-
 def coupon_collector(n: int, rng: RngStream) -> int:
     """Draws needed to see all n coupon types: the sum over j of the geometric
-    time to leave j distinct types."""
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    p = (n - np.arange(n)) / n
-    return int(rng.gen.geometric(p).sum())
+    time to leave j distinct types.  The one-chain view of the batch sampler."""
+    return int(coupon_collector_batch(n, 1, rng)[0])
 
 
 def coupon_collector_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
@@ -479,8 +466,6 @@ def balls_in_bins(n: int, rng: RngStream) -> int:
 
 def pills(n: int, rng: RngStream) -> int:
     """Half pills left when the last whole pill is drawn from the jar."""
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
     return int(pills_batch(n, 1, rng)[0])
 
 
@@ -497,7 +482,7 @@ def pills_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
     active = np.arange(reps)
     whole = np.full(reps, float(n))
     total = whole.copy()
-    buf = _block_buffer(n, reps)
+    buf = _block_buffer(reps, n)
     prod = np.empty(reps)
     took = np.empty(reps, dtype=bool)
     while active.size:
@@ -520,8 +505,6 @@ def pills_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
 def ok_corral(n: int, rng: RngStream) -> int:
     """Survivors when two facing groups of n shooters eliminate each other,
     the next shooter drawn uniformly among those standing."""
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
     return int(ok_corral_batch(n, 1, rng)[0])
 
 
@@ -534,7 +517,7 @@ def ok_corral_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
     active = np.arange(reps)
     a = np.full(reps, float(n))
     total = 2.0 * a
-    buf = _block_buffer(n, reps)
+    buf = _block_buffer(reps, n)
     prod = np.empty(reps)
     b = np.empty(reps)
     hit = np.empty(reps, dtype=bool)

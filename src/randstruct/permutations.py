@@ -1,5 +1,5 @@
 """Uniform permutations and their cycle structure: direct sampling, the
-Bernoulli-spacing representation of the cycle lengths, the min-ranked cycle
+Feller coupling (Bernoulli spacings) for the cycle lengths, the min-ranked cycle
 word and its inverse, the sequential seating chain, stick breaking, and
 Monte Carlo helpers for long- and short-cycle laws."""
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
-from .rng import RngStream
+from .rng import RngStream, _block_buffer, _uniform_block
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,9 @@ def cycles_of(perm: Permutation) -> CycleStructure:
 
 
 def feller_cycles(n: int, rng: RngStream) -> CycleStructure:
-    """Cycle lengths generated as spacings between successes of independent
-    Bernoulli(1/n), 1/(n-1), ..., 1/2, 1 trials; same joint law as the
-    min-ranked cycle lengths of a uniform permutation."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    ks = np.arange(n, 0, -1)
-    success = rng.gen.random(n) < 1.0 / ks
-    points = ks[success]  # descending, last one is always 1
-    lengths = np.diff(np.concatenate([[n + 1], points])) * -1
+    """Cycle lengths of one uniform permutation of {1..n} in min-ranked order,
+    drawn through the Feller coupling (one row of ``feller_spacings``)."""
+    _, lengths = next(feller_spacings(n, 1, rng))
     return CycleStructure.from_lengths(lengths.tolist(), n)
 
 
@@ -191,41 +185,50 @@ def stick_breaking(rng: RngStream, epsilon: float = 1e-9) -> StickBreaking:
 # Batched cycle statistics (law-level helpers used by experiments and tests)
 
 
-def _spacing_rows(n: int, reps: int, rng: RngStream):
-    """Success positions of the Bernoulli trials for ``reps`` rows at once.
+def feller_spacings(n: int, reps: int, rng: RngStream):
+    """The Feller coupling for ``reps`` uniform permutations of {1..n}.
 
-    Returns (row index, gap length) arrays covering every spacing of every row.
+    Row r runs n independent Bernoulli trials, trial j = 0..n-1 succeeding
+    with probability 1/(n - j), so the last one always succeeds; the spacings
+    between successes (the first counted from -1) have the joint law of the
+    min-ranked cycle lengths of a uniform permutation.
+
+    Yields one (rows, lengths) pair per block of rows: the replicate index and
+    the length of every cycle, rows ascending, cycles in order within a row.
+    The uniforms come in blocks of the draw budget drawn into one reused
+    buffer, the same doubles as one ``gen.random((reps, n))`` call.
     """
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    return _feller_blocks(n, reps, rng)  # checked here, not at the first block
+
+
+def _feller_blocks(n: int, reps: int, rng: RngStream):
     probs = 1.0 / np.arange(n, 0, -1)
-    success = rng.gen.random((reps, n)) < probs
-    rows, cols = np.nonzero(success)
-    first = np.concatenate([[True], np.diff(rows) != 0])
-    prev = np.empty(cols.size, dtype=np.int64)
-    prev[0] = -1
-    prev[1:] = cols[:-1]
-    prev[first] = -1
-    return rows, cols - prev
-
-
-def _rep_chunks(n: int, reps: int, budget: int = 20_000_000):
-    chunk = max(1, budget // max(n, 1))
+    buf = _block_buffer(n, reps)
     done = 0
     while done < reps:
-        size = min(chunk, reps - done)
-        yield done, size
-        done += size
+        block = _uniform_block(rng, buf, n, reps - done)
+        rows, cols = np.nonzero(block < probs)
+        # every row ends with a success, so the cycle after one that ends at
+        # trial c starts at trial (c + 1) mod n
+        ends = cols + 1
+        yield rows + done, ends - np.concatenate([[0], ends[:-1] % n])
+        done += block.shape[0]
 
 
 def longest_cycle_stats(n: int, reps: int, rng: RngStream) -> np.ndarray:
     """Renormalized longest cycle length over ``reps`` uniform permutations,
-    sampled through the Bernoulli-spacing representation of the cycle lengths."""
+    sampled through the Feller coupling."""
     if n < 10:
         raise InvalidParameterError("n must be >= 10")
+    blocks = feller_spacings(n, reps, rng)
     longest = np.empty(reps, dtype=np.int64)
-    for done, size in _rep_chunks(n, reps):
-        rows, gaps = _spacing_rows(n, size, rng)
+    for rows, lengths in blocks:
         starts = np.flatnonzero(np.concatenate([[True], np.diff(rows) != 0]))
-        longest[done:done + size] = np.maximum.reduceat(gaps, starts)
+        longest[rows[starts]] = np.maximum.reduceat(lengths, starts)
     return longest / n
 
 
@@ -235,11 +238,11 @@ def small_cycle_counts(n: int, i_max: int, reps: int, rng: RngStream) -> np.ndar
         raise InvalidParameterError("i_max must be in 1..6")
     if n < 100 * i_max:
         raise InvalidParameterError("need n >= 100 * i_max")
+    blocks = feller_spacings(n, reps, rng)
     out = np.zeros((reps, i_max), dtype=np.int64)
-    for done, size in _rep_chunks(n, reps):
-        rows, gaps = _spacing_rows(n, size, rng)
-        small = gaps <= i_max
-        np.add.at(out, (rows[small] + done, gaps[small] - 1), 1)
+    for rows, lengths in blocks:
+        small = lengths <= i_max
+        np.add.at(out, (rows[small], lengths[small] - 1), 1)
     return out
 
 

@@ -20,7 +20,6 @@ from .experiments import ExperimentConfig, run_experiment
 from .rng import make_stream
 from .stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
                     chi_square_two_sample, ks_test, mean_ci)
-from .walks import _good_shift_counts
 
 MASTER_SEED = 20260810
 
@@ -183,7 +182,7 @@ def criterion_02_cycle_lemma(scale: str, seed: int) -> tuple[bool, str]:
                 rows = increments[totals == -k]
                 if rows.size:
                     checked[k] += rows.shape[0]
-                    ok[k] &= bool(np.all(_good_shift_counts(rows, k) == k))
+                    ok[k] &= bool(np.all(walks.good_shift_count(rows) == k))
         for k in (1, 2, 3):
             if checked[k]:
                 chk.add(f"n={n},k={k}", ok[k], f" ({checked[k]} paths)")
@@ -366,10 +365,15 @@ def _partition_keys(n: int) -> list[tuple[int, ...]]:
 
 
 def _feller_type_counts(n: int, reps: int, rng) -> np.ndarray:
-    rows, gaps = permutations._spacing_rows(n, reps, rng)
     out = np.zeros((reps, n), dtype=np.int64)
-    np.add.at(out, (rows, gaps - 1), 1)
+    for rows, lengths in permutations.feller_spacings(n, reps, rng):
+        np.add.at(out, (rows, lengths - 1), 1)
     return out
+
+
+def _perm_rows(n: int, reps: int, rng) -> np.ndarray:
+    """``reps`` rows, the same draws as ``permutations.sample_perm(n)`` calls."""
+    return rng.gen.permuted(np.tile(np.arange(1, n + 1), (reps, 1)), axis=1)
 
 
 def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
@@ -381,8 +385,7 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 12)
     feller = _feller_type_counts(n, reps, rng)
     rng = make_stream(seed, 121)
-    base = np.tile(np.arange(1, n + 1), (reps, 1))
-    direct = permutations.cycle_type_batch(rng.gen.permuted(base, axis=1))
+    direct = permutations.cycle_type_batch(_perm_rows(n, reps, rng))
     counts_f = np.zeros(len(keys), dtype=np.int64)
     counts_d = np.zeros(len(keys), dtype=np.int64)
     for matrix, out in ((feller, counts_f), (direct, counts_d)):
@@ -401,8 +404,8 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 123)
     ereps = 100_000 if scale == "full" else 20_000
     n20 = 20
-    successes = rng.gen.random((ereps, n20)) < 1.0 / np.arange(n20, 0, -1)
-    doubling = np.exp2(successes.sum(axis=1).astype(float))
+    cycles = _feller_type_counts(n20, ereps, rng).sum(axis=1)
+    doubling = np.exp2(cycles.astype(float))
     mean, hw = mean_ci(doubling, level=0.99)
     sigma = 3 * np.std(doubling, ddof=1) / math.sqrt(ereps)
     chk.within("E[2^cycles] = n+1 at n=20", mean, 21.0, sigma)
@@ -422,6 +425,11 @@ def criterion_13_dickman(scale: str, seed: int) -> tuple[bool, str]:
     return chk.result()
 
 
+def _rrt_parent_rows(n: int, reps: int, rng) -> np.ndarray:
+    """``reps`` rows, the same draws as ``growth.rrt_chain(n).parent[1:]``."""
+    return rng.gen.integers(0, np.tile(np.arange(1, n + 1), (reps, 1)))
+
+
 def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     n = 100_000 if scale == "full" else 20_000
@@ -437,7 +445,7 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     chk.add("out-degree fractions vs 2^-k-1", ok)
     hreps = 200_000 if scale == "full" else 50_000
     rng = make_stream(seed, 141)
-    picks = rng.gen.integers(0, np.tile(np.arange(1, 9), (hreps, 1)))
+    picks = _rrt_parent_rows(8, hreps, rng)
     depth = np.zeros((hreps, 9), dtype=np.int64)
     for j in range(1, 9):
         depth[:, j] = depth[np.arange(hreps), picks[:, j - 1]] + 1
@@ -449,7 +457,7 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
     creps = 300_000 if scale == "full" else 50_000
     rng = make_stream(seed, 142)
-    picks = rng.gen.integers(0, np.tile(np.array([1, 2, 3]), (creps, 1)))
+    picks = _rrt_parent_rows(3, creps, rng)
     direct = np.bincount(picks[:, 1] * 3 + picks[:, 2], minlength=6)
     rng = make_stream(seed, 143)
     contracted = np.zeros(6, dtype=np.int64)

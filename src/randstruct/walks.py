@@ -82,29 +82,28 @@ def cycle_shift(path: LatticePath, shift: int) -> LatticePath:
     return LatticePath(np.roll(path.increments, -shift))
 
 
-def _good_shift_counts(batch: np.ndarray, k: int) -> np.ndarray:
-    """For each row (total -k), count cyclic shifts whose first passage to -k
-    happens exactly at time n.  Vectorized over rows."""
+def good_shift_count(paths):
+    """Number of cyclic shifts of a walk with total -k (k >= 1) whose hitting
+    time of -k is exactly the walk length; always k (counting shifts with
+    multiplicity).  ``paths`` is one ``LatticePath``, counted to an int, or a
+    2-D array of increments with one walk per row, counted row by row."""
+    single = isinstance(paths, LatticePath)
+    batch = paths.increments[None, :] if single else np.asarray(paths)
     m, n = batch.shape
+    k = -batch.sum(axis=1)
+    if m and k.min() < 1:
+        raise InvalidParameterError("walk total must be -k for some k >= 1")
     doubled = np.concatenate([batch, batch], axis=1)
     csum = np.cumsum(doubled, axis=1)
     base = np.concatenate([np.zeros((m, 1), dtype=csum.dtype), csum[:, :-1]], axis=1)
     # windows[r, s, i] = prefix sum after i+1 steps of shift s of row r
     windows = (np.lib.stride_tricks.sliding_window_view(csum, n, axis=1)[:, :n, :]
                - base[:, :n, None])
-    early = windows[:, :, :-1].min(axis=2) > -k if n > 1 else np.ones((m, n), bool)
-    good = early & (windows[:, :, -1] == -k)
-    return good.sum(axis=1)
-
-
-def good_shift_count(path: LatticePath) -> int:
-    """Number of cyclic shifts of a walk with total -k whose hitting time of
-    -k is exactly the walk length; always equals k (counting with multiplicity)."""
-    total = path.total
-    if total >= 0:
-        raise InvalidParameterError("walk total must be -k for some k >= 1")
-    k = -total
-    return int(_good_shift_counts(path.increments[None, :], k)[0])
+    good = windows[:, :, -1] == -k[:, None]
+    if n > 1:
+        good &= windows[:, :, :-1].min(axis=2) > -k[:, None]
+    counts = good.sum(axis=1)
+    return int(counts[0]) if single else counts
 
 
 def kemperman_check(law: OffspringLaw, n: int, k: int):
@@ -190,24 +189,21 @@ def _park(n: int, arrivals) -> ParkingResult:
     return ParkingResult(exited == 0, occupancy[1:], exited)
 
 
-def parking_simulate(n: int, m: int | None = None, arrivals=None,
-                     rng: RngStream | None = None) -> ParkingResult:
-    """Park cars on a line of n spots, each driving left from its arrival spot.
-
-    Pass explicit ``arrivals`` for a deterministic replay, or ``m`` and ``rng``
-    for i.i.d. uniform arrival spots.
-    """
+def parking_simulate(n: int, arrivals) -> ParkingResult:
+    """Park cars on a line of n spots, each driving left from its arrival spot,
+    replaying the given arrival spots in order."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    if arrivals is None:
-        if m is None or m < 1 or rng is None:
-            raise InvalidParameterError("need arrivals, or m >= 1 with an rng")
-        arrivals = rng.gen.integers(1, n + 1, size=m)
     return _park(n, arrivals)
 
 
 def parking_success_batch(n: int, m: int, reps: int, rng: RngStream) -> np.ndarray:
-    """Boolean vector of full-parking outcomes over independent arrival draws."""
+    """Boolean vector of full-parking outcomes over independent arrival draws:
+    each replicate parks m cars at i.i.d. uniform spots of 1..n."""
+    if n < 1 or m < 1:
+        raise InvalidParameterError("need n >= 1 and m >= 1")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
     arrivals = rng.gen.integers(1, n + 1, size=(reps, m))
     return np.fromiter((_park(n, row).success for row in arrivals),
                        dtype=bool, count=reps)

@@ -118,6 +118,13 @@ def test_cli_usage_error_exit_code(capsys):
     assert run_cli("run", "--experiment", "giant", "--param", "oops") == 2
 
 
+def test_cli_seed_outside_64_bits_is_a_usage_error(capsys):
+    assert run_cli("run", "--experiment", "cycles", "--param", "n=5",
+                   "--seed", "-1") == 2
+    assert run_cli("verify", "--seed", "18446744073709551616") == 2
+    assert "[0, 2^64)" in capsys.readouterr().err
+
+
 def test_cli_env_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RANDSTRUCT_SEED", "123")
     out1 = tmp_path / "a.csv"

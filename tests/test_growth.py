@@ -104,6 +104,22 @@ def test_polya_limit_proportion_uniform():
     assert report.passed, (report.statistic, report.threshold)
 
 
+def test_urn_and_count_samplers_validate_their_arguments():
+    rng = make_stream(4, 11)
+    for args in ((3, 0, 1, 2), (3, 1, 0, 2), (-1, 1, 1, 2), (3, 1, 1, -1)):
+        with pytest.raises(InvalidParameterError):
+            growth.polya_final_batch(*args, rng)
+    for args in ((3, 0, 1), (-1, 1, 1)):
+        with pytest.raises(InvalidParameterError):
+            growth.polya_urn(*args, rng)
+    with pytest.raises(InvalidParameterError):
+        growth.yule_counts_at(2, 1.0, -1, rng)
+    assert growth.polya_final_batch(3, 1, 1, 0, rng).shape == (0,)
+    assert growth.polya_final_batch(0, 2, 1, 3, rng).tolist() == [2, 2, 2]
+    assert growth.polya_urn(0, 2, 1, rng).tolist() == [[2, 1]]
+    assert growth.yule_counts_at(2, 1.0, 0, rng).shape == (0,)
+
+
 def test_polya_asymmetric_start_mean():
     # with two red and one blue to start, the red share is a martingale at 2/3
     reps = 100_000

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randstruct import growth
+from randstruct import growth, rng as rng_module
 from randstruct.errors import InvalidParameterError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
@@ -145,7 +145,7 @@ def test_ok_corral_batch_matches_step_loop(n, reps):
 @pytest.mark.parametrize("n,reps", [(40, 3), (300, 25)])
 def test_batch_chains_match_with_a_small_block_cap(monkeypatch, cap, n, reps):
     # a cap below the number of running chains forces one-row blocks
-    monkeypatch.setattr(growth, "_BLOCK_VALUES", cap)
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", cap)
     for ref, new in ((ref_pills_batch, growth.pills_batch),
                      (ref_ok_corral_batch, growth.ok_corral_batch)):
         want, got, same_next = _same_draws(lambda r: ref(n, reps, r),
@@ -162,7 +162,7 @@ def test_coupon_collector_draws_do_not_depend_on_block_size(monkeypatch):
     assert np.array_equal(want, got)
     assert same_next
     for rows in (7, 104, 256, 2000):
-        monkeypatch.setattr(growth, "_BLOCK_VALUES", rows * n)
+        monkeypatch.setattr(rng_module, "_BLOCK_VALUES", rows * n)
         _, blocked, same_next = _same_draws(
             lambda r: ref_coupon_collector_batch(n, reps, r, block=rows),
             lambda r: growth.coupon_collector_batch(n, reps, r))
@@ -226,7 +226,7 @@ def test_batch_chain_memory_is_reps_plus_one_block(fn, n, reps):
     # without the draw cap the first block at pills n = 10^5 would hold
     # 10^5 x 10^4 doubles (8 GB); with it the peak is a few arrays of reps
     # values plus one block of 2^20 doubles (8 MiB)
-    block = 8 * growth._BLOCK_VALUES
+    block = 8 * rng_module._BLOCK_VALUES
     tracemalloc.start()
     try:
         out = fn(n, reps, make_stream(3, 1))

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randstruct import exact, permutations as perms
+from randstruct import exact, permutations as perms, rng as rng_module
 from randstruct.errors import FormatError, InvalidParameterError
 from randstruct.permutations import Permutation
 from randstruct.rng import make_stream
@@ -211,6 +212,34 @@ def test_longest_cycle_statistics():
     assert abs(mean - gd) < max(hw, 3 * longest.std() / math.sqrt(reps))
 
 
+@pytest.mark.parametrize("fn,args", [(perms.longest_cycle_stats, (10_000, 5_000)),
+                                     (perms.small_cycle_counts, (10_000, 6, 5_000))])
+def test_feller_statistics_memory_is_output_plus_one_block(fn, args):
+    # the uniforms come in blocks of the shared draw budget (2^20 doubles,
+    # 8 MiB); a budget of 20,000,000 values per chunk would peak at 160 MB
+    block = 8 * rng_module._BLOCK_VALUES
+    tracemalloc.start()
+    try:
+        out = fn(*args, make_stream(3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape[0] == 5_000
+    assert peak <= 2 * block + out.nbytes, peak
+
+
+def test_feller_spacings_validate_n_and_reps():
+    rng = make_stream(3, 2)
+    with pytest.raises(InvalidParameterError):
+        perms.feller_spacings(0, 3, rng)
+    with pytest.raises(InvalidParameterError):
+        perms.feller_spacings(5, -1, rng)
+    with pytest.raises(InvalidParameterError):
+        perms.longest_cycle_stats(10, -1, rng)
+    with pytest.raises(InvalidParameterError):
+        perms.feller_cycles(0, rng)
+
+
 def test_small_cycle_counts_poisson_limit():
     n = 2_000
     reps = 100_000
@@ -267,8 +296,8 @@ def test_table_one_fraction_uniform():
     n = 100_000
     reps = 1_000
     rng = make_stream(3, 19)
-    rows, gaps = perms._spacing_rows(n, reps, rng)
-    firsts = gaps[np.concatenate([[True], np.diff(rows) != 0])]
+    firsts = np.concatenate([lengths[np.concatenate([[True], np.diff(rows) != 0])]
+                             for rows, lengths in perms.feller_spacings(n, reps, rng)])
     blurred = (firsts - rng.gen.random(reps)) / n
     report = ks_test(np.sort(blurred), lambda x: np.clip(x, 0, 1),
                      alpha_level=0.01)

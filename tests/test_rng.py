@@ -32,6 +32,21 @@ def test_negative_stream_index_rejected():
         R.make_stream(1, -1)
 
 
+def test_keys_outside_64_bits_rejected():
+    # masking would alias seed -1 onto 2^64 - 1 and index 2^64 + 3 onto 3
+    for seed, index in ((-1, 0), (1 << 64, 0), (0, 1 << 64), (5, (1 << 64) + 3)):
+        with pytest.raises(InvalidParameterError):
+            R.make_stream(seed, index)
+
+
+def test_in_range_keys_are_the_philox_key():
+    top = (1 << 64) - 1
+    for seed, index in ((0, 0), (top, 3), (20260810, top)):
+        want = np.random.Generator(np.random.Philox(
+            key=np.array([seed, index], dtype=np.uint64))).random(8)
+        assert np.array_equal(R.make_stream(seed, index).gen.random(8), want)
+
+
 def test_streams_pairwise_uncorrelated():
     n = 50_000
     a = R.make_stream(9, 0).gen.random(n)

@@ -1,12 +1,16 @@
 """The exact-law clauses of criteria 16 and 17 accept samples of the law they
-test and reject samples of a neighbouring one."""
+test and reject samples of a neighbouring one; the vectorised draws of the
+criteria are the draws of the samplers they stand for; and the suite reaches
+the sampler modules through their public names only."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randstruct import exact, growth, verify
+from randstruct import exact, growth, permutations, verify
 from randstruct.rng import make_stream
 
 
@@ -44,3 +48,45 @@ def test_pills_clause_rejects_leftovers_of_smaller_n():
         passed, detail = chk.result()
         assert passed is expect, detail
         assert "D vs Exp(1)" in detail
+
+
+def _same_draws(batch, sequential, seed, index):
+    r1, r2 = make_stream(seed, index), make_stream(seed, index)
+    want, got = sequential(r1), batch(r2)
+    return want, got, r1.gen.random() == r2.gen.random()
+
+
+@pytest.mark.parametrize("seed", [0, 20260810])
+def test_criterion_12_rows_are_sample_perm_draws(seed):
+    reps = 500
+    want, got, same_next = _same_draws(
+        lambda r: verify._perm_rows(6, reps, r),
+        lambda r: np.stack([permutations.sample_perm(6, r).images
+                            for _ in range(reps)]), seed, 121)
+    assert np.array_equal(want, got)
+    assert same_next
+
+
+@pytest.mark.parametrize("seed", [0, 20260810])
+@pytest.mark.parametrize("n,index", [(8, 141), (3, 142)])
+def test_criterion_14_rows_are_rrt_chain_draws(seed, n, index):
+    reps = 500
+    want, got, same_next = _same_draws(
+        lambda r: verify._rrt_parent_rows(n, reps, r),
+        lambda r: np.stack([growth.rrt_chain(n, r).parent[1:]
+                            for _ in range(reps)]), seed, index)
+    assert np.array_equal(want, got)
+    assert same_next
+
+
+def test_verify_imports_no_private_sampler_names():
+    modules = {"walks", "trees", "graphs", "permutations", "growth", "exact"}
+    tree = ast.parse(Path(verify.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in modules:
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []
