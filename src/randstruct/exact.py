@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft, integrate
+from scipy import fft as sp_fft, integrate, stats as sps
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .rng import RngStream
@@ -95,24 +95,18 @@ class OffspringLaw:
         d, p = self.params
         return (1.0 - p + p * z) ** d
 
-    def probability(self, k: int) -> float:
+    def probability(self, k):
+        """Mass at k: a float for an int, an array of masses for an int array."""
         if self.kind == "pmf":
-            for kk, p in self.pmf_pairs:
-                if kk == k:
-                    return float(p)
-            return 0.0
-        if self.kind == "poisson":
-            c = self.params[0]
-            if c == 0.0:
-                return 1.0 if k == 0 else 0.0
-            return math.exp(-c + k * math.log(c) - math.lgamma(k + 1))
-        if self.kind == "geometric":
-            p = self.params[0]
-            return p * (1.0 - p) ** k
-        d, p = self.params
-        if k > d:
-            return 0.0
-        return math.comb(d, k) * p ** k * (1.0 - p) ** (d - k)
+            table = dict(self.pmf_pairs)
+            mass = np.vectorize(lambda j: float(table.get(j, 0)), otypes=[float])(k)
+        elif self.kind == "poisson":
+            mass = sps.poisson.pmf(k, self.params[0])
+        elif self.kind == "geometric":
+            mass = sps.geom.pmf(np.add(k, 1), self.params[0])
+        else:
+            mass = sps.binom.pmf(k, *self.params)
+        return float(mass) if np.ndim(mass) == 0 else mass
 
     def sample(self, rng: RngStream, size=None):
         g = rng.gen

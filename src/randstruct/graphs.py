@@ -14,12 +14,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .exact import fluid_curve
-from .rng import RngStream
+from .rng import RngStream, _block_rows
 from .walks import LatticePath
 
 _SPARSE_P = 0.1
 _SPECTRAL_N_CAP = 4096
-_DENSE_BLOCK = 1 << 20      # uniforms per draw of the dense sampler
 _PAIR_N_CAP = 3_037_000_499  # largest n with n(n+1) < 2^63
 
 
@@ -150,10 +149,12 @@ def _sample_gnp_sparse(n: int, p: float, rng: RngStream) -> Graph:
 
 def _sample_gnp_dense(n: int, p: float, rng: RngStream) -> Graph:
     """One Bernoulli draw per vertex pair, in row-major pair order.  The
-    uniforms come in blocks of _DENSE_BLOCK, which continue one stream."""
+    uniforms come in blocks of the shared draw budget, which continue one
+    stream."""
     total = n * (n - 1) // 2
-    hits = [start + np.flatnonzero(rng.gen.random(min(_DENSE_BLOCK, total - start)) < p)
-            for start in range(0, total, _DENSE_BLOCK)]
+    step = _block_rows(1, total)
+    hits = [start + np.flatnonzero(rng.gen.random(min(step, total - start)) < p)
+            for start in range(0, total, step)]
     return Graph(n, _UpperPairs(*_pair_from_linear(np.concatenate(hits), n)))
 
 

@@ -5,7 +5,8 @@ so deriving stream ``i`` is O(1) and distinct indices never overlap.  Parallel
 experiments give stream ``i`` to replicate ``i``; results are then identical
 regardless of how replicates are scheduled.  Seeds and indices lie in
 [0, 2^64).  The batch samplers draw in blocks of at most ``_BLOCK_VALUES``
-values (8 MiB of doubles); no draw depends on the block size.
+values (8 MiB of doubles); only the size-conditioned trees, which shuffle
+between blocks, depend on the block size.
 """
 
 from __future__ import annotations

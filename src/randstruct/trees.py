@@ -5,19 +5,28 @@ tree-percolation survival experiment.
 A plane tree is stored as its breadth-first child-count sequence, which is the
 depth-zero form of its encoding walk: encoding is free, decoding is a
 validation step.
+
+Size-conditioned trees of every offspring law come from one exact sampler:
+rejection on child-count histograms, at a cost per attempt of the law's
+support below n, with memory of one draw block plus O(n) per tree.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError, ResourceLimitError
 from .exact import OffspringLaw
-from .rng import RngStream
+from .growth import GrowingTree
+from .rng import RngStream, _block_rows
 from .walks import LatticePath
+
+# histogram draws allowed per conditioned tree before the sampler gives up
+_MAX_ATTEMPTS = 1 << 22
 
 
 class PlaneTree:
@@ -45,31 +54,21 @@ class PlaneTree:
     def n_edges(self) -> int:
         return self.n_vertices - 1
 
+    def _parents(self) -> np.ndarray:
+        """Parent of each vertex in breadth-first order; -1 for the root."""
+        counts = self.child_counts
+        return np.concatenate(([-1], np.repeat(np.arange(counts.size), counts)))
+
     def depths(self) -> np.ndarray:
         """Depth of each vertex in breadth-first order."""
-        counts = self.child_counts
-        depths = np.empty(counts.size, dtype=np.int64)
-        depths[0] = 0
-        nxt = 1
-        for u in range(counts.size):
-            c = int(counts[u])
-            if c:
-                depths[nxt:nxt + c] = depths[u] + 1
-                nxt += c
-        return depths
+        return GrowingTree._grown(self._parents()).depths()
 
     def height(self) -> int:
         return int(self.depths().max())
 
     def children_lists(self) -> list[list[int]]:
-        counts = self.child_counts
-        out: list[list[int]] = []
-        nxt = 1
-        for u in range(counts.size):
-            c = int(counts[u])
-            out.append(list(range(nxt, nxt + c)))
-            nxt += c
-        return out
+        ends = (np.cumsum(self.child_counts) + 1).tolist()
+        return [list(range(a, b)) for a, b in zip([1, *ends[:-1]], ends)]
 
     def __eq__(self, other):
         return isinstance(other, PlaneTree) and \
@@ -257,52 +256,67 @@ def bgw_total_sizes(law: OffspringLaw, reps: int, rng: RngStream,
     return np.minimum(sizes, cap)
 
 
-def _conditioned_increments(law: OffspringLaw, n: int, rng: RngStream,
-                            max_batches: int) -> np.ndarray:
-    """One vector of n offspring-minus-one increments conditioned on sum -1."""
-    batch = max(4, min(20_000, 4 * int(np.sqrt(n)) * 8))
-    for _ in range(max_batches):
-        draws = law.sample(rng, size=(batch, n))
-        draws -= 1
-        good = np.flatnonzero(draws.sum(axis=1) == -1)
-        if good.size:
-            return draws[good[0]].copy()
-        del draws  # a rejected batch goes before the next is drawn
-    raise ResourceLimitError(
-        f"no draw of {n} increments hit total -1 in {max_batches} batches")
-
-
-def sample_bgw_conditioned(law: OffspringLaw, n_vertices: int, rng: RngStream,
-                           max_batches: int = 10_000) -> PlaneTree:
-    """Branching-process tree conditioned on its total size, sampled by
-    rejection on the increment sum followed by rotation to the unique good
-    cyclic shift."""
-    if n_vertices < 1:
-        raise InvalidParameterError("n_vertices must be >= 1")
-    inc = _conditioned_increments(law, n_vertices, rng, max_batches)
-    walk = np.cumsum(inc)
-    shift = int(np.argmin(walk)) + 1
-    rotated = np.concatenate([inc[shift:], inc[:shift]])
-    # the rotated path must decode; this asserts the chosen shift is good
-    return luka_decode(LatticePath(rotated))
+@lru_cache(maxsize=32)
+def _size_masses(law: OffspringLaw, n: int) -> np.ndarray:
+    """The law on {0..n-1}, normalised, less its trailing cells of zero float64
+    mass: exact under the size condition, which bounds each count by n - 1."""
+    masses = law.probability(np.arange(n))
+    support = np.flatnonzero(masses)
+    if support.size == 0:
+        raise ResourceLimitError(f"the offspring law puts no mass below {n}")
+    masses = masses[:support[-1] + 1] / masses.sum()
+    masses.flags.writeable = False
+    return masses
 
 
 def sample_bgw_conditioned_batch(law: OffspringLaw, n_vertices: int, reps: int,
-                                 rng: RngStream,
-                                 max_batches: int = 100_000) -> list[PlaneTree]:
-    """Independent size-conditioned trees; keeps every accepted rejection row."""
+                                 rng: RngStream) -> list[PlaneTree]:
+    """Independent branching-process trees conditioned on n vertices.
+
+    The child counts of n draws conditioned on summing to n - 1 are a uniform
+    arrangement of a histogram N ~ Multinomial(n, p) conditioned on
+    sum_k k N_k = n - 1 (Devroye, SIAM J. Comput. 41, 2012).  Histograms are
+    kept by rejection, in row blocks of the shared draw budget; each kept one
+    is shuffled and rotated to its unique good cyclic shift, one past the
+    first minimum of its walk (the cycle lemma of Dvoretzky & Motzkin, 1947).
+    """
+    n = n_vertices
+    if n < 1:
+        raise InvalidParameterError("n_vertices must be >= 1")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    masses = _size_masses(law, n)
+    ks = np.arange(masses.size)
     out: list[PlaneTree] = []
-    batch = max(64, min(20_000, 200_000 // max(1, n_vertices)))
-    for _ in range(max_batches):
-        if len(out) >= reps:
-            return out[:reps]
-        draws = law.sample(rng, size=(batch, n_vertices)) - 1
-        for row in draws[draws.sum(axis=1) == -1]:
-            walk = np.cumsum(row)
-            shift = int(np.argmin(walk)) + 1
-            out.append(luka_decode(LatticePath(
-                np.concatenate([row[shift:], row[:shift]]))))
-    raise ResourceLimitError("rejection budget exhausted")
+    attempts, per_tree = 0, 8
+    while len(out) < reps:
+        if attempts >= _MAX_ATTEMPTS * reps:
+            raise ResourceLimitError(
+                f"{attempts} child-count histograms gave {len(out)} of {reps} "
+                f"{n}-vertex trees")
+        # eight rows per missing tree, doubling after each shortfall; a block
+        # and its row totals fit one draw budget
+        rows = _block_rows(masses.size + 1, per_tree * (reps - len(out)))
+        attempts += rows
+        per_tree *= 2
+        hist = rng.gen.multinomial(n, masses, size=rows)
+        kept = hist[hist @ ks == n - 1][:reps - len(out)]
+        del hist  # a block goes before the next is drawn
+        if not kept.size:
+            continue
+        counts = np.repeat(np.tile(ks, len(kept)), kept.ravel()).reshape(-1, n)
+        rng.gen.permuted(counts, axis=1, out=counts)
+        shifts = np.argmin(np.cumsum(counts - 1, axis=1), axis=1) + 1
+        # PlaneTree checks the rotated walk, so it asserts each shift is good
+        out.extend(PlaneTree(np.concatenate((row[s:], row[:s])))
+                   for row, s in zip(counts, shifts.tolist()))
+    return out
+
+
+def sample_bgw_conditioned(law: OffspringLaw, n_vertices: int,
+                           rng: RngStream) -> PlaneTree:
+    """One tree of ``sample_bgw_conditioned_batch``."""
+    return sample_bgw_conditioned_batch(law, n_vertices, 1, rng)[0]
 
 
 def sample_cayley(n: int, rng: RngStream) -> LabeledTree:
@@ -310,18 +324,10 @@ def sample_cayley(n: int, rng: RngStream) -> LabeledTree:
     branching tree with uniform labels, plane order forgotten."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    if n == 1:
-        return LabeledTree(1, ())
-    tree = sample_bgw_conditioned(OffspringLaw.poisson(1.0), n, rng)
+    parent = sample_bgw_conditioned(OffspringLaw.poisson(1.0), n, rng)._parents()
     labels = rng.gen.permutation(n) + 1
-    counts = tree.child_counts
-    edges = []
-    nxt = 1
-    for u in range(n):
-        for v in range(nxt, nxt + int(counts[u])):
-            edges.append((labels[u], labels[v]))
-        nxt += int(counts[u])
-    return LabeledTree.from_edges(n, edges)
+    return LabeledTree.from_edges(n, zip(labels[parent[1:]].tolist(),
+                                         labels[1:].tolist()))
 
 
 def tree_stats(tree: PlaneTree) -> tuple[int, Counter, int]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,7 +145,6 @@ def criterion_01_exact_counts(scale: str, seed: int) -> tuple[bool, str]:
     for e, seqs in sequences.items():
         chk.add(f"catalan({e})", exact.catalan(e) == len(seqs))
     # degree profiles over all trees with <= max_edges edges
-    from collections import Counter
     for e, seqs in sequences.items():
         profiles = Counter()
         for seq in seqs:
@@ -245,22 +245,19 @@ def criterion_06_conditioned_uniform(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     reps = 100_000 if scale == "full" else 20_000
     rng = make_stream(seed, 6)
-    shapes = [tuple(t.child_counts.tolist()) for t in
-              trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5), 4,
-                                                 reps, rng)]
-    kinds = sorted(set(shapes))
-    chk.add("five plane shapes", len(kinds) == 5, f" ({len(kinds)})")
-    counts = [shapes.count(kind) for kind in kinds]
-    report = chi_square_counts(counts, [1 / 5] * len(kinds), alpha_level=0.01)
+    shapes = Counter(tuple(t.child_counts.tolist()) for t in
+                     trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5),
+                                                        4, reps, rng))
+    chk.add("five plane shapes", len(shapes) == 5, f" ({len(shapes)})")
+    report = chi_square_counts([shapes[k] for k in sorted(shapes)],
+                               [1 / 5] * len(shapes), alpha_level=0.01)
     chk.add("plane-tree uniformity", report.passed,
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
-    creps = reps // 2
     rng = make_stream(seed, 61)
-    keys = [trees.sample_cayley(4, rng).edges for _ in range(creps)]
-    kinds = sorted(set(keys))
-    chk.add("sixteen labeled trees", len(kinds) == 16, f" ({len(kinds)})")
-    counts = [keys.count(kind) for kind in kinds]
-    report = chi_square_counts(counts, [1 / 16] * len(kinds), alpha_level=0.01)
+    keys = Counter(trees.sample_cayley(4, rng).edges for _ in range(reps // 2))
+    chk.add("sixteen labeled trees", len(keys) == 16, f" ({len(keys)})")
+    report = chi_square_counts([keys[k] for k in sorted(keys)],
+                               [1 / 16] * len(keys), alpha_level=0.01)
     chk.add("labeled-tree uniformity", report.passed,
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
     return chk.result()

@@ -148,6 +148,15 @@ def test_cli_dump_plane_trees(tmp_path):
         assert tree.n_vertices == 6
 
 
+def test_cli_dump_plane_tree_of_a_million_vertices(tmp_path):
+    out = tmp_path / "big.txt"
+    assert run_cli("dump", "--kind", "plane-tree", "--n", "1000000", "--count", "1",
+                   "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    assert trees.plane_tree_from_line(lines[0]).n_vertices == 1_000_000
+
+
 def test_cli_dump_graph(tmp_path):
     out = tmp_path / "graph.txt"
     assert run_cli("dump", "--kind", "graph", "--count", "1", "--n", "12",

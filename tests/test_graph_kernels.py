@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from randstruct import graphs
+from randstruct import graphs, rng as rng_module
 from randstruct.errors import InvalidParameterError, ResourceLimitError
 from randstruct.graphs import Graph
 from randstruct.rng import make_stream
@@ -198,7 +198,7 @@ def test_sample_gnp_matches_reference(n, p):
 
 def test_dense_sampler_across_blocks(monkeypatch):
     # blocks of 7 uniforms cut through rows; the stream runs on unchanged
-    monkeypatch.setattr(graphs, "_DENSE_BLOCK", 7)
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", 7)
     for n, p in [(2, 0.5), (9, 0.5), (40, 0.3), (57, 0.9)]:
         g = graphs.sample_gnp(n, p, make_stream(32, n))
         assert_same_csr(g, *ref_csr(n, ref_sample_gnp(n, p, make_stream(32, n))))

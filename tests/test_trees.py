@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randstruct import exact, trees
+from randstruct import exact, rng as rng_module, trees
 from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
 from randstruct.exact import OffspringLaw
 from randstruct.rng import make_stream
@@ -150,7 +150,7 @@ def test_conditioned_uniform_over_three_edges():
 def test_conditioned_impossible_size_errors():
     law = OffspringLaw.from_pmf({0: 0.99, 2: 0.01})
     with pytest.raises(ResourceLimitError):
-        trees.sample_bgw_conditioned(law, 2, make_stream(0, 5), max_batches=5)
+        trees.sample_bgw_conditioned(law, 2, make_stream(0, 5))
 
 
 def test_conditioned_poisson_three_vertex_shapes():
@@ -187,6 +187,121 @@ def test_cayley_distance_law():
         emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))),
         alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
+
+
+def test_conditioned_argument_checks():
+    law = OffspringLaw.geometric(0.5)
+    with pytest.raises(InvalidParameterError):
+        trees.sample_bgw_conditioned_batch(law, 4, -3, make_stream(0, 18))
+    for n in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            trees.sample_bgw_conditioned_batch(law, n, 1, make_stream(0, 18))
+        with pytest.raises(InvalidParameterError):
+            trees.sample_bgw_conditioned(law, n, make_stream(0, 18))
+    assert trees.sample_bgw_conditioned_batch(law, 4, 0, make_stream(0, 18)) == []
+
+
+@pytest.mark.parametrize("law", [OffspringLaw.geometric(0.5), OffspringLaw.poisson(1.0),
+                                 OffspringLaw.binomial(2, 0.5)])
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 20_000])
+def test_scalar_conditioned_is_the_one_tree_batch(law, n):
+    for seed in range(3):
+        a, b = make_stream(43, seed), make_stream(43, seed)
+        tree = trees.sample_bgw_conditioned(law, n, a)
+        assert tree == trees.sample_bgw_conditioned_batch(law, n, 1, b)[0]
+        assert tree.n_vertices == n
+        assert a.gen.random() == b.gen.random()
+
+
+# Laws up to a constant factor, written out apart from OffspringLaw; the
+# conditioned law of a plane tree is proportional to the product over its
+# vertices.  Twelve tests at level 0.001 keep the family-wise level near 0.01.
+ENUMERATION_LAWS = {
+    "geometric": (OffspringLaw.geometric(0.5), lambda c: 0.5 ** c),
+    "poisson": (OffspringLaw.poisson(1.0), lambda c: 1 / math.factorial(c)),
+    "binomial": (OffspringLaw.binomial(2, 0.5), lambda c: math.comb(2, c)),
+    "supercritical pmf": (OffspringLaw.from_pmf({0: 0.5, 1: 0.2, 3: 0.3}),
+                          lambda c: {0: 0.5, 1: 0.2, 3: 0.3}.get(c, 0.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATION_LAWS))
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_conditioned_law_matches_enumeration(name, n):
+    law, weight = ENUMERATION_LAWS[name]
+    weights = {s: math.prod(map(weight, s)) for s in _plane_tree_sequences(n - 1)}
+    shapes = [s for s, w in weights.items() if w > 0]
+    probs = np.array([weights[s] for s in shapes])
+    rng = make_stream(44, 10 * n + sorted(ENUMERATION_LAWS).index(name))
+    batch = trees.sample_bgw_conditioned_batch(law, n, 20_000, rng)
+    counts = Counter(tuple(t.child_counts.tolist()) for t in batch)
+    assert set(counts) <= set(shapes)
+    report = chi_square_counts([counts[s] for s in shapes], probs / probs.sum(),
+                               alpha_level=0.001)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def test_cayley_uniform_over_sixteen_labeled_trees():
+    rng = make_stream(0, 19)
+    counts = Counter(trees.sample_cayley(4, rng).edges for _ in range(8_000))
+    assert len(counts) == exact.cayley_count(4) == 16
+    report = chi_square_counts(list(counts.values()), [1 / 16] * 16,
+                               alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def ref_cayley(n, rng):
+    # the labeled-tree construction as it was: one edge per child, by loop
+    tree = trees.sample_bgw_conditioned(OffspringLaw.poisson(1.0), n, rng)
+    labels = rng.gen.permutation(n) + 1
+    counts = tree.child_counts
+    edges = []
+    nxt = 1
+    for u in range(n):
+        for v in range(nxt, nxt + int(counts[u])):
+            edges.append((labels[u], labels[v]))
+        nxt += int(counts[u])
+    return trees.LabeledTree.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 2000])
+def test_cayley_edges_match_child_loop(n):
+    for seed in range(3):
+        a, b = make_stream(45, seed), make_stream(45, seed)
+        assert trees.sample_cayley(n, a) == ref_cayley(n, b)
+        assert a.gen.random() == b.gen.random()
+
+
+def ref_plane_depths(counts):
+    # the breadth-first loop that PlaneTree.depths replaced
+    depths = np.empty(counts.size, dtype=np.int64)
+    depths[0] = 0
+    nxt = 1
+    for u in range(counts.size):
+        c = int(counts[u])
+        if c:
+            depths[nxt:nxt + c] = depths[u] + 1
+            nxt += c
+    return depths
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 5000])
+def test_plane_depths_match_loop(n):
+    for seed, law in enumerate([OffspringLaw.geometric(0.5), OffspringLaw.poisson(1.0),
+                                OffspringLaw.binomial(2, 0.5)]):
+        tree = trees.sample_bgw_conditioned(law, n, make_stream(46, seed))
+        got = tree.depths()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref_plane_depths(tree.child_counts))
+
+
+def test_plane_depths_of_small_trees_and_a_long_path():
+    assert trees.PlaneTree([0]).depths().tolist() == [0]
+    assert trees.PlaneTree([1, 0]).depths().tolist() == [0, 1]
+    path = trees.PlaneTree([1] * 9_999 + [0])
+    assert np.array_equal(path.depths(), np.arange(10_000))
+    assert np.array_equal(path.depths(), ref_plane_depths(path.child_counts))
+    assert path.height() == 9_999
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +436,18 @@ def test_percolation_binary_subtree_fixed_point():
         assert (z < 1.0 - 1e-3) == expect_sub_one
 
 
-def test_rejected_batches_are_released():
+def test_conditioned_memory_within_one_block():
+    # one 8 MiB draw block plus O(n) for the tree; the increment rejection it
+    # replaced drew a 256 MB block at this size
     import tracemalloc
-    # Poisson(0) has no offspring, so no batch is ever accepted
-    n, max_batches = 400, 3
-    batch_bytes = 32 * int(math.sqrt(n)) * n * 8
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError):
-            trees._conditioned_increments(OffspringLaw.poisson(0.0), n,
-                                          make_stream(41, 0), max_batches)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert batch_bytes <= peak < 1.5 * batch_bytes
-
-
-def test_conditioned_increments_draws_unchanged():
-    # the batch loop as it was, subtracting into a second array
-    def reference(law, n, rng):
-        batch = max(4, min(20_000, 4 * int(np.sqrt(n)) * 8))
-        while True:
-            draws = law.sample(rng, size=(batch, n)) - 1
-            good = np.flatnonzero(draws.sum(axis=1) == -1)
-            if good.size:
-                return draws[good[0]]
-
-    # (seeds 1-3 of geometric(0.62) at 60 vertices need 5 to 7 batches)
-    for law, n in [(OffspringLaw.geometric(0.62), 60), (OffspringLaw.poisson(1.0), 50),
-                   (OffspringLaw.binomial(2, 0.5), 9)]:
-        for seed in range(5):
-            a, b = make_stream(42, seed), make_stream(42, seed)
-            got = trees._conditioned_increments(law, n, a, 10_000)
-            assert np.array_equal(got, reference(law, n, b))
-            assert a.gen.random() == b.gen.random()
+    n = 10_000
+    for seed in range(10):
+        tracemalloc.start()
+        try:
+            tree = trees.sample_bgw_conditioned(OffspringLaw.geometric(0.5), n,
+                                                make_stream(41, seed))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.n_vertices == n
+        assert peak <= 8 * rng_module._BLOCK_VALUES + 64 * n
