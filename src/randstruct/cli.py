@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, InvalidTestError, ResourceLimitError
 from .experiments import ExperimentConfig, list_experiments, run_experiment
 from .rng import make_stream
 
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_dump(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, InvalidTestError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

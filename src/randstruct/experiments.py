@@ -170,11 +170,11 @@ def _per_rep_path(out: str) -> str:
 # Experiment definitions
 
 
-def _mean_summary(columns):
+def _mean_summary(columns, level=0.95):
     def summarize(params, matrix):
         summary = {}
         for j, col in enumerate(columns):
-            mean, hw = mean_ci(matrix[:, j]) if matrix.shape[0] > 1 \
+            mean, hw = mean_ci(matrix[:, j], level) if matrix.shape[0] > 1 \
                 else (float(matrix[0, j]), 0.0)
             summary[f"{col}_mean"] = mean
             summary[f"{col}_hw"] = hw
@@ -387,19 +387,17 @@ _register(Experiment(
 
 
 def _many_to_one_rep(p, s):
+    """One population sum, then one marked-line estimate."""
     functional = (p["functional"], p["arg"])
-    result = growth.many_to_one_table(p["k"], p["t"], [functional], 1, s)[functional]
-    return result.lhs_mean, result.rhs_mean
+    lhs, rhs = growth._many_to_one_samples(p["k"], p["t"], [functional], 1, s)
+    return float(lhs[functional][0]), float(rhs[functional][0])
 
 
 def _many_to_one_summary(params, matrix):
-    lhs_mean, lhs_hw = mean_ci(matrix[:, 0], level=0.99)
-    rhs_mean, rhs_hw = mean_ci(matrix[:, 1], level=0.99)
-    overlap = (lhs_mean - lhs_hw <= rhs_mean + rhs_hw
-               and rhs_mean - rhs_hw <= lhs_mean + lhs_hw)
-    return ({"population_mean": lhs_mean, "population_hw": lhs_hw,
-             "line_mean": rhs_mean, "line_hw": rhs_hw},
-            {"ci_overlap": overlap})
+    summary, _ = _mean_summary(("population", "line"), level=0.99)(params, matrix)
+    result = growth.ManyToOneResult(summary["population_mean"], summary["population_hw"],
+                                    summary["line_mean"], summary["line_hw"])
+    return summary, {"ci_overlap": result.overlap()}
 
 
 _register(Experiment(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -177,18 +178,14 @@ class YuleTree:
     """Splitting tree of order k: every particle lives an exponential unit-rate
     lifetime, then splits into k ordered children.
 
-    Particle arrays are indexed by particle id; the root is particle 0.
-    ``split_particles[j]`` is the particle that split at ``jump_times[j]``; its
-    k children are the consecutive ids starting at ``first_child[j]``.
+    The record is the jump chain.  The root is particle 0; at ``jump_times[j]``
+    particle ``split_particles[j]`` splits into particles jk+1, ..., jk+k, so
+    particle i >= 1 is child (i - 1) % k + 1 of ``split_particles[(i - 1) // k]``.
     """
 
     order: int
-    parent: np.ndarray       # parent particle id, -1 for the root
-    position: np.ndarray     # 1..k among siblings, 0 for the root
-    birth_time: np.ndarray
     jump_times: np.ndarray
     split_particles: np.ndarray  # particle that split at each jump
-    first_child: np.ndarray      # first child id per jump; children consecutive
     alive: np.ndarray            # ids alive at the stopping time
 
     @property
@@ -204,7 +201,8 @@ def yule_simulate(k: int, rng: RngStream, t: float | None = None,
                   n_particles: int | None = None) -> YuleTree:
     """Simulate the splitting tree as its jump chain: waiting times are
     exponential with rate equal to the current particle count and the particle
-    that splits is uniform among the living."""
+    that splits is uniform among the living.  Its first child takes its slot
+    among the living; the others are appended."""
     if k < 2:
         raise InvalidParameterError("order must be >= 2")
     if (t is None) == (n_particles is None):
@@ -213,39 +211,31 @@ def yule_simulate(k: int, rng: RngStream, t: float | None = None,
         raise InvalidParameterError("t must be >= 0")
     if n_particles is not None and n_particles < 1:
         raise InvalidParameterError("n_particles must be >= 1")
-    parent = [-1]
-    position = [0]
-    birth = [0.0]
+    stop = math.inf if n_particles is None else n_particles
+    horizon = math.inf if t is None else t
+    exponential, integers = rng.gen.exponential, rng.gen.integers
     jump_times = []
     split_particles = []
-    first_child = []
     alive = [0]
     now = 0.0
+    first = 1  # first child of the next jump
     while True:
         count = len(alive)
-        if n_particles is not None and count >= n_particles:
+        if count >= stop:
             break
         if count > _PARTICLE_CAP:
             raise ResourceLimitError("particle cap exceeded")
-        wait = rng.gen.exponential(1.0 / count)
-        pick = int(rng.gen.integers(0, count))
-        if t is not None and now + wait > t:
+        wait = exponential(1.0 / count)
+        pick = integers(0, count)
+        if now + wait > horizon:
             break
         now += wait
-        u = alive[pick]
-        base = len(parent)
-        for pos in range(1, k + 1):
-            parent.append(u)
-            position.append(pos)
-            birth.append(now)
-        alive[pick] = base
-        alive.extend(range(base + 1, base + k))
         jump_times.append(now)
-        split_particles.append(u)
-        first_child.append(base)
-    return YuleTree(k, np.array(parent), np.array(position), np.array(birth),
-                    np.array(jump_times), np.array(split_particles, dtype=np.int64),
-                    np.array(first_child, dtype=np.int64),
+        split_particles.append(alive[pick])
+        alive[pick] = first
+        alive.extend(range(first + 1, first + k))
+        first += k
+    return YuleTree(k, np.array(jump_times), np.array(split_particles, dtype=np.int64),
                     np.array(alive, dtype=np.int64))
 
 
@@ -266,25 +256,38 @@ def yule_counts_at(k: int, t: float, reps: int, rng: RngStream) -> np.ndarray:
     return counts
 
 
+def _contract(trees: tuple[YuleTree, ...], n: int) -> GrowingTree:
+    """Contract splitting trees of one order k into a growing tree on n + 1
+    vertices.  Vertices 0..r-1 are the r roots, each attached to the one
+    before; the jumps of all trees, merged by time, open the vertices after
+    them.  At a split the first k - 1 children stay in the splitting
+    particle's vertex and the k-th child opens the next vertex, attached to
+    that one.  The trees must hold at least n + 1 - r jumps between them."""
+    k, roots = trees[0].order, len(trees)
+    events = [(time, w, u) for w, tree in enumerate(trees)
+              for time, u in zip(tree.jump_times.tolist(),
+                                 tree.split_particles.tolist())]
+    events.sort(key=itemgetter(0))  # stable: a tie keeps tree, then jump, order
+    vertex = [[w] for w in range(roots)]  # vertex of each particle, per tree
+    parent = list(range(-1, roots - 1))
+    for v, (_, w, u) in enumerate(events[:n + 1 - roots], start=roots):
+        b = vertex[w][u]
+        vertex[w] += [b] * (k - 1) + [v]
+        parent.append(b)
+    return GrowingTree._grown(np.array(parent, dtype=np.int64))
+
+
 def yule_to_rrt(tree: YuleTree, n: int) -> GrowingTree:
     """Contract the leftmost-child lines of an order-2 splitting tree observed
     at its n-th jump; the labeled contraction grows exactly like the uniform
     attachment chain."""
     if tree.order != 2:
         raise InvalidParameterError("contraction needs an order-2 tree")
+    if n < 0:
+        raise InvalidParameterError("n must be >= 0")
     if tree.n_jumps < n:
         raise InvalidParameterError("tree stopped before n + 1 particles")
-    block = {0: 0}
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    for j in range(n):
-        u = int(tree.split_particles[j])
-        first = int(tree.first_child[j])
-        b = block.pop(u)
-        block[first] = b            # left child continues the vertex
-        block[first + 1] = j + 1    # right child starts vertex j + 1
-        parent[j + 1] = b
-    return GrowingTree._grown(parent)
+    return _contract((tree,), n)
 
 
 def yule3_to_ba(tree0: YuleTree, tree1: YuleTree, n: int) -> GrowingTree:
@@ -296,26 +299,9 @@ def yule3_to_ba(tree0: YuleTree, tree1: YuleTree, n: int) -> GrowingTree:
         raise InvalidParameterError("contraction needs order-3 trees")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    splits_needed = n - 1
-    events = sorted(
-        [(float(tree0.jump_times[j]), 0, j) for j in range(tree0.n_jumps)]
-        + [(float(tree1.jump_times[j]), 1, j) for j in range(tree1.n_jumps)])
-    if len(events) < splits_needed:
+    if tree0.n_jumps + tree1.n_jumps < n - 1:
         raise InvalidParameterError("trees stopped before 2n total particles")
-    block = [{0: 0}, {0: 1}]
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    parent[1] = 0
-    for v, (_, which, j) in enumerate(events[:splits_needed], start=2):
-        tree = tree0 if which == 0 else tree1
-        u = int(tree.split_particles[j])
-        first = int(tree.first_child[j])
-        b = block[which].pop(u)
-        block[which][first] = b
-        block[which][first + 1] = b
-        block[which][first + 2] = v
-        parent[v] = b
-    return GrowingTree._grown(parent)
+    return _contract((tree0, tree1), n)
 
 
 # ---------------------------------------------------------------------------
@@ -349,39 +335,31 @@ def _functional_indicator(kind: str, arg: int, n_last, n_other):
     raise InvalidParameterError(f"functional must be one of {_FUNCTIONALS}")
 
 
-def _population_line_stats(k: int, t: float, rng: RngStream):
-    """Ancestry-line statistics of every particle alive at t, full simulation.
-
-    For each particle, counts along its line from the root of branch points
-    continued in the last position versus any other position.
-    """
-    n_last = [0]
-    n_other = [0]
-    alive = [0]
-    now = 0.0
-    while True:
-        count = len(alive)
-        wait = rng.gen.exponential(1.0 / count)
-        pick = int(rng.gen.integers(0, count))
-        if now + wait > t:
-            break
-        now += wait
-        u = alive[pick]
-        base = len(n_last)
-        for pos in range(1, k + 1):
-            n_last.append(n_last[u] + (pos == k))
-            n_other.append(n_other[u] + (pos != k))
-        alive[pick] = base + k - 1
-        alive.extend(range(base, base + k - 1))
-    return (np.array([n_last[u] for u in alive]),
-            np.array([n_other[u] for u in alive]))
+def _alive_line_stats(tree: YuleTree):
+    """Ancestry-line statistics of every particle alive in ``tree``: along its
+    line from the root, the branch points continued in position 1 (the child
+    that keeps the splitting particle's slot among the living) and those
+    continued in any other position.  Summed by pointer doubling over the
+    parent array, as ``GrowingTree.depths`` does."""
+    k = tree.order
+    anc = np.zeros(1 + tree.n_jumps * k, dtype=np.int64)
+    anc[1:] = np.repeat(tree.split_particles, k)
+    line = np.zeros((2, anc.size), dtype=np.int64)  # position-1 steps, depth
+    line[0, 1::k] = 1
+    line[1, 1:] = 1
+    while anc.any():
+        line += line[:, anc]
+        anc = anc[anc]
+    last = line[0, tree.alive]
+    return last, line[1, tree.alive] - last
 
 
 def _spine_line_stats(k: int, t: float, rng: RngStream) -> tuple[int, int]:
     """Line statistics of the distinguished particle: the marked line branches
-    at rate k and continues in a uniform position.  The k - 1 ordinary subtrees
-    it hangs at every branch point do not affect these statistics, so they are
-    not simulated."""
+    at rate k and continues in a uniform position, counted with the
+    population's position 1 when the drawn position is k.  The k - 1 ordinary
+    subtrees it hangs at every branch point do not affect these statistics, so
+    they are not simulated."""
     now = 0.0
     n_last = 0
     n_other = 0
@@ -395,21 +373,22 @@ def _spine_line_stats(k: int, t: float, rng: RngStream) -> tuple[int, int]:
             n_other += 1
 
 
-def many_to_one_table(k: int, t: float, functionals, reps: int,
-                      rng: RngStream) -> dict[tuple[str, int], ManyToOneResult]:
-    """Evaluate several functionals on shared population / marked-line draws."""
+def _many_to_one_samples(k: int, t: float, functionals, reps: int,
+                         rng: RngStream):
+    """Per-replicate sums of each functional over ``reps`` populations alive
+    at t, then ``reps`` marked-line estimates e^{(k-1)t} f(line), in that
+    draw order."""
     if k < 2:
         raise InvalidParameterError("k must be >= 2")
     if not 0 <= t <= 8:
         raise InvalidParameterError("t must be in [0, 8]")
-    functionals = [tuple(f) for f in functionals]
     for kind, _ in functionals:
         if kind not in _FUNCTIONALS:
             raise InvalidParameterError(f"functional must be one of {_FUNCTIONALS}")
     lhs = {f: np.empty(reps) for f in functionals}
     rhs = {f: np.empty(reps) for f in functionals}
     for r in range(reps):
-        last, other = _population_line_stats(k, t, rng)
+        last, other = _alive_line_stats(yule_simulate(k, rng, t=t))
         for kind, arg in functionals:
             lhs[(kind, arg)][r] = _functional_indicator(kind, arg, last, other).sum()
     for r in range(reps):
@@ -418,10 +397,18 @@ def many_to_one_table(k: int, t: float, functionals, reps: int,
             rhs[(kind, arg)][r] = float(
                 _functional_indicator(kind, arg, last, other)[()])
     growth = math.exp((k - 1) * t)
+    return lhs, {f: growth * rhs[f] for f in functionals}
+
+
+def many_to_one_table(k: int, t: float, functionals, reps: int,
+                      rng: RngStream) -> dict[tuple[str, int], ManyToOneResult]:
+    """Evaluate several functionals on shared population / marked-line draws."""
+    functionals = [tuple(f) for f in functionals]
+    lhs, rhs = _many_to_one_samples(k, t, functionals, reps, rng)
     out = {}
     for f in functionals:
         lhs_mean, lhs_hw = mean_ci(lhs[f], level=0.99)
-        rhs_mean, rhs_hw = mean_ci(growth * rhs[f], level=0.99)
+        rhs_mean, rhs_hw = mean_ci(rhs[f], level=0.99)
         out[f] = ManyToOneResult(lhs_mean, lhs_hw, rhs_mean, rhs_hw)
     return out
 

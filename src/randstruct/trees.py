@@ -231,26 +231,35 @@ def bgw_total_sizes(law: OffspringLaw, reps: int, rng: RngStream,
                     cap: int = 4096) -> np.ndarray:
     """Vector of total progenies over independent trees, ``cap`` where larger.
 
-    Sizes are first passage times to -1 of the increment walk, computed in
-    vectorized blocks.
+    Sizes are first passage times to -1 of the increment walk.  Each round
+    extends every unfinished walk by the round's length, which starts at
+    min(256, 4 cap) and doubles up to 4 cap; the (walks, length) draws come
+    in row blocks of the shared draw budget, the same values as one call.
     """
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    if cap < 1:
+        raise InvalidParameterError("cap must be >= 1")
     sizes = np.full(reps, cap, dtype=np.int64)
     pending = np.arange(reps)
-    length = 256
+    length = min(256, 4 * cap)
     offset = np.zeros(reps, dtype=np.int64)  # walk value carried between blocks
     steps_done = np.zeros(reps, dtype=np.int64)
-    while pending.size and length <= 4 * cap:
-        draws = law.sample(rng, size=(pending.size, length)) - 1
-        walk = offset[pending, None] + np.cumsum(draws, axis=1)
-        hit = walk <= -1
-        has = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        done = pending[has]
-        sizes[done] = steps_done[done] + first[has] + 1
-        rest = ~has
-        offset[pending[rest]] = walk[rest, -1]
-        steps_done[pending[rest]] += length
-        pending = pending[rest]
+    while pending.size:
+        rows = _block_rows(length, pending.size)
+        for lo in range(0, pending.size, rows):
+            ids = pending[lo:lo + rows]
+            walk = law.sample(rng, size=(ids.size, length))
+            walk -= 1
+            np.cumsum(walk, axis=1, out=walk)
+            walk += offset[ids, None]
+            hit = walk <= -1
+            has = hit.any(axis=1)
+            sizes[ids[has]] = steps_done[ids[has]] + np.argmax(hit[has], axis=1) + 1
+            offset[ids] = walk[:, -1]
+            del walk, hit
+            # a walk that hit -1 is done, like one that reached the cap
+            steps_done[ids] = np.where(has, cap, steps_done[ids] + length)
         pending = pending[steps_done[pending] < cap]
         length = min(2 * length, 4 * cap)
     return np.minimum(sizes, cap)
@@ -391,6 +400,8 @@ def tree_percolation_survival(d: int, p: float, reps: int, rng: RngStream,
         raise InvalidParameterError("d must be >= 3")
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("p must be in [0, 1]")
+    if reps < 1:
+        raise InvalidParameterError("reps must be >= 1")
     survived = 0
     for _ in range(reps):
         alive = 1

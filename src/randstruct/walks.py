@@ -146,6 +146,8 @@ def ballot_mc(a: int, b: int, reps: int, rng: RngStream) -> float:
     """Monte Carlo frequency of the always-strictly-ahead event."""
     if not a > b >= 0:
         raise InvalidParameterError("need a > b >= 0")
+    if reps < 1:
+        raise InvalidParameterError("reps must be >= 1")
     votes = np.concatenate([np.ones(a, dtype=np.int64), -np.ones(b, dtype=np.int64)])
     wins = 0
     for _ in range(reps):

@@ -118,6 +118,27 @@ def test_cli_usage_error_exit_code(capsys):
     assert run_cli("run", "--experiment", "giant", "--param", "oops") == 2
 
 
+def test_cli_test_without_data_is_a_usage_error(capsys):
+    # 200 triangle counts at c = 0.1 are nearly all zero: one chi-square cell
+    assert run_cli("run", "--experiment", "triangles", "--param", "n=100",
+                   "--param", "c=0.1", "--reps", "200") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_cli_many_to_one_runs(capsys):
+    for reps in ("1", "20"):
+        assert run_cli("run", "--experiment", "many-to-one", "--param", "k=2",
+                       "--param", "t=1", "--reps", reps) == cli.EXIT_OK
+        assert "verdict ci_overlap" in capsys.readouterr().out
+
+
+def test_cli_many_to_one_particle_cap_is_a_resource_error(monkeypatch, capsys):
+    monkeypatch.setattr(growth, "_PARTICLE_CAP", 1_000)
+    assert run_cli("run", "--experiment", "many-to-one", "--param", "k=4",
+                   "--param", "t=8") == cli.EXIT_RESOURCE
+    assert "resource error" in capsys.readouterr().err
+
+
 def test_cli_seed_outside_64_bits_is_a_usage_error(capsys):
     assert run_cli("run", "--experiment", "cycles", "--param", "n=5",
                    "--seed", "-1") == 2

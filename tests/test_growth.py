@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from randstruct import exact, growth
-from randstruct.errors import FormatError, InvalidParameterError
+from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
@@ -212,6 +212,8 @@ def test_yule_to_rrt_needs_enough_particles():
     tree = growth.yule_simulate(2, make_stream(4, 19), n_particles=3)
     with pytest.raises(InvalidParameterError):
         growth.yule_to_rrt(tree, 5)
+    with pytest.raises(InvalidParameterError):
+        growth.yule_to_rrt(tree, -1)
 
 
 def test_yule_root_degree_law():
@@ -288,6 +290,12 @@ def test_many_to_one_analytic_anchors():
     assert abs(hgt.rhs_mean - math.exp(t) * sps.poisson.sf(5, t)) \
         <= hgt.rhs_half_width
     assert deg.overlap() and hgt.overlap()
+
+
+def test_many_to_one_population_obeys_the_particle_cap(monkeypatch):
+    monkeypatch.setattr(growth, "_PARTICLE_CAP", 1_000)
+    with pytest.raises(ResourceLimitError):
+        growth.many_to_one_table(3, 8.0, [("constant-1", 0)], 2, make_stream(4, 30))
 
 
 def test_coupon_collector_mean():

@@ -3,10 +3,14 @@ references.  Every reference makes the same draws in the same order as the
 path that replaced it, so on the same stream both must give bit-identical
 output and leave the stream at the same position (the next draw is equal)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from randstruct import exact, growth, permutations as perms, walks
+from randstruct import (exact, experiments, growth, permutations as perms,
+                        rng as rng_module, trees, walks)
+from randstruct.exact import OffspringLaw
 from randstruct.permutations import CycleStructure
 from randstruct.rng import make_stream
 from randstruct.walks import LatticePath
@@ -116,6 +120,119 @@ def ref_good_shift_counts(batch, k):
 
 def ref_good_shift_count(path):
     return int(ref_good_shift_counts(path.increments[None, :], -path.total)[0])
+
+
+def ref_yule_simulate(k, rng, t=None, n_particles=None):
+    # the per-particle record: parent, position, birth time and first child
+    parent, position, birth = [-1], [0], [0.0]
+    jump_times, split_particles, first_child = [], [], []
+    alive = [0]
+    now = 0.0
+    while True:
+        count = len(alive)
+        if n_particles is not None and count >= n_particles:
+            break
+        wait = rng.gen.exponential(1.0 / count)
+        pick = int(rng.gen.integers(0, count))
+        if t is not None and now + wait > t:
+            break
+        now += wait
+        u = alive[pick]
+        base = len(parent)
+        for pos in range(1, k + 1):
+            parent.append(u)
+            position.append(pos)
+            birth.append(now)
+        alive[pick] = base
+        alive.extend(range(base + 1, base + k))
+        jump_times.append(now)
+        split_particles.append(u)
+        first_child.append(base)
+    return {"parent": np.array(parent), "position": np.array(position),
+            "birth_time": np.array(birth), "jump_times": np.array(jump_times),
+            "split_particles": np.array(split_particles, dtype=np.int64),
+            "first_child": np.array(first_child, dtype=np.int64),
+            "alive": np.array(alive, dtype=np.int64)}
+
+
+def ref_population_line_stats(k, t, rng):
+    # its own jump-chain loop; the k-th child takes the parent's slot
+    n_last, n_other, alive = [0], [0], [0]
+    now = 0.0
+    while True:
+        count = len(alive)
+        wait = rng.gen.exponential(1.0 / count)
+        pick = int(rng.gen.integers(0, count))
+        if now + wait > t:
+            break
+        now += wait
+        u = alive[pick]
+        base = len(n_last)
+        for pos in range(1, k + 1):
+            n_last.append(n_last[u] + (pos == k))
+            n_other.append(n_other[u] + (pos != k))
+        alive[pick] = base + k - 1
+        alive.extend(range(base, base + k - 1))
+    return (np.array([n_last[u] for u in alive]),
+            np.array([n_other[u] for u in alive]))
+
+
+def ref_yule_to_rrt(tree, n):
+    block = {0: 0}
+    parent = np.empty(n + 1, dtype=np.int64)
+    parent[0] = -1
+    for j in range(n):
+        u = int(tree["split_particles"][j])
+        first = int(tree["first_child"][j])
+        b = block.pop(u)
+        block[first] = b
+        block[first + 1] = j + 1
+        parent[j + 1] = b
+    return parent
+
+
+def ref_yule3_to_ba(tree0, tree1, n):
+    events = sorted(
+        [(float(tree0["jump_times"][j]), 0, j) for j in range(tree0["jump_times"].size)]
+        + [(float(tree1["jump_times"][j]), 1, j) for j in range(tree1["jump_times"].size)])
+    block = [{0: 0}, {0: 1}]
+    parent = np.empty(n + 1, dtype=np.int64)
+    parent[0] = -1
+    parent[1] = 0
+    for v, (_, which, j) in enumerate(events[:n - 1], start=2):
+        tree = tree0 if which == 0 else tree1
+        u = int(tree["split_particles"][j])
+        first = int(tree["first_child"][j])
+        b = block[which].pop(u)
+        block[which][first] = b
+        block[which][first + 1] = b
+        block[which][first + 2] = v
+        parent[v] = b
+    return parent
+
+
+def ref_bgw_total_sizes(law, reps, rng, cap=4096):
+    # one (pending, length) matrix per round; below cap 64 it never ran a round
+    sizes = np.full(reps, cap, dtype=np.int64)
+    pending = np.arange(reps)
+    length = 256
+    offset = np.zeros(reps, dtype=np.int64)
+    steps_done = np.zeros(reps, dtype=np.int64)
+    while pending.size and length <= 4 * cap:
+        draws = law.sample(rng, size=(pending.size, length)) - 1
+        walk = offset[pending, None] + np.cumsum(draws, axis=1)
+        hit = walk <= -1
+        has = hit.any(axis=1)
+        first = np.argmax(hit, axis=1)
+        done = pending[has]
+        sizes[done] = steps_done[done] + first[has] + 1
+        rest = ~has
+        offset[pending[rest]] = walk[rest, -1]
+        steps_done[pending[rest]] += length
+        pending = pending[rest]
+        pending = pending[steps_done[pending] < cap]
+        length = min(2 * length, 4 * cap)
+    return np.minimum(sizes, cap)
 
 
 def _same_draws(ref, new, seed, index=0):
@@ -287,3 +404,158 @@ def test_good_shift_count_matches_wrapper(seed, n, k):
     # rows with different totals are counted in one call
     mixed = np.array([[-1, 0, 0], [-1, -1, 1], [-1, -1, -1]])
     assert walks.good_shift_count(mixed).tolist() == [1, 1, 3]
+
+
+# ---------------------------------------------------------------------------
+# Splitting trees: one jump-chain loop, one contraction
+
+
+def _particle_record(tree):
+    """The old per-particle fields, derived from the jump chain."""
+    k = tree.order
+    ids = np.arange(1, 1 + tree.n_jumps * k)
+    jump = (ids - 1) // k
+    return {"parent": np.concatenate([[-1], tree.split_particles[jump]]),
+            "position": np.concatenate([[0], (ids - 1) % k + 1]),
+            "birth_time": np.concatenate([[0.0], tree.jump_times[jump]]),
+            "first_child": np.arange(tree.n_jumps, dtype=np.int64) * k + 1}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("stop", [{"t": 0.0}, {"t": 1.0}, {"t": 3.0},
+                                  {"n_particles": 1}, {"n_particles": 2},
+                                  {"n_particles": 40}])
+def test_yule_simulate_matches_particle_record_loop(seed, k, stop):
+    calls = 10
+    want, got, same_next = _same_draws(
+        lambda r: [ref_yule_simulate(k, r, **stop) for _ in range(calls)],
+        lambda r: [growth.yule_simulate(k, r, **stop) for _ in range(calls)],
+        seed, 10)
+    for old, new in zip(want, got):
+        for name in ("jump_times", "split_particles", "alive"):
+            assert getattr(new, name).dtype == old[name].dtype
+            assert np.array_equal(getattr(new, name), old[name])
+        for name, value in _particle_record(new).items():
+            assert np.array_equal(value, old[name])
+    assert same_next
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
+def test_population_line_stats_match_own_loop(seed, k, t):
+    # the old loop counted the k-th child, which took the parent's slot; the
+    # jump chain puts the first child there, so position 1 is counted
+    calls = 10
+    want, got, same_next = _same_draws(
+        lambda r: [ref_population_line_stats(k, t, r) for _ in range(calls)],
+        lambda r: [growth._alive_line_stats(growth.yule_simulate(k, r, t=t))
+                   for _ in range(calls)], seed, 11)
+    for (old_last, old_other), (last, other) in zip(want, got):
+        assert last.dtype == old_last.dtype and other.dtype == old_other.dtype
+        assert np.array_equal(last, old_last)
+        assert np.array_equal(other, old_other)
+    assert same_next
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k,t,functional", [(2, 3.0, ("height-at-least", 6)),
+                                            (3, 1.0, ("degree-at-least", 2)),
+                                            (2, 0.0, ("constant-1", 0))])
+def test_many_to_one_rep_matches_population_then_line(seed, k, t, functional):
+    params = {"k": k, "t": t, "functional": functional[0], "arg": functional[1]}
+
+    def ref(r):
+        last, other = ref_population_line_stats(k, t, r)
+        lhs = growth._functional_indicator(*functional, last, other).sum()
+        last, other = growth._spine_line_stats(k, t, r)
+        rhs = math.exp((k - 1) * t) * float(
+            growth._functional_indicator(*functional, last, other)[()])
+        return float(lhs), rhs
+    want, got, same_next = _same_draws(
+        ref, lambda r: experiments.REGISTRY["many-to-one"].rep_fn(params, r), seed, 12)
+    assert want == got
+    assert same_next
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 5, 30, 39])
+def test_yule_to_rrt_matches_block_dictionary(seed, n):
+    for extra in (0, 1, 7):
+        r1, r2 = make_stream(seed, 13), make_stream(seed, 13)
+        old = ref_yule_simulate(2, r1, n_particles=n + 1 + extra)
+        new = growth.yule_simulate(2, r2, n_particles=n + 1 + extra)
+        got = growth.yule_to_rrt(new, n).parent
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref_yule_to_rrt(old, n))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 30, 39])
+def test_yule3_to_ba_matches_block_dictionaries(seed, n):
+    for sizes in ((2 * n + 1, 2 * n + 1), (1, 2 * n + 1), (2 * n + 1, 1), (n, n + 3)):
+        r1, r2 = make_stream(seed, 14), make_stream(seed, 14)
+        old = [ref_yule_simulate(3, r1, n_particles=m) for m in sizes]
+        new = [growth.yule_simulate(3, r2, n_particles=m) for m in sizes]
+        if sum(tree.n_jumps for tree in new) < n - 1:
+            continue
+        got = growth.yule3_to_ba(*new, n).parent
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref_yule3_to_ba(*old, n))
+
+
+def test_contractions_match_on_the_acceptance_shapes():
+    # criterion 14 contracts order-2 trees at n = 3, criterion 15 pairs of
+    # order-3 trees at n = 4
+    calls = 20
+    for seed in range(50):
+        want, got, same_next = _same_draws(
+            lambda r: [ref_yule_to_rrt(ref_yule_simulate(2, r, n_particles=4), 3)
+                       for _ in range(calls)],
+            lambda r: [growth.yule_to_rrt(growth.yule_simulate(2, r, n_particles=4),
+                                          3).parent for _ in range(calls)], seed, 143)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        assert same_next
+        want, got, same_next = _same_draws(
+            lambda r: [ref_yule3_to_ba(ref_yule_simulate(3, r, n_particles=7),
+                                       ref_yule_simulate(3, r, n_particles=7), 4)
+                       for _ in range(calls)],
+            lambda r: [growth.yule3_to_ba(growth.yule_simulate(3, r, n_particles=7),
+                                          growth.yule_simulate(3, r, n_particles=7),
+                                          4).parent for _ in range(calls)], seed, 152)
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        assert same_next
+
+
+# ---------------------------------------------------------------------------
+# Total progeny sizes in blocks of the draw budget
+
+
+BGW_LAWS = [OffspringLaw.poisson(0.8), OffspringLaw.poisson(1.0),
+            OffspringLaw.geometric(0.5), OffspringLaw.binomial(2, 0.5),
+            OffspringLaw.from_pmf({0: 0.4, 1: 0.3, 3: 0.3})]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("law", BGW_LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("reps,cap", [(1, 64), (37, 100), (5000, 4096),
+                                      (20_000, 300)])
+def test_bgw_total_sizes_match_one_matrix_per_round(seed, law, reps, cap):
+    want, got, same_next = _same_draws(
+        lambda r: ref_bgw_total_sizes(law, reps, r, cap=cap),
+        lambda r: trees.bgw_total_sizes(law, reps, r, cap=cap), seed, 15)
+    assert got.dtype == np.int64
+    assert np.array_equal(want, got)
+    assert same_next
+
+
+@pytest.mark.parametrize("law", BGW_LAWS, ids=lambda law: law.kind)
+def test_bgw_total_sizes_match_in_blocks_of_seven_values(monkeypatch, law):
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", 7)
+    for seed in SEEDS:
+        want, got, same_next = _same_draws(
+            lambda r: ref_bgw_total_sizes(law, 60, r, cap=512),
+            lambda r: trees.bgw_total_sizes(law, 60, r, cap=512), seed, 16)
+        assert np.array_equal(want, got)
+        assert same_next

@@ -137,6 +137,46 @@ def test_bgw_size_law_matches_one_over_n_convolution():
     assert report.passed, (report.statistic, report.threshold)
 
 
+def test_bgw_total_sizes_argument_checks():
+    rng = make_stream(0, 4)
+    law = OffspringLaw.poisson(0.8)
+    with pytest.raises(InvalidParameterError):
+        trees.bgw_total_sizes(law, -1, rng)
+    with pytest.raises(InvalidParameterError):
+        trees.bgw_total_sizes(law, 10, rng, cap=0)
+    assert trees.bgw_total_sizes(law, 0, rng).shape == (0,)
+    assert trees.bgw_total_sizes(law, 5, rng, cap=1).tolist() == [1] * 5
+
+
+@pytest.mark.parametrize("cap", [2, 5, 50])
+def test_bgw_sizes_below_cap_64_follow_the_capped_law(cap):
+    # a size at or above the cap reads as the cap: the Borel-Tanner law with
+    # its tail mass moved onto the cap
+    rng = make_stream(0, 5)
+    sizes = trees.bgw_total_sizes(OffspringLaw.poisson(0.8), 50_000, rng, cap=cap)
+    assert sizes.min() == 1 and sizes.max() == cap
+    below = {n: exact.borel_tanner_pmf(0.8, n) for n in range(1, cap)}
+    tail = 1.0 - sum(below.values())
+    report = chi_square_gof(EmpiricalDist.from_samples(sizes),
+                            lambda n: below.get(int(n), tail), alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def test_bgw_total_sizes_memory_within_draw_blocks():
+    # each round draws its (walks, length) matrix in blocks of the draw budget
+    import tracemalloc
+    reps = 100_000
+    tracemalloc.start()
+    try:
+        sizes = trees.bgw_total_sizes(OffspringLaw.poisson(0.8), reps,
+                                      make_stream(0, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes.size == reps
+    assert peak <= 4 * 8 * rng_module._BLOCK_VALUES + 64 * reps
+
+
 def test_conditioned_uniform_over_three_edges():
     rng = make_stream(0, 4)
     batch = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5), 4,
@@ -395,6 +435,11 @@ def test_mapping_cyclic_count_law():
 
 # ---------------------------------------------------------------------------
 # Percolation on the regular tree
+
+
+def test_percolation_needs_a_replicate():
+    with pytest.raises(InvalidParameterError):
+        trees.tree_percolation_survival(3, 0.5, 0, make_stream(7, 0))
 
 
 def test_percolation_subcritical_dies():

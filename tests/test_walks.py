@@ -115,6 +115,11 @@ def test_ballot_enumeration_four_two():
     assert Fraction(wins, len(orders)) == Fraction(1, 3)
 
 
+def test_ballot_mc_needs_a_replicate():
+    with pytest.raises(InvalidParameterError):
+        walks.ballot_mc(4, 2, 0, make_stream(1, 0))
+
+
 def test_ballot_mc():
     est = walks.ballot_mc(4, 2, 100_000, make_stream(1, 0))
     p = 1 / 3
