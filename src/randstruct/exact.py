@@ -417,58 +417,64 @@ def connectivity_limit(c: float) -> float:
 _HEIGHT_TAIL = 1e-12
 
 
-def _series_mul(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """First m coefficients of the product of two power series."""
-    x, y = x[:m], y[:m]
-    if min(x.size, y.size) == 0:
-        return np.zeros(m)
-    if min(x.size, y.size) <= 64:
-        out = np.convolve(x, y)[:m]
-    else:
-        size = sp_fft.next_fast_len(x.size + y.size - 1, real=True)
-        out = sp_fft.irfft(sp_fft.rfft(x, size) * sp_fft.rfft(y, size), size)[:m]
-    return np.pad(out, (0, m - out.size))
+# cyclic products of at most this many coefficients run as np.convolve
+_DIRECT = 128
 
 
-def _series_inv_step(g: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """Newton step: from v = 1/g mod z^k (k = v.size) to 1/g mod z^m, m <= 2k."""
+def _spectrum(x: np.ndarray, n: int) -> np.ndarray:
+    """x as an operand of a length-n cyclic product: its rfft, or x itself
+    where n is small enough for a direct product."""
+    return x if n <= _DIRECT else sp_fft.rfft(x, n)
+
+
+def _cyclic(fx: np.ndarray, fy: np.ndarray, n: int) -> np.ndarray:
+    """n coefficients of the product of two ``_spectrum(., n)`` operands.  The
+    FFT product wraps terms of degree >= n onto degree - n; callers read only
+    coefficients the wrap misses, which the direct product gives exactly."""
+    if n > _DIRECT:
+        return sp_fft.irfft(fx * fy, n)
+    return np.pad(np.convolve(fx, fy), (0, n))[:n]
+
+
+def _inverse_step(g: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """Newton step: from v = 1/g mod z^k (k = v.size) to 1/g mod z^m, m <= 2k.
+    With g v = 1 + z^k err, err is a middle product at length n >= m (the wrap
+    lands below degree k - 1), and v err reuses the transform of v."""
     k = v.size
-    err = _series_mul(g, v, m)[k:]  # g v = 1 + z^k err
-    return np.concatenate([v, -_series_mul(v, err, m - k)])
-
-
-def _newton_series(step, m_max: int, done) -> np.ndarray:
-    """Run a Newton ``step(series, m)`` on doubling precisions from the series
-    1 up to m_max coefficients; stop early once ``done(series)`` holds."""
-    out = np.ones(1)
-    while out.size < m_max and not done(out):
-        out = step(out, min(2 * out.size, m_max))
-    return out
+    n = sp_fft.next_fast_len(m, real=True)
+    fv = _spectrum(v, n)
+    err = _cyclic(_spectrum(g[:m], n), fv, n)[k:m]
+    return np.concatenate([v, -_cyclic(fv, _spectrum(err, n), n)[: m - k]])
 
 
 def _series_inverse(g: np.ndarray, m_max: int, done) -> np.ndarray:
     """1/g for g[0] = 1, to m_max coefficients or until ``done``."""
-    return _newton_series(lambda v, m: _series_inv_step(g, v, m), m_max, done)
+    v = np.ones(1)
+    while v.size < m_max and not done(v):
+        v = _inverse_step(g, v, min(2 * v.size, m_max))
+    return v
 
 
 def _series_exp(a: np.ndarray, m_max: int, done) -> np.ndarray:
     """exp(a) for a[0] = 0, to m_max coefficients or until ``done``.
 
-    Newton on log: g <- g (1 + a - log g), with log g = int(g' / g) and the
-    reciprocal of g carried along, one doubling behind."""
-    inv = np.ones(1)
-
-    def step(g, m):
-        nonlocal inv
-        k = g.size
-        if inv.size < k:  # g grew since: 1/g mod z^k from 1/g mod z^(k/2)
-            inv = _series_inv_step(g, inv, k)
-        dlog = _series_mul(g[1:] * np.arange(1, k),
-                           _series_inv_step(g, inv, m), m - 1)
-        t = np.concatenate([[1.0], -dlog / np.arange(1, m)])
-        t[1: a.size] += a[1:m]
-        return _series_mul(g, t, m)
-    return _newton_series(step, m_max, done)
+    Newton on log: from f = exp(a) mod z^k, f <- f (1 + w) mod z^m with
+    w = a - log f = O(z^k).  So z w' = e / f, where e = z (a' f - f') vanishes
+    below degree k: e is a middle product of z a' and f, and z w' needs
+    h = 1/f only mod z^(m-k); h is carried one doubling behind.  The
+    transform of f serves both e and f w."""
+    za, f, h = np.arange(a.size) * a, np.ones(1), np.ones(1)  # za = z a'
+    while f.size < m_max and not done(f):
+        k, m = f.size, min(2 * f.size, m_max)
+        if h.size < m - k:
+            h = _inverse_step(f, h, m - k)
+        n = sp_fft.next_fast_len(m, real=True)
+        ff = _spectrum(f, n)
+        e = _cyclic(_spectrum(za[:m], n), ff, n)[k:m]
+        w = _cyclic(_spectrum(e, n), _spectrum(h[: m - k], n), n)[: m - k]
+        w /= np.arange(k, m)
+        f = np.concatenate([f, _cyclic(ff, _spectrum(w, n), n)[: m - k]])
+    return f
 
 
 def _support(p: np.ndarray) -> int:
@@ -518,14 +524,16 @@ def rrt_height_cdf(n: int, h_max: int) -> np.ndarray:
     leaves a set of subtrees of height <= h - 1, which is the relation
     f_h' = exp(f_(h-1)) for f_h = sum_k P_h(k) z^k / k.
 
-    Each level is one power-series exponential by Newton iteration on FFT
-    products, taken as g = exp(-q) / (1 - z) with q_j = Q_(h-1)(j) / j and
-    Q = 1 - P.  The coefficients of exp(-q) are the increments of P_h, so the
-    Newton products carry no large terms that cancel (those of g itself do:
-    g' has coefficients k g_k ~ k), and summing the increments gives Q_h
-    accurately where it is small.  A level stops once P_h drops below 1e-12,
-    as P_h(k) is nonincreasing in k; the cdf is accurate to ~1e-9 at
-    n = 10^6.
+    Each level is one power-series exponential, taken as g = exp(-q) / (1 - z)
+    with q_j = Q_(h-1)(j) / j and Q = 1 - P, by Newton iteration on doubling
+    precisions m (``_series_exp``): each step takes its error term as a
+    middle product at FFT length ~m, reuses the transform of the series and
+    carries the reciprocal one doubling behind.  The coefficients of exp(-q)
+    are the increments of P_h, so the Newton products carry no large terms
+    that cancel (those of g itself do: g' has coefficients k g_k ~ k), and
+    summing the increments gives Q_h accurately where it is small.  A level
+    stops once P_h drops below 1e-12, as P_h(k) is nonincreasing in k; the
+    cdf is accurate to ~1e-9 at n = 10^6.
     """
     _check_height_args(n, h_max, 0)
     return _height_levels(_rrt_height_cdf(int(n)), int(h_max))
@@ -574,7 +582,9 @@ def ba_height_cdf(n: int, h_max: int) -> np.ndarray:
     ``_port_weights``; the height is max(H_A, 1 + H_B).  The plane-oriented
     height law follows y_h' = 1 / (1 - y_(h-1)), evaluated under z -> z/2 so
     that its coefficients stay O(k^(-1/2)); each level is one power-series
-    reciprocal by Newton iteration.
+    reciprocal by Newton iteration (``_series_inverse``): from 1/g mod z^k to
+    mod z^m, g v - 1 is a middle product at FFT length ~m, and the correction
+    reuses the transform of v, 5 transforms per step.
     """
     _check_height_args(n, h_max, 1)
     return _height_levels(_ba_height_cdf(int(n)), int(h_max))

@@ -19,6 +19,9 @@ from .walks import LatticePath
 
 _SPARSE_P = 0.1
 _SPECTRAL_N_CAP = 4096
+# spectral moments take dense float64 BLAS products above this edge density
+# m / n^2, sparse int64 ones below it
+_SPECTRAL_DENSE = 1 / 16
 _PAIR_N_CAP = 3_037_000_499  # largest n with n(n+1) < 2^63
 
 
@@ -369,8 +372,10 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     """Normalized traces of adjacency powers, exact walk counts.
 
     Tr(A^k) is the entry sum of A^a * A^b (elementwise), a = floor(k/2) and
-    b = ceil(k/2), from sparse int64 powers.  A degree-based bound keeps every
-    count below 2^53, so each moment is the correctly rounded quotient.
+    b = ceil(k/2), from sparse int64 powers, or from dense float64 ones when
+    m > n^2 / 16, where BLAS products are far faster.  A degree-based bound
+    keeps every count below 2^53, so every partial sum is an exact integer in
+    either dtype and each moment is the correctly rounded quotient.
     """
     if not 1 <= k_max <= 12:
         raise InvalidParameterError("k_max must be in 1..12")
@@ -383,12 +388,16 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     if n * float(max(max_deg, 1)) ** k_max >= 2.0 ** 53:
         raise ResourceLimitError("walk counts would overflow exact float range")
     a = g.adjacency_csr()
+    dense = g.m > _SPECTRAL_DENSE * n * n
+    if dense:
+        a = a.astype(np.float64).toarray()
     powers = [None, a]
     for _ in range(2, (k_max + 1) // 2 + 1):
         powers.append(powers[-1] @ a)
     moments = np.zeros(k_max)
     for k in range(2, k_max + 1):
-        moments[k - 1] = int(powers[k // 2].multiply(powers[k - k // 2]).sum()) / n
+        x, y = powers[k // 2], powers[k - k // 2]
+        moments[k - 1] = int(np.vdot(x, y) if dense else x.multiply(y).sum()) / n
     return SpectralMoments(k_max, moments)
 
 

@@ -80,36 +80,53 @@ def _pearson_report(obs, exp, alpha_level, total) -> TestReport:
     return TestReport(statistic, threshold, df, statistic <= threshold, total)
 
 
+def _mass_or_zero(pmf, value) -> float:
+    """pmf(value), or 0 where the pmf rejects the value as outside its domain
+    (as the exact pmfs do) or has no table entry for it."""
+    try:
+        return float(pmf(value))
+    except (InvalidParameterError, LookupError):
+        return 0.0
+
+
 def chi_square_gof(emp: EmpiricalDist, pmf, alpha_level: float = 0.01) -> TestReport:
     """Pearson goodness-of-fit of ``emp`` against ``pmf`` over the same support.
 
     ``pmf`` maps a support value to its probability.  For integer supports the
     cells cover every integer of the observed range (holes count as zero
-    observations).  All pmf mass outside that range, the lower tail included,
-    goes into one extra cell at the right end; the tail is then merged
-    right-to-left until every cell expects at least 5.  A caller whose sample
-    may miss the support minimum must pass the full grid as an
-    ``EmpiricalDist`` with zero counts, as ``verify._height_clauses`` does.
+    observations).  The pmf mass the cells leave out is split in two: for a
+    sample of integers >= 0, the mass of 0..lo-1 below the observed minimum
+    lo (at most all of it) forms one cell at the left end, and the rest one
+    cell at the right end.  Below lo, a value the pmf rejects with
+    ``InvalidParameterError`` or a lookup error counts as mass 0.  Cells are
+    then merged right-to-left until every cell expects at least 5; a left-end
+    cell expecting less joins its right neighbour.
     """
     if emp.total <= 0:
         raise InvalidTestError("empty empirical distribution")
     values = emp.values
+    below = np.zeros(0)
     if np.issubdtype(values.dtype, np.integer):
         lo, hi = int(values.min()), int(values.max())
         grid = np.arange(lo, hi + 1)
         observed = np.zeros(grid.size, dtype=float)
         observed[values - lo] = emp.counts
+        below = np.array([_mass_or_zero(pmf, v) for v in np.arange(max(lo, 0))])
     else:
         grid = values
         observed = emp.counts.astype(float)
     probs = np.array([float(pmf(v)) for v in grid])
-    if np.any(probs < 0.0):
+    if np.any(probs < 0.0) or np.any(below < 0.0):
         raise InvalidParameterError("pmf returned a negative probability")
     expected = emp.total * probs
-    residual = emp.total * max(0.0, 1.0 - probs.sum())
-    if residual > 1e-9:
+    outside = max(0.0, 1.0 - probs.sum())
+    left = min(float(below.sum()), outside)
+    if emp.total * left > 1e-9:
+        observed = np.insert(observed, 0, 0.0)
+        expected = np.insert(expected, 0, emp.total * left)
+    if emp.total * (outside - left) > 1e-9:
         observed = np.append(observed, 0.0)
-        expected = np.append(expected, residual)
+        expected = np.append(expected, emp.total * (outside - left))
     obs, exp = _merge_right_tail(observed, expected)
     return _pearson_report(obs, exp, alpha_level, emp.total)
 

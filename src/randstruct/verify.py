@@ -612,8 +612,8 @@ def criterion_17_yule_classics(scale: str, seed: int) -> tuple[bool, str]:
     counts = growth.yule_counts_at(2, 2.0, reps, rng)
     q = math.exp(-2.0)
     emp = EmpiricalDist.from_samples(counts)
-    report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1),
-                            alpha_level=0.01)
+    report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
+                            if k >= 1 else 0.0, alpha_level=0.01)
     chk.add("splitting count geometric at t=2", report.passed,
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
     # coupon collector Gumbel limit

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from randstruct import cli, experiments, graphs, growth, permutations, trees
-from randstruct.errors import InvalidParameterError
+from randstruct.errors import InvalidParameterError, InvalidTestError
 from randstruct.experiments import ExperimentConfig, list_experiments, run_experiment
 
 
@@ -118,11 +118,23 @@ def test_cli_usage_error_exit_code(capsys):
     assert run_cli("run", "--experiment", "giant", "--param", "oops") == 2
 
 
-def test_cli_test_without_data_is_a_usage_error(capsys):
-    # 200 triangle counts at c = 0.1 are nearly all zero: one chi-square cell
+def test_cli_test_without_data_is_a_usage_error(monkeypatch, capsys):
+    def no_cells(cfg):
+        raise InvalidTestError("chi-square needs at least two cells")
+    monkeypatch.setattr(cli, "run_experiment", no_cells)
     assert run_cli("run", "--experiment", "triangles", "--param", "n=100",
                    "--param", "c=0.1", "--reps", "200") == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_cli_triangles_on_one_cell_print_their_summary(capsys):
+    # 200 triangle counts at c = 0.1 are nearly all zero: one chi-square cell,
+    # so the Poisson fit is not computable, and the run still reports
+    assert run_cli("run", "--experiment", "triangles", "--param", "n=100",
+                   "--param", "c=0.1", "--reps", "200") == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "poisson_chi_square = not computable" in out
+    assert "triangles_mean" in out and "verdict" not in out
 
 
 def test_cli_many_to_one_runs(capsys):

@@ -363,6 +363,26 @@ def test_series_exp_matches_recurrence(mass, degree):
     assert np.max(np.abs(got - g)) < 1e-12
 
 
+@pytest.mark.parametrize("mass", [0.05, 0.1, 0.2, 0.9])
+@pytest.mark.parametrize("degree", [20, 299])
+def test_series_inverse_matches_recurrence(mass, degree):
+    # the Newton iteration against the recurrence v_m = -sum_j g_j v_(m-j)
+    # for v = 1/g, with g shorter than the output and as long as it
+    m = 300
+    rng = np.random.default_rng(8)
+    g = np.zeros(degree + 1)
+    g[0] = 1.0
+    g[1:] = rng.uniform(-1.0, 1.0, degree) / np.arange(1, degree + 1)
+    g[1:] *= mass / np.abs(g[1:]).sum()
+    padded = np.pad(g, (0, m - g.size))
+    v = np.zeros(m)
+    v[0] = 1.0
+    for k in range(1, m):
+        v[k] = -np.dot(padded[1: k + 1], v[k - 1:: -1])
+    got = exact._series_inverse(g, m, lambda s: False)
+    assert np.max(np.abs(got - v)) < 1e-12
+
+
 def test_rrt_height_cdf_matches_enumeration():
     # every increasing tree on n + 1 vertices is equally likely
     for n in range(0, 9):

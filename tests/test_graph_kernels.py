@@ -349,3 +349,20 @@ def test_spectral_moments_match_reference():
         assert np.array_equal(got, ref_spectral(g, k_max)), (g.n, k_max)
         checked += 1
     assert checked >= len(cases) // 2
+
+
+@pytest.mark.parametrize("p", [0.10, 0.12, 0.13, 0.16, 0.5])
+def test_spectral_moments_dense_and_sparse_paths_agree(monkeypatch, p):
+    # G(200, p) has m near n^2 / 16 at p = 0.125: both sides of the switch,
+    # each computed on both paths, at the largest k_max the 2^53 guard allows
+    g = graphs.sample_gnp(200, p, make_stream(39, int(100 * p)))
+    max_deg = int(g.degrees().max())
+    k_max = max(k for k in range(1, 13) if g.n * float(max_deg) ** k < 2.0 ** 53)
+    default = graphs.spectral_moments(g, k_max).moments
+    forced = []
+    for density in (0.0, 1.0):  # every graph dense, then every graph sparse
+        monkeypatch.setattr(graphs, "_SPECTRAL_DENSE", density)
+        forced.append(graphs.spectral_moments(g, k_max).moments)
+    assert np.array_equal(forced[0], forced[1])
+    assert np.array_equal(default, forced[0])
+    assert np.array_equal(default, ref_spectral(g, k_max))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randstruct import rng as R
+from randstruct import rng as R, stats as stats_module
 from randstruct.errors import InvalidParameterError, InvalidTestError
 from randstruct.exact import OffspringLaw
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
@@ -40,6 +40,71 @@ def test_chi_square_merges_right_tail():
         emp, lambda k: math.exp(-2.0 + k * math.log(2.0) - math.lgamma(k + 1)))
     assert report.passed
     assert report.df < emp.values.size  # merging happened
+
+
+def test_chi_square_pools_mass_below_the_sample_minimum_on_the_left():
+    # the sample misses 0 and 4: the mass of 0 joins cell 1 and that of 4
+    # joins cell 3, each expecting 3, so every cell matches exactly
+    pmf = {0: 0.003, 1: 0.297, 2: 0.4, 3: 0.297, 4: 0.003}
+    emp = EmpiricalDist.from_counts({1: 300, 2: 400, 3: 300})
+    report = chi_square_gof(emp, lambda k: pmf.get(int(k), 0.0))
+    assert report.df == 2 and report.statistic < 1e-12
+    # a missed minimum expecting >= 5 is a cell of its own with 0 observed
+    pmf = {0: 0.01, 1: 0.29, 2: 0.4, 3: 0.3}
+    report = chi_square_gof(emp, lambda k: pmf.get(int(k), 0.0))
+    assert report.df == 3
+    assert report.statistic == pytest.approx(10.0 + 10.0 ** 2 / 290.0)
+    # a pmf that rejects values below its support gives them no mass
+    pmf = {1: 0.3, 2: 0.4, 3: 0.3}
+    report = chi_square_gof(emp, lambda k: pmf[int(k)])
+    assert report.df == 2 and report.statistic < 1e-12
+
+
+def ref_chi_square_gof(emp, pmf, alpha_level=0.01):
+    """chi_square_gof before the left-end cell: all mass outside the observed
+    range went into one cell at the right end."""
+    values = emp.values
+    if np.issubdtype(values.dtype, np.integer):
+        lo, hi = int(values.min()), int(values.max())
+        grid = np.arange(lo, hi + 1)
+        observed = np.zeros(grid.size, dtype=float)
+        observed[values - lo] = emp.counts
+    else:
+        grid = values
+        observed = emp.counts.astype(float)
+    probs = np.array([float(pmf(v)) for v in grid])
+    expected = emp.total * probs
+    residual = emp.total * max(0.0, 1.0 - probs.sum())
+    if residual > 1e-9:
+        observed = np.append(observed, 0.0)
+        expected = np.append(expected, residual)
+    obs, exp = stats_module._merge_right_tail(observed, expected)
+    return stats_module._pearson_report(obs, exp, alpha_level, emp.total)
+
+
+def test_chi_square_callers_keep_their_statistics(monkeypatch):
+    # criteria 04, 10, 14 and 17 observe their support minimum and the height
+    # clauses pass the full grid, so the left-end cell leaves them unchanged
+    from randstruct import exact, verify
+    calls = []
+
+    def both(emp, pmf, alpha_level=0.01):
+        got = chi_square_gof(emp, pmf, alpha_level)
+        assert got == ref_chi_square_gof(emp, pmf, alpha_level)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "chi_square_gof", both)
+    for criterion in (verify.criterion_04_borel_tanner, verify.criterion_10_triangles,
+                      verify.criterion_14_rrt, verify.criterion_17_yule_classics):
+        criterion("fast", verify.MASTER_SEED)
+    n = 2_000
+    for cdf in (exact.rrt_height_cdf(n, 40), exact.ba_height_cdf(n, 40)):
+        heights = np.random.default_rng(5).choice(
+            cdf.size, size=300, p=np.diff(cdf, prepend=0.0))
+        verify._height_clauses(verify._Check(), "height", heights, cdf,
+                               math.log(n), (0.5, 5.0))
+    assert len(calls) == 7
 
 
 def test_chi_square_single_cell_invalid():
