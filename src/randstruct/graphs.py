@@ -19,9 +19,10 @@ from .walks import LatticePath
 
 _SPARSE_P = 0.1
 _SPECTRAL_N_CAP = 4096
-# spectral moments take dense float64 BLAS products above this edge density
-# m / n^2, sparse int64 ones below it
-_SPECTRAL_DENSE = 1 / 16
+# sparse int64 products run about 1000 times fewer multiply-adds per second
+# than dense float64 BLAS ones: the crossover of spectral_moments measured on
+# G(n, d/n), n = 500..4096 (BENCH_9.json)
+_SPECTRAL_DENSE = 1e-3
 _PAIR_N_CAP = 3_037_000_499  # largest n with n(n+1) < 2^63
 
 
@@ -362,6 +363,15 @@ def triangle_count(g: Graph) -> int:
     return int(paths2.sum()) // 6
 
 
+def _spectral_dense(n: int, m: int, k_max: int) -> bool:
+    """Whether spectral_moments takes dense products: A^j A costs about
+    n min(n, d^j) d multiply-adds sparse, at mean degree d, and n^3 dense."""
+    d = 2 * m / n
+    products = range(1, (k_max + 1) // 2)
+    sparse_work = sum(n * min(n, d ** j) * d for j in products)
+    return sparse_work > _SPECTRAL_DENSE * len(products) * n ** 3
+
+
 @dataclass(frozen=True)
 class SpectralMoments:
     k_max: int
@@ -372,10 +382,10 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     """Normalized traces of adjacency powers, exact walk counts.
 
     Tr(A^k) is the entry sum of A^a * A^b (elementwise), a = floor(k/2) and
-    b = ceil(k/2), from sparse int64 powers, or from dense float64 ones when
-    m > n^2 / 16, where BLAS products are far faster.  A degree-based bound
-    keeps every count below 2^53, so every partial sum is an exact integer in
-    either dtype and each moment is the correctly rounded quotient.
+    b = ceil(k/2), from sparse int64 powers, or from dense float64 ones where
+    the powers fill in enough for BLAS products to be faster.  A degree-based
+    bound keeps every count below 2^53, so every partial sum is an exact
+    integer in either dtype and each moment is the correctly rounded quotient.
     """
     if not 1 <= k_max <= 12:
         raise InvalidParameterError("k_max must be in 1..12")
@@ -388,7 +398,7 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     if n * float(max(max_deg, 1)) ** k_max >= 2.0 ** 53:
         raise ResourceLimitError("walk counts would overflow exact float range")
     a = g.adjacency_csr()
-    dense = g.m > _SPECTRAL_DENSE * n * n
+    dense = _spectral_dense(n, g.m, k_max)
     if dense:
         a = a.astype(np.float64).toarray()
     powers = [None, a]

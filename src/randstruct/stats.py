@@ -80,47 +80,44 @@ def _pearson_report(obs, exp, alpha_level, total) -> TestReport:
     return TestReport(statistic, threshold, df, statistic <= threshold, total)
 
 
-def _mass_or_zero(pmf, value) -> float:
-    """pmf(value), or 0 where the pmf rejects the value as outside its domain
-    (as the exact pmfs do) or has no table entry for it."""
-    try:
-        return float(pmf(value))
-    except (InvalidParameterError, LookupError):
-        return 0.0
-
-
 def chi_square_gof(emp: EmpiricalDist, pmf, alpha_level: float = 0.01) -> TestReport:
     """Pearson goodness-of-fit of ``emp`` against ``pmf`` over the same support.
 
-    ``pmf`` maps a support value to its probability.  For integer supports the
-    cells cover every integer of the observed range (holes count as zero
-    observations).  The pmf mass the cells leave out is split in two: for a
-    sample of integers >= 0, the mass of 0..lo-1 below the observed minimum
-    lo (at most all of it) forms one cell at the left end, and the rest one
-    cell at the right end.  Below lo, a value the pmf rejects with
-    ``InvalidParameterError`` or a lookup error counts as mass 0.  Cells are
+    ``pmf`` maps a support value to its probability and must return 0 off its
+    support.  For integer supports the cells cover every integer of the
+    observed range (holes count as zero observations).  The pmf mass the
+    cells leave out is split in two: for a sample of integers >= 0, the mass
+    of 0..lo-1 below the observed minimum lo forms one cell at the left end,
+    and the rest one cell at the right end.  The left mass is summed down
+    from lo-1 until a term expects less than 1e-12 or the sum reaches the
+    mass left out, so the pmf is taken to have no gap below lo.  Cells are
     then merged right-to-left until every cell expects at least 5; a left-end
     cell expecting less joins its right neighbour.
     """
     if emp.total <= 0:
         raise InvalidTestError("empty empirical distribution")
     values = emp.values
-    below = np.zeros(0)
     if np.issubdtype(values.dtype, np.integer):
         lo, hi = int(values.min()), int(values.max())
         grid = np.arange(lo, hi + 1)
         observed = np.zeros(grid.size, dtype=float)
         observed[values - lo] = emp.counts
-        below = np.array([_mass_or_zero(pmf, v) for v in np.arange(max(lo, 0))])
     else:
-        grid = values
+        lo, grid = 0, values  # no left-end cell
         observed = emp.counts.astype(float)
     probs = np.array([float(pmf(v)) for v in grid])
-    if np.any(probs < 0.0) or np.any(below < 0.0):
+    if np.any(probs < 0.0):
         raise InvalidParameterError("pmf returned a negative probability")
     expected = emp.total * probs
     outside = max(0.0, 1.0 - probs.sum())
-    left = min(float(below.sum()), outside)
+    left = 0.0
+    for k in range(lo - 1, -1, -1):
+        term = float(pmf(k))
+        if term < 0.0:
+            raise InvalidParameterError("pmf returned a negative probability")
+        left += term
+        if emp.total * term < 1e-12 or left >= outside:
+            break
     if emp.total * left > 1e-9:
         observed = np.insert(observed, 0, 0.0)
         expected = np.insert(expected, 0, emp.total * left)

@@ -221,8 +221,8 @@ def criterion_04_borel_tanner(scale: str, seed: int) -> tuple[bool, str]:
     sizes = trees.bgw_total_sizes(OffspringLaw.poisson(0.8), reps, rng, cap=4096)
     chk.add("no censoring", int(sizes.max()) < 4096)
     emp = EmpiricalDist.from_samples(sizes)
-    report = chi_square_gof(emp, lambda k: exact.borel_tanner_pmf(0.8, int(k)),
-                            alpha_level=0.01)
+    report = chi_square_gof(emp, lambda k: exact.borel_tanner_pmf(0.8, int(k))
+                            if k >= 1 else 0.0, alpha_level=0.01)
     chk.add("chi-square vs total-progeny law", report.passed,
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
     return chk.result()

@@ -351,18 +351,24 @@ def test_spectral_moments_match_reference():
     assert checked >= len(cases) // 2
 
 
-@pytest.mark.parametrize("p", [0.10, 0.12, 0.13, 0.16, 0.5])
-def test_spectral_moments_dense_and_sparse_paths_agree(monkeypatch, p):
-    # G(200, p) has m near n^2 / 16 at p = 0.125: both sides of the switch,
-    # each computed on both paths, at the largest k_max the 2^53 guard allows
-    g = graphs.sample_gnp(200, p, make_stream(39, int(100 * p)))
-    max_deg = int(g.degrees().max())
-    k_max = max(k for k in range(1, 13) if g.n * float(max_deg) ** k < 2.0 ** 53)
+@pytest.mark.parametrize("d, k_max, dense", [(6, 3, False), (14, 3, True),
+                                              (2, 8, False), (8, 8, True)])
+def test_spectral_moments_dense_and_sparse_paths_agree(monkeypatch, d, k_max, dense):
+    # G(300, d/300) on each side of the switch (mean degree ~9.5 at k_max 3,
+    # ~4 at k_max 8), each computed on both paths
+    g = graphs.sample_gnp(300, d / 300, make_stream(39, d))
+    assert graphs._spectral_dense(g.n, g.m, k_max) == dense
     default = graphs.spectral_moments(g, k_max).moments
     forced = []
-    for density in (0.0, 1.0):  # every graph dense, then every graph sparse
-        monkeypatch.setattr(graphs, "_SPECTRAL_DENSE", density)
+    for path in (True, False):
+        monkeypatch.setattr(graphs, "_spectral_dense", lambda n, m, k, path=path: path)
         forced.append(graphs.spectral_moments(g, k_max).moments)
     assert np.array_equal(forced[0], forced[1])
     assert np.array_equal(default, forced[0])
     assert np.array_equal(default, ref_spectral(g, k_max))
+
+
+def test_spectral_moments_benchmark_graphs_stay_sparse():
+    # the c/n graphs of criterion 11, the experiments and the benchmark
+    for n, k_max in ((2_000, 3), (2_000, 8), (4_096, 8)):
+        assert not graphs._spectral_dense(n, n, k_max)  # c = 2: m ~ n

