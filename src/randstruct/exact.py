@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft, integrate, stats as sps
+from scipy import fft as sp_fft, integrate, special, stats as sps
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .rng import RngStream
@@ -630,10 +630,21 @@ def pills_pmf(n: int) -> np.ndarray:
     L counts the halves alive when the last whole pill breaks, so
     P(L = k + 1) = n C(n-1, k) int_0^inf e^(-m) (m e^(-m))^k
     (1 - e^(-m) - m e^(-m))^(n-1-k) dm, integrated in log space.
+    ``growth.pills_batch`` draws this mixture: the time m of the last break
+    from its density n e^(-m) (1 - e^(-m))^(n-1), then the binomial.  The tie
+    to the uniform-pick chain is tested against its exact ``Fraction``
+    recurrence at small n.
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     return _pills_pmf(int(n)).copy()
+
+
+def pills_mean(n: int) -> float:
+    """Exact mean of the pill leftovers: H_n = digamma(n + 1) + gamma."""
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    return float(special.digamma(n + 1.0) + np.euler_gamma)
 
 
 def pills_limit_distance(n: int) -> float:

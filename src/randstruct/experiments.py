@@ -170,12 +170,16 @@ def _per_rep_path(out: str) -> str:
 # Experiment definitions
 
 
+def _mean_hw(values, level=0.95):
+    """Sample mean and CI half-width; one replicate has half-width 0."""
+    return mean_ci(values, level) if values.size > 1 else (float(values[0]), 0.0)
+
+
 def _mean_summary(columns, level=0.95):
     def summarize(params, matrix):
         summary = {}
         for j, col in enumerate(columns):
-            mean, hw = mean_ci(matrix[:, j], level) if matrix.shape[0] > 1 \
-                else (float(matrix[0, j]), 0.0)
+            mean, hw = _mean_hw(matrix[:, j], level)
             summary[f"{col}_mean"] = mean
             summary[f"{col}_hw"] = hw
         return summary, {}
@@ -307,8 +311,7 @@ _register(Experiment(
 
 
 def _pd_summary(params, matrix):
-    frac = matrix[:, 0]
-    mean, hw = mean_ci((frac <= 0.5).astype(float))
+    mean, hw = _mean_hw((matrix[:, 0] <= 0.5).astype(float))
     return ({"p_longest_below_half": mean, "p_longest_below_half_hw": hw,
              "dickman_half": 1.0 - math.log(2.0)}, {})
 
@@ -377,10 +380,17 @@ _register(Experiment(
     _mean_summary(("max_load",)),
 ))
 
+
+def _pills_summary(params, matrix):
+    summary, _ = _mean_summary(("half_pills_left",))(params, matrix)
+    summary["half_pills_left_exact_mean"] = exact.pills_mean(params["n"])
+    return summary, {}
+
+
 _register(Experiment(
     "pills", {"n": int}, ("half_pills_left",),
     lambda p, s: (float(growth.pills(p["n"], s)),),
-    _mean_summary(("half_pills_left",)),
+    _pills_summary,
 ))
 
 _register(Experiment(
@@ -422,8 +432,7 @@ def _arcsine_rep(p, s):
 
 
 def _arcsine_summary(params, matrix):
-    mean, hw = mean_ci(matrix[:, 0]) if matrix.shape[0] > 1 \
-        else (float(matrix[0, 0]), 0.0)
+    mean, hw = _mean_hw(matrix[:, 0])
     verdicts = {}
     if matrix.shape[0] >= 50:
         samples = np.sort(matrix[:, 0])

@@ -137,6 +137,19 @@ def test_cli_triangles_on_one_cell_print_their_summary(capsys):
     assert "triangles_mean" in out and "verdict" not in out
 
 
+def test_cli_poisson_dirichlet_accepts_one_replicate(capsys):
+    assert run_cli("run", "--experiment", "poisson-dirichlet", "--param", "n=10",
+                   "--reps", "1") == cli.EXIT_OK
+    assert "p_longest_below_half_hw = 0.0" in capsys.readouterr().out
+
+
+def test_pills_summary_reports_the_exact_mean():
+    report = run_experiment(ExperimentConfig("pills", {"n": 10}, reps=50))
+    harmonic = sum(1.0 / k for k in range(1, 11))
+    assert report.summary["half_pills_left_exact_mean"] == pytest.approx(harmonic)
+    assert {"half_pills_left_mean", "half_pills_left_hw"} <= set(report.summary)
+
+
 def test_cli_many_to_one_runs(capsys):
     for reps in ("1", "20"):
         assert run_cli("run", "--experiment", "many-to-one", "--param", "k=2",

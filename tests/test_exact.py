@@ -497,6 +497,7 @@ def test_pills_mean_is_harmonic():
         harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
         assert abs(np.arange(pmf.size) @ pmf - harmonic) < 1e-9
         assert abs(pmf.sum() - 1.0) < 1e-10
+        assert abs(exact.pills_mean(n) - harmonic) < 1e-9
 
 
 def test_pills_distance_to_exponential_limit():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -359,6 +360,29 @@ def test_pills_log_scaling_direction():
     harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
     se = leftovers.std(ddof=1) / math.sqrt(leftovers.size)
     assert abs(leftovers.mean() - harmonic) < 3 * se
+
+
+def test_pills_at_every_accepted_n():
+    # the step chain took ~2n steps per jar and could never finish here
+    reps = 1_000_000
+    for n in (10 ** 12, 2 ** 62):
+        leftovers = growth.pills_batch(n, reps, make_stream(4, 34))
+        assert leftovers.dtype == np.int64
+        assert leftovers.min() >= 1 and leftovers.max() <= n
+        se = leftovers.std(ddof=1) / math.sqrt(reps)
+        assert abs(leftovers.mean() - exact.pills_mean(n)) < 4 * se
+    with pytest.raises(InvalidParameterError):
+        growth.pills_batch(2 ** 63, 1, make_stream(4, 34))
+
+
+def test_pills_zero_uniform_leaves_one_half():
+    # gen.random can return 0.0: then M = 0, T is infinite, q = 0 and L = 1
+    real = make_stream(4, 35).gen
+    zeros = SimpleNamespace(gen=SimpleNamespace(
+        random=np.zeros, binomial=real.binomial, poisson=real.poisson))
+    with np.errstate(all="raise"):
+        for n in (2, 3000, 10 ** 12):
+            assert np.array_equal(growth.pills_batch(n, 5, zeros), np.ones(5))
 
 
 def test_ok_corral_survivor_scaling():

@@ -1,17 +1,21 @@
 """The array kernels of randstruct.growth against the loop implementations
-they replaced, kept here as references.  Every kernel makes the same draws in
-the same order, so on the same stream it must give bit-identical output and
-leave the stream at the same position (the next draw is the same)."""
+they replaced, kept here as references.  Every kernel but the pills sampler
+makes the same draws in the same order, so on the same stream it must give
+bit-identical output and leave the stream at the same position (the next
+draw is the same).  The pills sampler draws the chain's law as a mixture, so
+it is tested in law against the step loop and the exact chain recurrence."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from test_exact import _pills_law_fraction
 
 from randstruct import growth, rng as rng_module
 from randstruct.errors import InvalidParameterError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
+from randstruct.stats import EmpiricalDist, chi_square_gof, chi_square_two_sample
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -123,13 +127,25 @@ def test_depths_of_a_path_and_a_star():
     assert np.array_equal(star.depths(), np.r_[0, np.ones(999, dtype=np.int64)])
 
 
-@pytest.mark.parametrize("n,reps", [(2, 3), (5, 1), (3000, 4000), (100_000, 100)])
-def test_pills_batch_matches_step_loop(n, reps):
-    want, got, same_next = _same_draws(lambda r: ref_pills_batch(n, reps, r),
-                                       lambda r: growth.pills_batch(n, reps, r))
-    assert got.dtype == np.int64
-    assert np.array_equal(want, got)
-    assert same_next
+def test_pills_batch_matches_step_loop_in_law():
+    n, reps = 3000, 20_000
+    chain = ref_pills_batch(n, reps, make_stream(5, 3))
+    mixture = growth.pills_batch(n, reps, make_stream(5, 4))
+    assert mixture.dtype == np.int64
+    hi = int(max(chain.max(), mixture.max()))
+    report = chi_square_two_sample(np.bincount(chain, minlength=hi + 1),
+                                   np.bincount(mixture, minlength=hi + 1),
+                                   alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_pills_batch_matches_exact_chain_law(n):
+    law = _pills_law_fraction(n)
+    leftovers = growth.pills_batch(n, 50_000, make_stream(5, n))
+    report = chi_square_gof(EmpiricalDist.from_samples(leftovers),
+                            lambda k: float(law.get(int(k), 0)), alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
 
 
 @pytest.mark.parametrize("n,reps", [(2, 5), (3, 1), (10_000, 2000)])
@@ -146,12 +162,10 @@ def test_ok_corral_batch_matches_step_loop(n, reps):
 def test_batch_chains_match_with_a_small_block_cap(monkeypatch, cap, n, reps):
     # a cap below the number of running chains forces one-row blocks
     monkeypatch.setattr(rng_module, "_BLOCK_VALUES", cap)
-    for ref, new in ((ref_pills_batch, growth.pills_batch),
-                     (ref_ok_corral_batch, growth.ok_corral_batch)):
-        want, got, same_next = _same_draws(lambda r: ref(n, reps, r),
-                                           lambda r: new(n, reps, r))
-        assert np.array_equal(want, got)
-        assert same_next
+    want, got, same_next = _same_draws(lambda r: ref_ok_corral_batch(n, reps, r),
+                                       lambda r: growth.ok_corral_batch(n, reps, r))
+    assert np.array_equal(want, got)
+    assert same_next
 
 
 def test_coupon_collector_draws_do_not_depend_on_block_size(monkeypatch):
