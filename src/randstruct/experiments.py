@@ -299,7 +299,7 @@ _register(Experiment(
 
 def _cycles_summary(params, matrix):
     summary, _ = _mean_summary(("n_cycles",))(params, matrix)
-    summary["harmonic_mean"] = float(sum(1.0 / k for k in range(1, params["n"] + 1)))
+    summary["harmonic_mean"] = exact.pills_mean(params["n"])  # H_n by digamma
     return summary, {}
 
 

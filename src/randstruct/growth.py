@@ -99,26 +99,41 @@ def rrt_chain(n: int, rng: RngStream) -> GrowingTree:
 
 def ba_chain(n: int, rng: RngStream) -> GrowingTree:
     """Preferential attachment: vertex i joins vertex v with probability
-    deg(v) / (2 (i - 1)), realized by keeping one slot per unit of degree
-    (Batagelj & Brandes, PRE 71, 2005).  Vertex i >= 2 picks slot r < 2(i-1):
-    odd slot 2j-1 holds vertex j and even slot 2j-2 holds parent[j], j < i.
-    The copies are resolved by synchronous pointer jumping; a pending vertex
-    stores minus the vertex whose parent it copies."""
+    deg(v) / (2 (i - 1)).  The one-chain view of ``ba_chain_batch``."""
+    return GrowingTree._grown(ba_chain_batch(n, 1, rng)[0])
+
+
+def ba_chain_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
+    """Parent arrays of ``reps`` preferential-attachment chains on vertices
+    0..n, one row each, by keeping one slot per unit of degree (Batagelj &
+    Brandes, PRE 71, 2005).  Vertex i >= 2 picks slot r < 2(i-1): odd slot
+    2j-1 holds vertex j and even slot 2j-2 holds parent[j], j < i.  All picks
+    come from one ``integers`` call, row by row, the same draws as one call
+    per chain.  The copies are resolved by synchronous pointer jumping over
+    the flattened rows; a pending vertex stores minus the flat index of the
+    vertex whose parent it copies."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    parent[1] = 0
-    if n > 1:
-        picks = rng.gen.integers(0, np.arange(2, 2 * n, 2))
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    parent = np.empty((reps, n + 1), dtype=np.int64)
+    parent[:, 0] = -1
+    parent[:, 1] = 0
+    if n > 1 and reps:
+        picks = rng.gen.integers(0, np.tile(np.arange(2, 2 * n, 2), (reps, 1)))
         target = picks // 2 + 1
-        parent[2:] = np.where(picks & 1, target, -target)
-        todo = (parent[2:] < 0).nonzero()[0] + 2
+        copied = target + np.arange(0, reps * (n + 1), n + 1)[:, None]
+        np.negative(copied, out=copied)
+        parent[:, 2:] = np.where(picks & 1, target, copied)
+        del picks, target, copied
+        flat = parent.reshape(-1)
+        rows, cols = (parent[:, 2:] < 0).nonzero()
+        todo = rows * (n + 1) + cols + 2
         while todo.size:
-            jumped = parent[-parent[todo]]
-            parent[todo] = jumped
+            jumped = flat[-flat[todo]]
+            flat[todo] = jumped
             todo = todo[jumped < 0]
-    return GrowingTree._grown(parent)
+    return parent
 
 
 # ---------------------------------------------------------------------------

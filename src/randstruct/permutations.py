@@ -1,7 +1,7 @@
 """Uniform permutations and their cycle structure: direct sampling, the
-Feller coupling (Bernoulli spacings) for the cycle lengths, the min-ranked cycle
-word and its inverse, the sequential seating chain, stick breaking, and
-Monte Carlo helpers for long- and short-cycle laws."""
+Feller coupling for the cycle lengths (its spacings drawn by integer stick
+breaking), the min-ranked cycle word and its inverse, the sequential seating
+chain, stick breaking, and Monte Carlo helpers for long- and short-cycle laws."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
-from .rng import RngStream, _block_buffer, _uniform_block
+from .rng import RngStream, _block_rows
 
 
 @dataclass(frozen=True)
@@ -191,12 +191,17 @@ def feller_spacings(n: int, reps: int, rng: RngStream):
     Row r runs n independent Bernoulli trials, trial j = 0..n-1 succeeding
     with probability 1/(n - j), so the last one always succeeds; the spacings
     between successes (the first counted from -1) have the joint law of the
-    min-ranked cycle lengths of a uniform permutation.
+    min-ranked cycle lengths of a uniform permutation.  With m trials left,
+    the next spacing is uniform on 1..m, since prod (1 - 1/j) telescopes; so
+    each row breaks its n trials as an integer stick, one ``integers(1, m +
+    1)`` draw per cycle, H_n draws on average, exact with no float rounding.
 
     Yields one (rows, lengths) pair per block of rows: the replicate index and
     the length of every cycle, rows ascending, cycles in order within a row.
-    The uniforms come in blocks of the draw budget drawn into one reused
-    buffer, the same doubles as one ``gen.random((reps, n))`` call.
+    Every unfinished row of a block draws once per round, in row order.  A
+    row draws H_n < bit_length(n) times on average and a draw keeps about
+    three values (the spacing, its row and its slot), so a block of at most
+    budget // (4 bit_length(n)) rows keeps under one draw budget in memory.
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
@@ -206,17 +211,36 @@ def feller_spacings(n: int, reps: int, rng: RngStream):
 
 
 def _feller_blocks(n: int, reps: int, rng: RngStream):
-    probs = 1.0 / np.arange(n, 0, -1)
-    buf = _block_buffer(n, reps)
     done = 0
     while done < reps:
-        block = _uniform_block(rng, buf, n, reps - done)
-        rows, cols = np.nonzero(block < probs)
-        # every row ends with a success, so the cycle after one that ends at
-        # trial c starts at trial (c + 1) mod n
-        ends = cols + 1
-        yield rows + done, ends - np.concatenate([[0], ends[:-1] % n])
-        done += block.shape[0]
+        b = _block_rows(4 * n.bit_length(), reps - done)
+        # a call per block, so the block's rounds are freed before the yield
+        rows, lengths = _feller_block(n, b, rng)
+        rows += done
+        yield rows, lengths
+        done += b
+
+
+def _feller_block(n: int, b: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 0..b-1 of ``feller_spacings``: the round-k spacings of the rows
+    still unfinished, then each scattered to slot k of its row."""
+    counts = np.zeros(b, dtype=np.int64)
+    active = np.arange(b)
+    left = np.full(b, n, dtype=np.int64)
+    rounds = []
+    while active.size:
+        gap = rng.gen.integers(1, left + 1)
+        counts[active] += 1
+        left -= gap
+        going = left > 0
+        rounds.append((gap, going))
+        active, left = active[going], left[going]
+    pos = np.cumsum(counts) - counts
+    lengths = np.empty(pos[-1] + counts[-1], dtype=np.int64)
+    for gap, going in rounds:
+        lengths[pos] = gap
+        pos = pos[going] + 1
+    return np.repeat(np.arange(b), counts), lengths
 
 
 def longest_cycle_stats(n: int, reps: int, rng: RngStream) -> np.ndarray:
@@ -250,10 +274,23 @@ def cycle_type_batch(images_batch: np.ndarray, i_max: int | None = None) -> np.n
     """Cycle-length count vectors for a batch of one-line permutations.
 
     Uses fixed-point counts of iterated powers, so the cost is n * n per row
-    but fully vectorized across rows; meant for small n.
+    but fully vectorized across rows; meant for small n.  A row needs about
+    eight n-wide temporaries, so rows go in blocks of budget // (8 n): the
+    memory beyond the output stays within one draw budget.
     """
     reps, n = images_batch.shape
     i_max = n if i_max is None else i_max
+    counts = np.empty((reps, i_max), dtype=np.int64)
+    done = 0
+    while done < reps:
+        b = _block_rows(8 * n, reps - done)
+        counts[done:done + b] = _cycle_types(images_batch[done:done + b], i_max)
+        done += b
+    return counts
+
+
+def _cycle_types(images_batch: np.ndarray, i_max: int) -> np.ndarray:
+    reps, n = images_batch.shape
     zero_based = images_batch - 1
     fixed = np.empty((n, reps), dtype=np.int64)
     power = zero_based

@@ -6,7 +6,8 @@ experiments give stream ``i`` to replicate ``i``; results are then identical
 regardless of how replicates are scheduled.  Seeds and indices lie in
 [0, 2^64).  The batch samplers draw in blocks of at most ``_BLOCK_VALUES``
 values (8 MiB of doubles); only the size-conditioned trees, which shuffle
-between blocks, depend on the block size.
+between blocks, and the Feller coupling, which draws round by round across
+the rows of a block, depend on the block size.
 """
 
 from __future__ import annotations

@@ -46,6 +46,14 @@ class PlaneTree:
             raise FormatError("child counts do not describe a tree")
         self.child_counts = counts
 
+    @classmethod
+    def _checked(cls, counts: np.ndarray) -> PlaneTree:
+        """Wrap an int64 child-count row that ``_plane_trees`` checked,
+        skipping the checks of the public constructor."""
+        tree = object.__new__(cls)
+        tree.child_counts = counts
+        return tree
+
     @property
     def n_vertices(self) -> int:
         return int(self.child_counts.size)
@@ -315,11 +323,24 @@ def sample_bgw_conditioned_batch(law: OffspringLaw, n_vertices: int, reps: int,
             continue
         counts = np.repeat(np.tile(ks, len(kept)), kept.ravel()).reshape(-1, n)
         rng.gen.permuted(counts, axis=1, out=counts)
-        shifts = np.argmin(np.cumsum(counts - 1, axis=1), axis=1) + 1
-        # PlaneTree checks the rotated walk, so it asserts each shift is good
-        out.extend(PlaneTree(np.concatenate((row[s:], row[:s])))
-                   for row, s in zip(counts, shifts.tolist()))
+        cols = np.arange(n) + (np.argmin(np.cumsum(counts - 1, axis=1), axis=1)
+                               + 1)[:, None]
+        cols[cols >= n] -= n
+        rotated = np.take_along_axis(counts, cols, axis=1)
+        del counts, cols
+        # the check of the rotated walks asserts that each shift is good
+        out.extend(_plane_trees(rotated))
     return out
+
+
+def _plane_trees(block: np.ndarray) -> list[PlaneTree]:
+    """The rows of a non-empty int64 block as plane trees, checked as one
+    array: counts >= 0, and each row's walk stays >= 0 until it ends at -1."""
+    walk = np.cumsum(block - 1, axis=1)
+    if (block.min() < 0 or np.any(walk[:, -1] != -1)
+            or walk[:, :-1].min(initial=0) < 0):
+        raise FormatError("child counts do not describe a tree")
+    return [PlaneTree._checked(row) for row in block]
 
 
 def sample_bgw_conditioned(law: OffspringLaw, n_vertices: int,

@@ -373,25 +373,36 @@ def _perm_rows(n: int, reps: int, rng) -> np.ndarray:
     return rng.gen.permuted(np.tile(np.arange(1, n + 1), (reps, 1)), axis=1)
 
 
+def _cycle_type_cells(matrix: np.ndarray, keys) -> np.ndarray:
+    """How many rows of a cycle-type count matrix fall on each of ``keys``:
+    count i of a row lies in 0..n // i, so the rows' mixed-radix codes index
+    one lookup table."""
+    n = matrix.shape[1]
+    radix = n // np.arange(1, n + 1) + 1
+    weights = np.concatenate([[1], np.cumprod(radix[:-1])])
+    table = np.full(int(np.prod(radix)), -1)
+    table[np.asarray(keys) @ weights] = np.arange(len(keys))
+    return np.bincount(table[matrix @ weights], minlength=len(keys))
+
+
 def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     reps = 1_000_000 if scale == "full" else 100_000
     n = 6
     keys = _partition_keys(n)
-    key_index = {key: i for i, key in enumerate(keys)}
+    probs = [float(exact.cauchy_cycle_type_pmf(key)) for key in keys]
     rng = make_stream(seed, 12)
-    feller = _feller_type_counts(n, reps, rng)
+    counts_f = _cycle_type_cells(_feller_type_counts(n, reps, rng), keys)
     rng = make_stream(seed, 121)
-    direct = permutations.cycle_type_batch(_perm_rows(n, reps, rng))
-    counts_f = np.zeros(len(keys), dtype=np.int64)
-    counts_d = np.zeros(len(keys), dtype=np.int64)
-    for matrix, out in ((feller, counts_f), (direct, counts_d)):
-        idx = np.fromiter((key_index[tuple(row)] for row in matrix),
-                          dtype=np.int64, count=reps)
-        np.add.at(out, idx, 1)
+    counts_d = _cycle_type_cells(
+        permutations.cycle_type_batch(_perm_rows(n, reps, rng)), keys)
+    for label, counts in (("spacing", counts_f), ("direct", counts_d)):
+        report = chi_square_counts(counts, probs, alpha_level=0.01)
+        chk.add(f"{label} sampler vs Cauchy cycle-type law (n=6)", report.passed,
+                f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
     report = chi_square_two_sample(counts_f, counts_d, alpha_level=0.01)
-    chk.add("spacing vs direct sampler (joint, n=6)", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.note(f"two-sample spacing vs direct stat {report.statistic:.1f} "
+             f"thr {report.threshold:.1f}")
     dreps = 100_000 if scale == "full" else 20_000
     rng = make_stream(seed, 122)
     n1 = permutations.small_cycle_counts(2_000, 1, dreps, rng)[:, 0]
@@ -416,9 +427,14 @@ def criterion_13_dickman(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 13)
     longest = permutations.longest_cycle_stats(n, reps, rng)
     frac = float(np.mean(longest <= 0.5))
-    target = 1.0 - math.log(2.0)
+    # at most one cycle is longer than n/2, and a k-cycle occurs with
+    # chance 1/k: P(longest <= n/2) = 1 - (H_n - H_{n/2}), H_n = pills_mean(n)
+    target = 1.0 - (exact.pills_mean(n) - exact.pills_mean(n // 2))
+    limit = 1.0 - math.log(2.0)
     chk.within("P(longest <= n/2)", frac, target, _sigma_bound(target, reps))
-    chk.within("dickman(2)", exact.dickman_rho(2.0), target, 1e-6)
+    chk.within("dickman(2)", exact.dickman_rho(2.0), limit, 1e-6)
+    chk.note(f"P(longest <= n/2) {frac:.6g}, exact {target:.6f}, "
+             f"Dickman limit {limit:.6f}")
     return chk.result()
 
 
@@ -485,25 +501,19 @@ def criterion_15_ba(scale: str, seed: int) -> tuple[bool, str]:
     chk.add("out-degree fractions vs 4/((k+1)(k+2)(k+3))", ok)
     creps = 300_000 if scale == "full" else 50_000
     rng = make_stream(seed, 151)
-    shapes: dict[tuple, int] = {}
-    direct_counts: list[int] = []
-    for _ in range(creps):
-        key = tuple(growth.ba_chain(4, rng).parent.tolist()[2:])
-        idx = shapes.setdefault(key, len(shapes))
-        if idx == len(direct_counts):
-            direct_counts.append(0)
-        direct_counts[idx] += 1
+    direct = growth.ba_chain_batch(4, creps, rng)[:, 2:]
     rng = make_stream(seed, 152)
-    contracted_counts = [0] * len(shapes)
-    for _ in range(creps // 3):
+    contracted = np.empty((creps // 3, 3), dtype=np.int64)
+    for row in contracted:
         y0 = growth.yule_simulate(3, rng, n_particles=7)
         y1 = growth.yule_simulate(3, rng, n_particles=7)
-        key = tuple(growth.yule3_to_ba(y0, y1, 4).parent.tolist()[2:])
-        idx = shapes.setdefault(key, len(shapes))
-        while idx >= len(contracted_counts):
-            contracted_counts.append(0)
-            direct_counts.append(0)
-        contracted_counts[idx] += 1
+        row[:] = growth.yule3_to_ba(y0, y1, 4).parent[2:]
+    # shapes are cells in order of first appearance, direct side first
+    _, first, cell = np.unique(np.concatenate([direct, contracted]), axis=0,
+                               return_index=True, return_inverse=True)
+    cell = np.argsort(np.argsort(first))[cell.reshape(-1)]
+    direct_counts = np.bincount(cell[:creps], minlength=first.size)
+    contracted_counts = np.bincount(cell[creps:], minlength=first.size)
     report = chi_square_two_sample(direct_counts, contracted_counts,
                                    alpha_level=0.01)
     chk.add("contraction vs chain shapes (n=4)", report.passed,

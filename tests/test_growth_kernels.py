@@ -110,6 +110,26 @@ def test_ba_chain_matches_slot_loop(n):
     assert same_next
 
 
+@pytest.mark.parametrize("n,reps", [(n, reps) for n in (1, 2, 4)
+                                    for reps in (0, 1, 50_000)]
+                         + [(100_000, 0), (100_000, 1), (100_000, 3)])
+def test_ba_chain_batch_matches_looped_chain(n, reps):
+    want, got, same_next = _same_draws(
+        lambda r: np.array([growth.ba_chain(n, r).parent for _ in range(reps)],
+                           dtype=np.int64).reshape(reps, n + 1),
+        lambda r: growth.ba_chain_batch(n, reps, r), seed=n, index=reps)
+    assert got.dtype == np.int64
+    assert np.array_equal(want, got)
+    assert same_next
+
+
+def test_ba_chain_batch_argument_checks():
+    with pytest.raises(InvalidParameterError):
+        growth.ba_chain_batch(0, 3, make_stream(5, 0))
+    with pytest.raises(InvalidParameterError):
+        growth.ba_chain_batch(4, -1, make_stream(5, 0))
+
+
 @pytest.mark.parametrize("chain", [growth.rrt_chain, growth.ba_chain])
 @pytest.mark.parametrize("n", [1, 2, 50, 100_000])
 def test_depths_match_loop(chain, n):

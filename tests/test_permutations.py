@@ -12,7 +12,7 @@ from randstruct.errors import FormatError, InvalidParameterError
 from randstruct.permutations import Permutation
 from randstruct.rng import make_stream
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              ks_test, mean_ci)
+                              chi_square_two_sample, ks_test, mean_ci)
 
 
 def test_sample_identity_for_n_one():
@@ -80,16 +80,45 @@ def test_foata_roundtrip_property(images):
     assert perms.foata_inv(perms.foata(perm)).images.tolist() == list(images)
 
 
+def test_cycle_type_batch_matches_cycles_of_across_row_blocks():
+    # n = 6 rows go in blocks of 21,845, so 45,000 rows span three blocks
+    rng = make_stream(3, 22)
+    batch = rng.gen.permuted(np.tile(np.arange(1, 7), (45_000, 1)), axis=1)
+    want = np.array([perms.cycles_of(Permutation(row)).counts for row in batch])
+    assert np.array_equal(perms.cycle_type_batch(batch), want)
+    assert np.array_equal(perms.cycle_type_batch(batch, 2), want[:, :2])
+
+
 def test_feller_single_point():
     assert perms.feller_cycles(1, make_stream(3, 4)).lengths == (1,)
+
+
+def _spacings(n, reps, rng):
+    blocks = list(perms.feller_spacings(n, reps, rng))
+    return (np.concatenate([rows for rows, _ in blocks]),
+            np.concatenate([lengths for _, lengths in blocks]))
+
+
+def ref_bernoulli_spacings(n, reps, rng):
+    """The Feller coupling run trial by trial: trial j = 0..n-1 succeeds with
+    probability 1/(n - j), and the cycles are the spacings of the successes."""
+    rows, cols = np.nonzero(rng.gen.random((reps, n)) < 1.0 / np.arange(n, 0, -1))
+    ends = cols + 1
+    return rows, ends - np.concatenate([[0], ends[:-1] % n])
+
+
+def _composition_codes(n, reps, rows, lengths):
+    """Each row's ordered cycle lengths as the bit set of its partial sums."""
+    ends = np.cumsum(lengths) - n * rows
+    return np.bincount(rows, weights=np.exp2(ends - 1), minlength=reps).astype(np.int64)
 
 
 def test_feller_first_cycle_uniform():
     n = 20
     reps = 100_000
-    rng = make_stream(3, 5)
-    firsts = np.array([perms.feller_cycles(n, rng).lengths[0]
-                       for _ in range(reps)])
+    rows, lengths = _spacings(n, reps, make_stream(3, 5))
+    firsts = lengths[np.concatenate([[True], np.diff(rows) != 0])]
+    assert firsts.size == reps
     emp = EmpiricalDist.from_samples(firsts)
     assert chi_square_gof(emp, lambda k: 1 / n if 1 <= k <= n else 0.0,
                           alpha_level=0.01).passed
@@ -99,26 +128,34 @@ def test_feller_joint_law_matches_cauchy():
     n = 6
     reps = 1_000_000
     rng = make_stream(3, 6)
-    from randstruct.verify import _feller_type_counts, _partition_keys
-    counts_matrix = _feller_type_counts(n, reps, rng)
+    from randstruct.verify import (_cycle_type_cells, _feller_type_counts,
+                                   _partition_keys)
     keys = _partition_keys(n)
-    key_index = {key: i for i, key in enumerate(keys)}
-    observed = np.zeros(len(keys), dtype=np.int64)
-    idx = np.fromiter((key_index[tuple(row)] for row in counts_matrix),
-                      dtype=np.int64, count=reps)
-    np.add.at(observed, idx, 1)
+    observed = _cycle_type_cells(_feller_type_counts(n, reps, rng), keys)
     probs = [float(exact.cauchy_cycle_type_pmf(key)) for key in keys]
     report = chi_square_counts(observed, probs, alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def test_feller_gaps_match_bernoulli_spacings_in_law():
+    # the ordered cycle lengths at n = 8, all 128 compositions, against the
+    # trial-by-trial coupling
+    n = 8
+    reps = 200_000
+    gaps = _composition_codes(n, reps, *_spacings(n, reps, make_stream(3, 20)))
+    trials = _composition_codes(
+        n, reps, *ref_bernoulli_spacings(n, reps, make_stream(3, 21)))
+    report = chi_square_two_sample(np.bincount(gaps, minlength=1 << n),
+                                   np.bincount(trials, minlength=1 << n),
+                                   alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
 def test_feller_matches_direct_cycle_counts_small():
     n = 5
     reps = 200_000
-    rng = make_stream(3, 7)
-    feller_cycles_count = np.array([perms.feller_cycles(n, rng).n_cycles
-                                    for _ in range(reps)])
-    emp = EmpiricalDist.from_samples(feller_cycles_count)
+    rows, _ = _spacings(n, reps, make_stream(3, 7))
+    emp = EmpiricalDist.from_samples(np.bincount(rows, minlength=reps))
     pmf = exact.cycles_count_pmf(n)
     assert chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
                           alpha_level=0.01).passed
@@ -216,7 +253,7 @@ def test_longest_cycle_statistics():
 @pytest.mark.parametrize("fn,args", [(perms.longest_cycle_stats, (10_000, 5_000)),
                                      (perms.small_cycle_counts, (10_000, 6, 5_000))])
 def test_feller_statistics_memory_is_output_plus_one_block(fn, args):
-    # the uniforms come in blocks of the shared draw budget (2^20 doubles,
+    # a block's spacings, rows and slots fit one draw budget (2^20 values,
     # 8 MiB); a budget of 20,000,000 values per chunk would peak at 160 MB
     block = 8 * rng_module._BLOCK_VALUES
     tracemalloc.start()
@@ -266,13 +303,11 @@ def test_randomized_length_poisson_counts():
     sizes = rng.gen.geometric(1.0 - x, size=reps) - 1
     n1 = np.zeros(reps, dtype=np.int64)
     n2 = np.zeros(reps, dtype=np.int64)
-    for r in range(reps):
-        n = int(sizes[r])
-        if n == 0:
-            continue
-        structure = perms.feller_cycles(n, rng)
-        n1[r] = structure.counts[0]
-        n2[r] = structure.counts[1] if n >= 2 else 0
+    for n in np.unique(sizes[sizes > 0]).tolist():
+        reps_n = np.flatnonzero(sizes == n)
+        rows, lengths = _spacings(n, reps_n.size, rng)
+        np.add.at(n1, reps_n[rows[lengths == 1]], 1)
+        np.add.at(n2, reps_n[rows[lengths == 2]], 1)
     from scipy import stats as sps
     emp1 = EmpiricalDist.from_samples(n1)
     assert chi_square_gof(emp1, lambda k: sps.poisson.pmf(int(k), x),

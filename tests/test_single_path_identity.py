@@ -20,49 +20,50 @@ from randstruct.walks import LatticePath
 
 
 def ref_feller_cycles(n, rng):
-    ks = np.arange(n, 0, -1)
-    success = rng.gen.random(n) < 1.0 / ks
-    points = ks[success]
-    lengths = np.diff(np.concatenate([[n + 1], points])) * -1
-    return CycleStructure.from_lengths(lengths.tolist(), n)
+    """Integer stick breaking, one scalar draw per cycle."""
+    lengths, left = [], n
+    while left:
+        gap = int(rng.gen.integers(1, left + 1))
+        lengths.append(gap)
+        left -= gap
+    return CycleStructure.from_lengths(lengths, n)
 
 
 def ref_spacing_rows(n, reps, rng):
-    probs = 1.0 / np.arange(n, 0, -1)
-    success = rng.gen.random((reps, n)) < probs
-    rows, cols = np.nonzero(success)
-    first = np.concatenate([[True], np.diff(rows) != 0])
-    prev = np.empty(cols.size, dtype=np.int64)
-    prev[0] = -1
-    prev[1:] = cols[:-1]
-    prev[first] = -1
-    return rows, cols - prev
-
-
-def ref_rep_chunks(n, reps, budget=20_000_000):
-    chunk = max(1, budget // max(n, 1))
+    """Rows in blocks of the draw budget; within a block, every unfinished
+    row draws its next spacing in row order, one round at a time."""
+    rows, lengths = [], []
     done = 0
     while done < reps:
-        size = min(chunk, reps - done)
-        yield done, size
-        done += size
+        b = rng_module._block_rows(4 * n.bit_length(), reps - done)
+        row_lengths = [[] for _ in range(b)]
+        left = [n] * b
+        while any(left):
+            active = [r for r in range(b) if left[r]]
+            gaps = rng.gen.integers(1, np.array([left[r] for r in active]) + 1)
+            for r, gap in zip(active, gaps.tolist()):
+                row_lengths[r].append(gap)
+                left[r] -= gap
+        for r, ells in enumerate(row_lengths):
+            rows += [done + r] * len(ells)
+            lengths += ells
+        done += b
+    return np.array(rows, dtype=np.int64), np.array(lengths, dtype=np.int64)
 
 
 def ref_longest_cycle_stats(n, reps, rng):
-    longest = np.empty(reps, dtype=np.int64)
-    for done, size in ref_rep_chunks(n, reps):
-        rows, gaps = ref_spacing_rows(n, size, rng)
-        starts = np.flatnonzero(np.concatenate([[True], np.diff(rows) != 0]))
-        longest[done:done + size] = np.maximum.reduceat(gaps, starts)
+    longest = np.zeros(reps, dtype=np.int64)
+    rows, lengths = ref_spacing_rows(n, reps, rng)
+    np.maximum.at(longest, rows, lengths)
     return longest / n
 
 
 def ref_small_cycle_counts(n, i_max, reps, rng):
     out = np.zeros((reps, i_max), dtype=np.int64)
-    for done, size in ref_rep_chunks(n, reps):
-        rows, gaps = ref_spacing_rows(n, size, rng)
-        small = gaps <= i_max
-        np.add.at(out, (rows[small] + done, gaps[small] - 1), 1)
+    rows, lengths = ref_spacing_rows(n, reps, rng)
+    for r, ell in zip(rows.tolist(), lengths.tolist()):
+        if ell <= i_max:
+            out[r, ell - 1] += 1
     return out
 
 
@@ -266,6 +267,7 @@ def test_feller_cycles_matches_scalar_sampler(seed, n):
 @pytest.mark.parametrize("n,reps", [(1, 5), (6, 1000), (20, 60_000),
                                     (10_000, 250), (2_000_000, 1)])
 def test_feller_spacings_match_spacing_rows(seed, n, reps):
+    # at n = 20 the draw budget splits 60,000 rows into blocks of 52,428
     def new(r):
         blocks = list(perms.feller_spacings(n, reps, r))
         return (np.concatenate([rows for rows, _ in blocks]),
@@ -279,8 +281,7 @@ def test_feller_spacings_match_spacing_rows(seed, n, reps):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n,reps", [(10, 3), (10_000, 2100), (100_000, 250)])
-def test_longest_cycle_stats_matches_rep_chunks(seed, n, reps):
-    # at n = 10^5 the old budget splits 250 replicates into chunks of 200
+def test_longest_cycle_stats_matches_spacing_rows(seed, n, reps):
     want, got, same_next = _same_draws(
         lambda r: ref_longest_cycle_stats(n, reps, r),
         lambda r: perms.longest_cycle_stats(n, reps, r), seed, 2)
@@ -291,7 +292,7 @@ def test_longest_cycle_stats_matches_rep_chunks(seed, n, reps):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n,i_max,reps", [(100, 1, 7), (2_000, 3, 3000),
                                           (100_000, 6, 210)])
-def test_small_cycle_counts_matches_rep_chunks(seed, n, i_max, reps):
+def test_small_cycle_counts_matches_spacing_rows(seed, n, i_max, reps):
     want, got, same_next = _same_draws(
         lambda r: ref_small_cycle_counts(n, i_max, reps, r),
         lambda r: perms.small_cycle_counts(n, i_max, reps, r), seed, 3)

@@ -254,6 +254,25 @@ def test_scalar_conditioned_is_the_one_tree_batch(law, n):
         assert a.gen.random() == b.gen.random()
 
 
+def test_conditioned_block_check_rejects_corrupted_rows():
+    kept = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5), 5, 40,
+                                              make_stream(43, 9))
+    block = np.stack([tree.child_counts for tree in kept])
+    assert trees._plane_trees(block.copy()) == kept
+    bad_rows = {
+        "negative count": [2, -1, 2, 0, 0],
+        "walk dips below zero": [0, 2, 1, 1, 0],
+        "walk ends above -1": [2, 1, 1, 1, 0],
+    }
+    for row in bad_rows.values():
+        corrupted = block.copy()
+        corrupted[17] = row
+        with pytest.raises(FormatError):
+            trees._plane_trees(corrupted)
+        with pytest.raises(FormatError):
+            trees.PlaneTree(row)
+
+
 # Laws up to a constant factor, written out apart from OffspringLaw; the
 # conditioned law of a plane tree is proportional to the product over its
 # vertices.  Twelve tests at level 0.001 keep the family-wise level near 0.01.

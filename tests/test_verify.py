@@ -67,6 +67,18 @@ def test_criterion_12_rows_are_sample_perm_draws(seed):
     assert same_next
 
 
+@pytest.mark.parametrize("n", [1, 4, 6, 9])
+def test_cycle_type_cells_match_key_loop(n):
+    # the per-row tuple lookup that criterion 12 used before its table code
+    keys = verify._partition_keys(n)
+    matrix = verify._feller_type_counts(n, 5000, make_stream(6, n))
+    key_index = {key: i for i, key in enumerate(keys)}
+    want = np.zeros(len(keys), dtype=np.int64)
+    for row in matrix:
+        want[key_index[tuple(row.tolist())]] += 1
+    assert np.array_equal(verify._cycle_type_cells(matrix, keys), want)
+
+
 @pytest.mark.parametrize("seed", [0, 20260810])
 @pytest.mark.parametrize("n,index", [(8, 141), (3, 142)])
 def test_criterion_14_rows_are_rrt_chain_draws(seed, n, index):
