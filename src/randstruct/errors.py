@@ -10,7 +10,8 @@ class InvalidTestError(ValueError):
 
 
 class FormatError(ValueError):
-    """An encoded object (path, word, dump line) is malformed."""
+    """An encoded structure (child counts, parent array, one-line
+    permutation, dump line) is malformed."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -201,32 +201,6 @@ def parking_full_prob(n: int, m: int) -> Fraction:
     return Fraction((n + 1 - m) * (n + 1) ** (m - 1), n ** m)
 
 
-def simple_walk_hitting_pmf(n: int) -> Fraction:
-    """P(first passage to -1 of the +-1 walk takes 2n-1 steps)."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    return Fraction(catalan(n - 1), 2 * 4 ** (n - 1))
-
-
-def plane_height_pmf(n: int, h: int) -> Fraction:
-    """Height law of a uniform vertex in a uniform plane tree with n edges."""
-    if n < 1 or not 0 <= h <= n:
-        raise InvalidParameterError("need n >= 1 and 0 <= h <= n")
-    return Fraction((2 * h + 1) * math.comb(2 * n + 1, n - h),
-                    (2 * n + 1) * math.comb(2 * n, n))
-
-
-def cayley_distance_pmf(n: int, k: int) -> Fraction:
-    """P(distance between vertex 1 and a uniform vertex is k-1) in a uniform
-    labeled tree on n vertices; the first-collision law of the birthday problem."""
-    if n < 1 or not 1 <= k <= n:
-        raise InvalidParameterError("need 1 <= k <= n")
-    num = k
-    for j in range(1, k):
-        num *= n - j
-    return Fraction(num, n ** k)
-
-
 def cycles_count_pmf(n: int) -> list[Fraction]:
     """Exact law of the number of cycles of a uniform permutation of size n.
 
@@ -341,25 +315,31 @@ def fluid_curve(c: float, t):
 
 
 _DICKMAN_STEP = 1e-4  # grid step of the tabulated Dickman function
+# one tabulated grid per process, with the integral of rho over [y-1, y] at
+# its last point y, extended when a larger ceiling is asked for
+_DICKMAN_CACHE: dict[str, tuple[np.ndarray, float]] = {}
 
 
-@lru_cache(maxsize=None)
 def _dickman_grid(x_max: int) -> np.ndarray:
+    """rho at 0, h, ..., x_max for h = _DICKMAN_STEP: the head of one grid
+    per process, whose points do not depend on how far it reaches."""
     k = round(1.0 / _DICKMAN_STEP)
     m = x_max * k
-    rho = np.empty(m + 1)
-    rho[: k + 1] = 1.0
-    integral = 1.0  # integral of rho over [y-1, y] at y = 1
-    h = _DICKMAN_STEP
-    for j in range(k, m):
-        # solve the integral form y rho(y) = int_{y-1}^{y} rho by trapezoid steps
-        y_next = (j + 1) * h
-        rhs = integral + 0.5 * h * rho[j] - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-        rho_next = rhs / (y_next - 0.5 * h)
-        rho[j + 1] = rho_next
-        integral = integral + 0.5 * h * (rho[j] + rho_next) \
-            - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-    return rho
+    rho, integral = _DICKMAN_CACHE.get("grid", (np.ones(k + 1), 1.0))
+    start = rho.size - 1
+    if m > start:
+        rho = np.concatenate([rho, np.empty(m - start)])
+        h = _DICKMAN_STEP
+        for j in range(start, m):
+            # solve the integral form y rho(y) = int_{y-1}^{y} rho by trapezoid steps
+            y_next = (j + 1) * h
+            rhs = integral + 0.5 * h * rho[j] - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
+            rho_next = rhs / (y_next - 0.5 * h)
+            rho[j + 1] = rho_next
+            integral = integral + 0.5 * h * (rho[j] + rho_next) \
+                - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
+        _DICKMAN_CACHE["grid"] = (rho, integral)
+    return rho[: m + 1]
 
 
 def dickman_rho(x: float) -> float:
@@ -373,25 +353,6 @@ def dickman_rho(x: float) -> float:
     j = min(int(pos), len(grid) - 2)
     frac = pos - j
     return float((1.0 - frac) * grid[j] + frac * grid[j + 1])
-
-
-def poisson_ld_rate(a: float) -> float:
-    """Large-deviation rate of the Poisson law: I(a) = a log a - (a - 1)."""
-    if a <= 0.0:
-        raise InvalidParameterError("a must be > 0")
-    return a * math.log(a) - (a - 1.0)
-
-
-def poisson_ld_rate_inverse(c: float) -> float:
-    """The root x >= 1 of poisson_ld_rate(x) = c."""
-    if c < 0.0:
-        raise InvalidParameterError("c must be >= 0")
-    if c == 0.0:
-        return 1.0
-    hi = 2.0
-    while poisson_ld_rate(hi) < c:
-        hi *= 2.0
-    return _bisect(lambda x: poisson_ld_rate(x) - c, 1.0, hi)
 
 
 def ba_height_constant() -> float:
@@ -624,7 +585,8 @@ def _pills_pmf(n: int) -> np.ndarray:
 
 
 def pills_pmf(n: int) -> np.ndarray:
-    """Exact law of the pill leftovers ``growth.pills(n)``: entry k is P(L = k).
+    """Exact law of the pill leftovers of ``growth.pills_batch`` at n: entry k is
+    P(L = k).
 
     Each pill breaks after an Exp(1) time X and its half is eaten Exp(1) later;
     L counts the halves alive when the last whole pill breaks, so

@@ -389,13 +389,13 @@ def _pills_summary(params, matrix):
 
 _register(Experiment(
     "pills", {"n": int}, ("half_pills_left",),
-    lambda p, s: (float(growth.pills(p["n"], s)),),
+    lambda p, s: (float(growth.pills_batch(p["n"], 1, s)[0]),),
     _pills_summary,
 ))
 
 _register(Experiment(
     "corral", {"n": int}, ("survivors",),
-    lambda p, s: (float(growth.ok_corral(p["n"], s)),),
+    lambda p, s: (float(growth.ok_corral_batch(p["n"], 1, s)[0]),),
     _mean_summary(("survivors",)),
 ))
 

@@ -1,6 +1,6 @@
 """Erdos-Renyi samplers, component statistics, the minimal-label exploration
-walk, threshold replicates, cliques, triangles, spectral moments, and the
-stacked / size-randomized exploration walks."""
+walk and its fluid limit, threshold replicates, triangles and spectral
+moments."""
 
 from __future__ import annotations
 
@@ -75,9 +75,6 @@ class Graph:
         self.m = i.size
         self.indptr = both.indptr.astype(np.int64)
         self.indices = both.indices.astype(np.int64)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -219,9 +216,6 @@ class ExplorationTrace:
     component_sizes: np.ndarray  # excursion lengths, in exploration order
     stack_sizes: np.ndarray      # stack size before each step
 
-    def sorted_components(self) -> np.ndarray:
-        return np.array(sorted(self.component_sizes, reverse=True), dtype=np.int64)
-
 
 def explore_luka(g: Graph) -> ExplorationTrace:
     """Reveal the graph one vertex per step, always popping the minimal-label
@@ -289,68 +283,6 @@ def connectivity_rep(n: int, c: float, stream: RngStream) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Cliques and independent sets
-
-
-def clique_greedy(g: Graph) -> int:
-    """Scan labels upward, keeping each vertex adjacent to everything kept."""
-    kept_sets: list[set] = []
-    for v in range(g.n):
-        if all(v in s for s in kept_sets):
-            kept_sets.append(set(g.neighbors(v).tolist()))
-    return len(kept_sets)
-
-
-def clique_max_exact(g: Graph, n_cap: int = 40) -> int:
-    """Exact maximum clique by bitmask branch and bound; bounded size only."""
-    if g.n > n_cap:
-        raise ResourceLimitError(f"exact clique limited to n <= {n_cap}")
-    masks = [0] * g.n
-    for v in range(g.n):
-        for w in g.neighbors(v):
-            masks[v] |= 1 << int(w)
-    best = 0
-
-    def expand(size: int, cand: int):
-        nonlocal best
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            ext = cand & masks[v]
-            if size + 1 + ext.bit_count() > best:
-                if ext:
-                    expand(size + 1, ext)
-                elif size + 1 > best:
-                    best = size + 1
-
-    if g.n:
-        expand(0, (1 << g.n) - 1)
-    return best
-
-
-def independent_greedy(g: Graph) -> tuple[int, np.ndarray]:
-    """Greedy independent set: repeatedly take the smallest untouched label and
-    drop its neighbors.  Returns (set size, untouched-count trajectory)."""
-    untouched = np.ones(g.n, dtype=bool)
-    remaining = g.n
-    trajectory = [remaining]
-    size = 0
-    v = 0
-    while remaining:
-        while not untouched[v]:
-            v += 1
-        size += 1
-        nbrs = g.neighbors(v)
-        remaining -= 1 + int(untouched[nbrs].sum())
-        untouched[v] = False
-        untouched[nbrs] = False
-        trajectory.append(remaining)
-    return size, np.array(trajectory, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
 # Triangles and spectral moments
 
 
@@ -412,36 +344,7 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
 
 
 # ---------------------------------------------------------------------------
-# Stacked and size-randomized exploration walks
-
-
-def stacked_walk(n: int, p: float, rng: RngStream) -> LatticePath:
-    """Exploration walk of the graph with an infinite reservoir of outside
-    vertices: S_k = F_n(1 - (1-p)^k) - k with F_n the empirical counting
-    function of n i.i.d. uniforms.  Returned for k = 1..n+1."""
-    if not 0.0 < p < 1.0:
-        raise InvalidParameterError("p must be in (0, 1)")
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    u = np.sort(rng.gen.random(n))
-    ks = np.arange(0, n + 2)
-    x = -np.expm1(ks * math.log1p(-p))
-    f = np.searchsorted(u, x, side="right")
-    s = f - ks
-    return LatticePath(np.diff(s))
-
-
-def poissonized_walk(alpha: float, p: float, rng: RngStream,
-                     k_max: int) -> LatticePath:
-    """Walk whose increments are independent Poisson(alpha p (1-p)^(k-1)) - 1."""
-    if alpha <= 0.0:
-        raise InvalidParameterError("alpha must be > 0")
-    if not 0.0 < p < 1.0:
-        raise InvalidParameterError("p must be in (0, 1)")
-    if k_max < 1:
-        raise InvalidParameterError("k_max must be >= 1")
-    lam = alpha * p * (1.0 - p) ** np.arange(k_max)
-    return LatticePath(rng.gen.poisson(lam) - 1)
+# Fluid limit of the exploration walk
 
 
 def fluid_sup_distance(n: int, c: float, stream: RngStream) -> float:
@@ -452,12 +355,3 @@ def fluid_sup_distance(n: int, c: float, stream: RngStream) -> float:
     s = np.concatenate([[0], trace.walk.prefix_sums()])
     t = np.arange(n + 1) / n
     return float(np.max(np.abs(s / n - fluid_curve(c, t))))
-
-
-def stacked_sup_distance(n: int, p: float, c: float, stream: RngStream) -> float:
-    """sup over t of |S_(nt)/n - (1 - e^(-ct) - t)| for one stacked walk,
-    whose limit keeps rising past the giant's excursion (no reflection)."""
-    path = stacked_walk(n, p, stream)
-    s = np.concatenate([[0], np.cumsum(path.increments)])[: n + 1]
-    t = np.arange(n + 1) / n
-    return float(np.max(np.abs(s / n - (1.0 - np.exp(-c * t) - t))))

@@ -1,8 +1,8 @@
-"""Growing random trees (uniform attachment and preferential attachment), the
-two-color reinforcement urn, continuous-time splitting trees with their
-contractions to the discrete chains, the biased-line check of the
-sum-over-particles identity, and the embedded-chain classics (coupon
-collector, balls in bins, pills, last-man-standing duel)."""
+"""Growing random trees (uniform attachment and preferential attachment),
+continuous-time splitting trees with their contractions to the discrete
+chains, the biased-line check of the sum-over-particles identity, and the
+embedded-chain classics (coupon collector, balls in bins, pills,
+last-man-standing duel)."""
 
 from __future__ import annotations
 
@@ -137,54 +137,6 @@ def ba_chain_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reinforcement urn
-
-
-def _urn_reds(steps: int, r0: int, b0: int, reps: int, rng: RngStream):
-    """Red counts of ``reps`` independent two-color reinforcement urns: each
-    draw takes one uniform u per urn and adds a red ball when u * total < red,
-    else a blue one.  Yields the counts before the first draw and after each
-    draw, as one array updated in place.  The uniforms come in row blocks of
-    the draw budget, the same doubles as one ``gen.random(reps)`` per draw."""
-    if r0 < 1 or b0 < 1:
-        raise InvalidParameterError("both colors must start with >= 1 ball")
-    if steps < 0:
-        raise InvalidParameterError("steps must be >= 0")
-    if reps < 0:
-        raise InvalidParameterError("reps must be >= 0")
-    r = np.full(reps, r0, dtype=np.int64)
-    yield r
-    if reps == 0:
-        return
-    total = r0 + b0
-    buf = _block_buffer(reps, steps)
-    done = 0
-    while done < steps:
-        block = _uniform_block(rng, buf, reps, steps - done)
-        for u in block:
-            r += u * total < r
-            total += 1
-            yield r
-        done += block.shape[0]
-
-
-def polya_urn(steps: int, r0: int, b0: int, rng: RngStream) -> np.ndarray:
-    """Two-color reinforcement urn trajectory; rows are (red, blue) counts.
-    The single-urn view of ``polya_final_batch``: the same draws."""
-    reds = np.fromiter((r[0] for r in _urn_reds(steps, r0, b0, 1, rng)),
-                       dtype=np.int64)
-    return np.column_stack([reds, r0 + b0 + np.arange(reds.size) - reds])
-
-
-def polya_final_batch(steps: int, r0: int, b0: int, reps: int,
-                      rng: RngStream) -> np.ndarray:
-    """Red counts after ``steps`` reinforcement draws, vectorized over reps."""
-    for r in _urn_reds(steps, r0, b0, reps, rng):
-        pass
-    return r
-
-
-# ---------------------------------------------------------------------------
 # Continuous-time splitting trees
 
 
@@ -206,10 +158,6 @@ class YuleTree:
     @property
     def n_jumps(self) -> int:
         return int(self.jump_times.size)
-
-    def alive_counts(self) -> np.ndarray:
-        """Particle count after each jump: 1 + (j+1)(k-1) from one ancestor."""
-        return 1 + (np.arange(self.n_jumps) + 1) * (self.order - 1)
 
 
 def yule_simulate(k: int, rng: RngStream, t: float | None = None,
@@ -439,15 +387,11 @@ def _check_batch(n: int, reps: int) -> None:
         raise InvalidParameterError("reps must be >= 0")
 
 
-def coupon_collector(n: int, rng: RngStream) -> int:
-    """Draws needed to see all n coupon types: the sum over j of the geometric
-    time to leave j distinct types.  The one-chain view of the batch sampler."""
-    return int(coupon_collector_batch(n, 1, rng)[0])
-
-
 def coupon_collector_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
-    """``reps`` coupon-collector times, drawn in row blocks that fit the draw
-    budget; the draws are sequential, so the blocking does not change them."""
+    """``reps`` coupon-collector times: the draws needed to see all n coupon
+    types, each the sum over j of the geometric time to leave j distinct
+    types.  They come in row blocks that fit the draw budget; the draws are
+    sequential, so the blocking does not change them."""
     _check_batch(n, reps)
     out = np.empty(reps, dtype=np.int64)
     done = 0
@@ -466,23 +410,19 @@ def balls_in_bins(n: int, rng: RngStream) -> int:
     return int(np.bincount(rng.gen.integers(0, n, size=n)).max())
 
 
-def pills(n: int, rng: RngStream) -> int:
-    """Half pills left when the last whole pill is drawn from the jar."""
-    return int(pills_batch(n, 1, rng)[0])
-
-
 def pills_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
-    """Half pills left in ``reps`` independent jars, by the two-clock
-    embedding (Knuth & McCarthy, *Big pills and little pills*, Amer. Math.
-    Monthly 98, 1991): a pill breaks after an Exp(1) time, its half is eaten
-    Exp(1) later, and the jump chain of these clocks is the uniform-pick
-    chain.  The last whole pill breaks at T, e^(-T) = M the minimum of n
-    uniforms; given T, each other pill is a half still uneaten with chance
-    q = -M log M / (1 - M), independently: L = 1 + Binomial(n - 1, q), the
-    mixture of ``exact.pills_pmf``.  Above 2^30 pills the binomial is drawn as
-    Poisson((n - 1) q), within total variation E[q] < 2e-8 of it: numpy's
-    binomial rounds (n + 1 - m) / (n - y + 1) in its acceptance test, which
-    biases the mean by ~6 SE over 10^6 jars at n = 2^62."""
+    """Half pills left in ``reps`` independent jars when the last whole pill
+    is drawn, by the two-clock embedding (Knuth & McCarthy, *Big pills and
+    little pills*, Amer. Math. Monthly 98, 1991): a pill breaks after an
+    Exp(1) time, its half is eaten Exp(1) later, and the jump chain of these
+    clocks is the uniform-pick chain.  The last whole pill breaks at T,
+    e^(-T) = M the minimum of n uniforms; given T, each other pill is a half
+    still uneaten with chance q = -M log M / (1 - M), independently:
+    L = 1 + Binomial(n - 1, q), the mixture of ``exact.pills_pmf``.  Above
+    2^30 pills the binomial is drawn as Poisson((n - 1) q), within total
+    variation E[q] < 2e-8 of it: numpy's binomial rounds (n + 1 - m) /
+    (n - y + 1) in its acceptance test, which biases the mean by ~6 SE over
+    10^6 jars at n = 2^62."""
     _check_batch(n, reps)
     if n >= 1 << 63:
         raise InvalidParameterError("n must be < 2^63")
@@ -496,18 +436,14 @@ def pills_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
     return 1 + rng.gen.binomial(n - 1, q)
 
 
-def ok_corral(n: int, rng: RngStream) -> int:
-    """Survivors when two facing groups of n shooters eliminate each other,
-    the next shooter drawn uniformly among those standing."""
-    return int(ok_corral_batch(n, 1, rng)[0])
-
-
 def ok_corral_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
-    """Survivors of ``reps`` independent duels.  Each step draws one uniform u
-    and removes a shooter of side a when u * (a + b) < b, else one of side b.
-    No duel ends within min(a, b) steps, so running duels draw blocks of that
-    many rows, the same doubles as one ``gen.random`` call per step; ended
-    duels drop out between blocks.  Counts are float64, exact below 2^53."""
+    """Survivors of ``reps`` independent duels, in which two facing groups of
+    n shooters eliminate each other, the next shooter drawn uniformly among
+    those standing.  Each step draws one uniform u and removes a shooter of
+    side a when u * (a + b) < b, else one of side b.  No duel ends within
+    min(a, b) steps, so running duels draw blocks of that many rows, the same
+    doubles as one ``gen.random`` call per step; ended duels drop out between
+    blocks.  Counts are float64, exact below 2^53."""
     _check_batch(n, reps)
     out = np.empty(reps, dtype=np.int64)
     active = np.arange(reps)

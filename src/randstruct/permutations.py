@@ -1,7 +1,7 @@
 """Uniform permutations and their cycle structure: direct sampling, the
 Feller coupling for the cycle lengths (its spacings drawn by integer stick
-breaking), the min-ranked cycle word and its inverse, the sequential seating
-chain, stick breaking, and Monte Carlo helpers for long- and short-cycle laws."""
+breaking), batched cycle types, and Monte Carlo helpers for long- and
+short-cycle laws."""
 
 from __future__ import annotations
 
@@ -36,18 +36,9 @@ class Permutation:
 
 @dataclass(frozen=True)
 class CycleStructure:
-    """Cycle lengths ranked by the cycles' minimal elements, plus the
-    count vector counts[i-1] = number of cycles of length i."""
+    """Cycle lengths ranked by the cycles' minimal elements."""
 
     lengths: tuple
-    counts: tuple
-
-    @classmethod
-    def from_lengths(cls, lengths, n: int) -> "CycleStructure":
-        counts = np.zeros(n, dtype=np.int64)
-        for ell in lengths:
-            counts[ell - 1] += 1
-        return cls(tuple(int(x) for x in lengths), tuple(int(x) for x in counts))
 
     @property
     def n_cycles(self) -> int:
@@ -61,124 +52,11 @@ def sample_perm(n: int, rng: RngStream) -> Permutation:
     return Permutation(rng.gen.permutation(n) + 1)
 
 
-def cycles_of(perm: Permutation) -> CycleStructure:
-    """Cycle lengths in min-ranked order, by index chasing with a seen bitmap."""
-    images = perm.images
-    n = perm.n
-    seen = np.zeros(n + 1, dtype=bool)
-    lengths = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            length += 1
-            v = int(images[v - 1])
-        lengths.append(length)
-    return CycleStructure.from_lengths(lengths, n)
-
-
 def feller_cycles(n: int, rng: RngStream) -> CycleStructure:
     """Cycle lengths of one uniform permutation of {1..n} in min-ranked order,
     drawn through the Feller coupling (one row of ``feller_spacings``)."""
     _, lengths = next(feller_spacings(n, 1, rng))
-    return CycleStructure.from_lengths(lengths.tolist(), n)
-
-
-def foata(perm: Permutation) -> np.ndarray:
-    """Word reading the cycles ranked by minimal element, minimum last; the
-    number of cycles becomes the number of suffix minima of the word."""
-    structure = cycles_of(perm)
-    images = perm.images
-    word = np.empty(perm.n, dtype=np.int64)
-    seen = np.zeros(perm.n + 1, dtype=bool)
-    pos = 0
-    for start in range(1, perm.n + 1):
-        if seen[start]:
-            continue
-        # walk the cycle from the successor of its minimum so the minimum lands last
-        block = []
-        v = int(images[start - 1])
-        while v != start:
-            block.append(v)
-            v = int(images[v - 1])
-        block.append(start)
-        for v in block:
-            seen[v] = True
-            word[pos] = v
-            pos += 1
-    assert structure.n_cycles == _suffix_minima_count(word)
-    return word
-
-
-def _suffix_minima_count(word: np.ndarray) -> int:
-    return int(np.sum(word == np.minimum.accumulate(word[::-1])[::-1]))
-
-
-def foata_inv(word) -> Permutation:
-    """Rebuild the permutation whose min-ranked cycle word is ``word``."""
-    word = np.asarray(word, dtype=np.int64)
-    n = word.size
-    if n == 0 or not np.array_equal(np.sort(word), np.arange(1, n + 1)):
-        raise FormatError("word must list each of 1..n once")
-    suffix_min = np.minimum.accumulate(word[::-1])[::-1]
-    images = np.empty(n, dtype=np.int64)
-    block_start = 0
-    for i in range(n):
-        if word[i] == suffix_min[i]:  # the block's minimal element closes it
-            block = word[block_start:i + 1]
-            for a, b in zip(block, np.roll(block, -1)):
-                images[a - 1] = b
-            block_start = i + 1
-    return Permutation(images)
-
-
-def crp_chain(n: int, rng: RngStream) -> tuple[list[int], Permutation]:
-    """Sequential seating chain: customer j sits to the right of a uniform
-    earlier customer or opens a new table, each with probability 1/j.
-
-    Returns table sizes in creation order and the coupled uniform permutation;
-    the table sizes equal the min-ranked cycle lengths of that permutation.
-    """
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    images = np.arange(1, n + 1, dtype=np.int64)
-    table_of = np.empty(n + 1, dtype=np.int64)
-    sizes: list[int] = [1]
-    table_of[1] = 0
-    choices = rng.gen.integers(0, np.arange(2, n + 1)) if n > 1 else []
-    for j, r in zip(range(2, n + 1), choices):
-        if r == 0:
-            sizes.append(1)
-            table_of[j] = len(sizes) - 1
-        else:
-            images[j - 1] = images[r - 1]
-            images[r - 1] = j
-            sizes[table_of[r]] += 1
-            table_of[j] = table_of[r]
-    return sizes, Permutation(images)
-
-
-@dataclass(frozen=True)
-class StickBreaking:
-    lengths: np.ndarray
-    residual: float
-
-
-def stick_breaking(rng: RngStream, epsilon: float = 1e-9) -> StickBreaking:
-    """Split [0, 1] by repeatedly breaking off a uniform fraction of what is
-    left, stopping once the residual drops below epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError("epsilon must be in (0, 1)")
-    lengths = []
-    residual = 1.0
-    while residual >= epsilon:
-        u = rng.gen.random()
-        lengths.append(residual * (1.0 - u))
-        residual *= u
-    return StickBreaking(np.array(lengths), residual)
+    return CycleStructure(tuple(lengths.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,6 @@ class EmpiricalDist:
         values, counts = np.unique(np.asarray(samples), return_counts=True)
         return cls(values, counts, int(counts.sum()))
 
-    @classmethod
-    def from_counts(cls, counts_by_value: dict) -> "EmpiricalDist":
-        items = sorted(counts_by_value.items())
-        values = np.array([v for v, _ in items])
-        counts = np.array([c for _, c in items], dtype=np.int64)
-        return cls(values, counts, int(counts.sum()))
-
 
 def _merge_right_tail(observed, expected):
     """Merge cells right-to-left until every merged cell expects >= MIN_EXPECTED."""

@@ -1,10 +1,9 @@
-"""Plane trees and their walk encodings, branching-process samplers (free and
-size-conditioned), uniform labeled trees, random mappings, and the
-tree-percolation survival experiment.
+"""Plane trees, branching-process total progenies, size-conditioned
+branching-process trees and uniform labeled trees.
 
-A plane tree is stored as its breadth-first child-count sequence, which is the
-depth-zero form of its encoding walk: encoding is free, decoding is a
-validation step.
+A plane tree is stored as its breadth-first child-count sequence: its
+Lukasiewicz walk is the prefix sums of the counts less one, so the
+constructor checks the sequence by that walk.
 
 Size-conditioned trees of every offspring law come from one exact sampler:
 rejection on child-count histograms, at a cost per attempt of the law's
@@ -13,7 +12,6 @@ support below n, with memory of one draw block plus O(n) per tree.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +21,6 @@ from .errors import FormatError, InvalidParameterError, ResourceLimitError
 from .exact import OffspringLaw
 from .growth import GrowingTree
 from .rng import RngStream, _block_rows
-from .walks import LatticePath
 
 # histogram draws allowed per conditioned tree before the sampler gives up
 _MAX_ATTEMPTS = 1 << 22
@@ -58,10 +55,6 @@ class PlaneTree:
     def n_vertices(self) -> int:
         return int(self.child_counts.size)
 
-    @property
-    def n_edges(self) -> int:
-        return self.n_vertices - 1
-
     def _parents(self) -> np.ndarray:
         """Parent of each vertex in breadth-first order; -1 for the root."""
         counts = self.child_counts
@@ -73,10 +66,6 @@ class PlaneTree:
 
     def height(self) -> int:
         return int(self.depths().max())
-
-    def children_lists(self) -> list[list[int]]:
-        ends = (np.cumsum(self.child_counts) + 1).tolist()
-        return [list(range(a, b)) for a, b in zip([1, *ends[:-1]], ends)]
 
     def __eq__(self, other):
         return isinstance(other, PlaneTree) and \
@@ -105,93 +94,9 @@ class LabeledTree:
         canon = tuple(sorted(tuple(sorted(map(int, e))) for e in edges))
         return cls(n, canon)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def distance(self, a: int, b: int) -> int:
-        if a == b:
-            return 0
-        adj = self.adjacency()
-        dist = {a: 0}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        if w == b:
-                            return dist[w]
-                        nxt.append(w)
-            frontier = nxt
-        raise FormatError("labels not connected; not a tree")
-
 
 # ---------------------------------------------------------------------------
-# Encodings
-
-
-def luka_encode(tree: PlaneTree) -> LatticePath:
-    """Breadth-first encoding walk: increment = child count - 1."""
-    return LatticePath(tree.child_counts - 1)
-
-
-def luka_decode(path: LatticePath) -> PlaneTree:
-    """Inverse of ``luka_encode``; the path must first hit -1 at its end."""
-    prefix = path.prefix_sums()
-    if path.n == 0 or prefix[-1] != -1 or (path.n > 1 and prefix[:-1].min() < 0):
-        raise FormatError("path is not an encoding of a tree")
-    return PlaneTree(path.increments + 1)
-
-
-def contour_encode(tree: PlaneTree) -> LatticePath:
-    """Height profile of the clockwise contour; +-1 steps, length 2 * edges."""
-    children = tree.children_lists()
-    steps: list[int] = []
-    # iterative depth-first traversal; each edge contributes one +1 and one -1
-    stack = [(0, iter(children[0]))]
-    while stack:
-        _, it = stack[-1]
-        child = next(it, None)
-        if child is None:
-            stack.pop()
-            if stack:
-                steps.append(-1)
-        else:
-            steps.append(1)
-            stack.append((child, iter(children[child])))
-    return LatticePath(np.array(steps, dtype=np.int64))
-
-
-def contour_decode(path: LatticePath) -> PlaneTree:
-    """Inverse of ``contour_encode`` for nonnegative +-1 paths from 0 to 0."""
-    inc = path.increments
-    if inc.size % 2 == 1 or (inc.size and not np.all(np.abs(inc) == 1)):
-        raise FormatError("contour paths make +-1 steps and have even length")
-    prefix = path.prefix_sums()
-    if inc.size and (prefix.min() < 0 or prefix[-1] != 0):
-        raise FormatError("contour paths stay >= 0 and end at 0")
-    children: list[list[int]] = [[]]
-    stack = [0]
-    for step in inc:
-        if step == 1:
-            children.append([])
-            v = len(children) - 1
-            children[stack[-1]].append(v)
-            stack.append(v)
-        else:
-            stack.pop()
-    # children lists are in depth-first discovery order; re-index breadth-first
-    counts = np.empty(len(children), dtype=np.int64)
-    order = [0]
-    for i, v in enumerate(order):
-        counts[i] = len(children[v])
-        order.extend(children[v])
-    return PlaneTree(counts)
+# Dump format
 
 
 def plane_tree_to_line(tree: PlaneTree) -> str:
@@ -209,30 +114,6 @@ def plane_tree_from_line(line: str) -> PlaneTree:
 
 # ---------------------------------------------------------------------------
 # Samplers
-
-
-def sample_bgw(law: OffspringLaw, rng: RngStream,
-               vertex_cap: int = 1_000_000) -> PlaneTree | None:
-    """Branching-process tree in breadth-first order; ``None`` when the
-    population is still alive at ``vertex_cap`` vertices (survival evidence)."""
-    if vertex_cap < 1:
-        raise InvalidParameterError("vertex_cap must be >= 1")
-    counts: list[int] = []
-    alive = 1
-    block = 64
-    while alive > 0:
-        if len(counts) >= vertex_cap:
-            return None
-        draw = law.sample(rng, size=min(block, vertex_cap - len(counts) + 1))
-        for k in draw:
-            counts.append(int(k))
-            alive += int(k) - 1
-            if alive == 0:
-                return PlaneTree(counts)
-            if len(counts) >= vertex_cap:
-                return None
-        block = min(4 * block, 1 << 16)
-    return PlaneTree(counts)
 
 
 def bgw_total_sizes(law: OffspringLaw, reps: int, rng: RngStream,
@@ -358,78 +239,3 @@ def sample_cayley(n: int, rng: RngStream) -> LabeledTree:
     labels = rng.gen.permutation(n) + 1
     return LabeledTree.from_edges(n, zip(labels[parent[1:]].tolist(),
                                          labels[1:].tolist()))
-
-
-def tree_stats(tree: PlaneTree) -> tuple[int, Counter, int]:
-    """(height, child-count histogram, vertex count)."""
-    hist = Counter(tree.child_counts.tolist())
-    return tree.height(), hist, tree.n_vertices
-
-
-def uniform_vertex_height(tree: PlaneTree, rng: RngStream) -> int:
-    """Height of a uniformly chosen vertex."""
-    depths = tree.depths()
-    return int(depths[rng.gen.integers(0, depths.size)])
-
-
-# ---------------------------------------------------------------------------
-# Random mappings
-
-
-def random_mapping(n: int, rng: RngStream) -> np.ndarray:
-    """Uniform function {1..n} -> {1..n}, returned as a 1-based image array."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    return rng.gen.integers(1, n + 1, size=n)
-
-
-def cyclic_point_count(mapping: np.ndarray) -> int:
-    """Number of points lying on a cycle of the functional graph."""
-    n = mapping.size
-    state = np.zeros(n + 1, dtype=np.int8)  # 0 new, 1 on current path, 2 done
-    on_cycle = np.zeros(n + 1, dtype=bool)
-    for start in range(1, n + 1):
-        if state[start]:
-            continue
-        path = []
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            path.append(v)
-            v = int(mapping[v - 1])
-        if state[v] == 1:  # hit the current path: the loop from v is a cycle
-            for u in reversed(path):
-                on_cycle[u] = True
-                if u == v:
-                    break
-        for u in path:
-            state[u] = 2
-    return int(on_cycle.sum())
-
-
-# ---------------------------------------------------------------------------
-# Percolation on regular trees
-
-
-def tree_percolation_survival(d: int, p: float, reps: int, rng: RngStream,
-                              cap: int = 100_000) -> float:
-    """Frequency of open clusters of the root reaching ``cap`` vertices in the
-    rooted tree where every vertex has d - 1 children (degree d away from the
-    root).  The open cluster is a branching process with Binomial(d-1, p)
-    offspring, simulated generation by generation."""
-    if d < 3:
-        raise InvalidParameterError("d must be >= 3")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError("p must be in [0, 1]")
-    if reps < 1:
-        raise InvalidParameterError("reps must be >= 1")
-    survived = 0
-    for _ in range(reps):
-        alive = 1
-        total = 1
-        while alive and total < cap:
-            alive = int(rng.gen.binomial(alive * (d - 1), p))
-            total += alive
-        if total >= cap:
-            survived += 1
-    return survived / reps

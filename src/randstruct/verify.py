@@ -400,9 +400,6 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
         report = chi_square_counts(counts, probs, alpha_level=0.01)
         chk.add(f"{label} sampler vs Cauchy cycle-type law (n=6)", report.passed,
                 f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
-    report = chi_square_two_sample(counts_f, counts_d, alpha_level=0.01)
-    chk.note(f"two-sample spacing vs direct stat {report.statistic:.1f} "
-             f"thr {report.threshold:.1f}")
     dreps = 100_000 if scale == "full" else 20_000
     rng = make_stream(seed, 122)
     n1 = permutations.small_cycle_counts(2_000, 1, dreps, rng)[:, 0]

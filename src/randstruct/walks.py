@@ -1,6 +1,6 @@
-"""Skip-free walks and the combinatorial path transforms built on them:
-cyclic shifts and the good-shift count, first-passage identities, ballot
-estimates, records, argmax times, and the parking simulator."""
+"""Skip-free walks and the identities built on them: the good-shift count of
+the cycle lemma, the first-passage identity by enumeration, ballot
+estimates, argmax times, and the parking sampler with its replay."""
 
 from __future__ import annotations
 
@@ -64,22 +64,6 @@ def sample_path(law: OffspringLaw, n: int, rng: RngStream) -> LatticePath:
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
     return LatticePath(law.sample(rng, size=n) - 1)
-
-
-def hitting_time(path: LatticePath, k: int = 1):
-    """First index with prefix sum -k, or None if the level is never reached."""
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    prefix = path.prefix_sums()
-    hits = np.flatnonzero(prefix == -k)
-    if hits.size == 0:
-        return None
-    return int(hits[0]) + 1
-
-
-def cycle_shift(path: LatticePath, shift: int) -> LatticePath:
-    """Cyclic shift moving increment ``shift`` to the front."""
-    return LatticePath(np.roll(path.increments, -shift))
 
 
 def good_shift_count(paths):
@@ -215,20 +199,3 @@ def argmax_time(path: LatticePath) -> int:
     """First index (0..n) at which the walk attains its running maximum."""
     full = np.concatenate([[0], path.prefix_sums()])
     return int(np.argmax(full))
-
-
-def record_stats(path: LatticePath) -> tuple[int, int]:
-    """(weak ascending record count, strict descending record count).
-
-    Index 0 counts as a record of both kinds: a record time is an index whose
-    value is >= every earlier value (weak ascending) or < every earlier value
-    (strict descending).
-    """
-    full = np.concatenate([[0], path.prefix_sums()])
-    if full.size == 1:
-        return 1, 1
-    run_max = np.maximum.accumulate(full)
-    run_min = np.minimum.accumulate(full)
-    weak_asc = 1 + int(np.sum(full[1:] >= run_max[:-1]))
-    strict_desc = 1 + int(np.sum(full[1:] < run_min[:-1]))
-    return weak_asc, strict_desc

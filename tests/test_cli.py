@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randstruct import cli, experiments, graphs, growth, permutations, trees
+from randstruct import cli, exact, experiments, graphs, growth, permutations, trees
 from randstruct.errors import InvalidParameterError, InvalidTestError
 from randstruct.experiments import ExperimentConfig, list_experiments, run_experiment
+from randstruct.rng import make_stream
 
 
 def run_cli(*argv):
@@ -67,6 +68,48 @@ def test_csv_determinism_across_worker_counts(tmp_path):
         reps_file = tmp_path / f"run{i}-reps.csv"
         outputs.append(out.read_bytes() + reps_file.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+SMALL_PARAMS = {
+    "arcsine": {"n": 100},
+    "ba": {"n": 60},
+    "ballot": {"a": 4, "b": 2},
+    "bgw-size": {"law": "geometric", "param": 0.5, "cap": 64},
+    "bins": {"n": 100},
+    "connectivity": {"n": 200, "c": 0.5},
+    "corral": {"n": 10},
+    "coupon": {"n": 20},
+    "cycles": {"n": 50},
+    "dickman": {"x": 2.5},
+    "fluid-curve": {"n": 500, "c": 2.0},
+    "giant": {"n": 200, "c": 2.0},
+    "many-to-one": {"k": 2, "t": 1.0},
+    "parking": {"n": 10, "m": 5},
+    "pills": {"n": 20},
+    "poisson-dirichlet": {"n": 100},
+    "rrt": {"n": 60},
+    "spectral-moments": {"n": 200, "c": 1.0},
+    "triangles": {"n": 100, "c": 1.5},
+    "yule": {"k": 2, "t": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(list_experiments()))
+def test_every_experiment_is_deterministic_across_worker_counts(tmp_path, name):
+    # replicate i consumes stream i, so the pool size cannot change a byte
+    outputs, reports = [], []
+    for i, workers in enumerate((1, 2, 1)):
+        out = tmp_path / f"run{i}.csv"
+        reports.append(run_experiment(ExperimentConfig(
+            name, SMALL_PARAMS[name], master_seed=13, reps=8, workers=workers,
+            out=str(out), per_rep=True)))
+        outputs.append(out.read_bytes() + (tmp_path / f"run{i}-reps.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    report = reports[0]
+    assert len(report.rows) == 8
+    # a header and one line per metric and verdict, then a header and 8 rows
+    assert outputs[0].count(b"\n") == (1 + len(report.summary) + len(report.verdicts)
+                                       + 1 + 8)
 
 
 def test_json_report_shape(tmp_path):
@@ -229,6 +272,66 @@ def test_cli_dump_permutations_and_growth(tmp_path):
                    "--out", str(out2)) == 0
     for line in out2.read_text().splitlines():
         assert growth.growing_tree_from_line(line).n_vertices == 8
+
+
+DUMP_KINDS = {
+    "plane-tree": [],
+    "graph": ["--p", "0.3"],
+    "permutation": [],
+    "growth-tree-rrt": ["--chain", "rrt"],
+    "growth-tree-ba": ["--chain", "ba"],
+}
+
+
+def _dump(tmp_path, kind, count, seed, n=9):
+    out = tmp_path / f"{kind}-{count}-{seed}.txt"
+    assert run_cli("dump", "--kind", kind.removesuffix("-rrt").removesuffix("-ba"),
+                   *DUMP_KINDS[kind], "--count", str(count), "--n", str(n),
+                   "--seed", str(seed), "--out", str(out)) == cli.EXIT_OK
+    return out.read_text().splitlines()
+
+
+def _read_dump(kind, lines):
+    """The dumped structures as comparable lists, one per sample."""
+    if kind == "graph":
+        found, rest = [], list(lines)
+        while rest:
+            m = int(rest[0].split()[1])
+            found.append(graphs.graph_from_lines(rest[:m + 1]).edge_array().tolist())
+            rest = rest[m + 1:]
+        return found
+    if kind == "plane-tree":
+        return [trees.plane_tree_from_line(line).child_counts.tolist() for line in lines]
+    if kind == "permutation":
+        return [permutations.perm_from_line(line).images.tolist() for line in lines]
+    return [growth.growing_tree_from_line(line).parent.tolist() for line in lines]
+
+
+def _sample(kind, n, stream):
+    if kind == "graph":
+        return graphs.sample_gnp(n, 0.3, stream).edge_array().tolist()
+    if kind == "plane-tree":
+        return trees.sample_bgw_conditioned(exact.OffspringLaw.geometric(0.5),
+                                            n, stream).child_counts.tolist()
+    if kind == "permutation":
+        return permutations.sample_perm(n, stream).images.tolist()
+    chain = growth.rrt_chain if kind.endswith("rrt") else growth.ba_chain
+    return chain(n, stream).parent.tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+@pytest.mark.parametrize("kind", sorted(DUMP_KINDS))
+def test_dump_reads_back_as_the_sampled_structures(tmp_path, kind, seed):
+    # sample r of a dump is drawn from stream r of the seed
+    got = _read_dump(kind, _dump(tmp_path, kind, 3, seed))
+    assert got == [_sample(kind, 9, make_stream(seed, r)) for r in range(3)]
+
+
+@pytest.mark.parametrize("kind", sorted(DUMP_KINDS))
+def test_dump_of_fewer_samples_is_a_prefix(tmp_path, kind):
+    short, long = _dump(tmp_path, kind, 2, 5), _dump(tmp_path, kind, 4, 5)
+    assert long[:len(short)] == short
+    assert len(_read_dump(kind, short)) == 2 and len(_read_dump(kind, long)) == 4
 
 
 def test_cli_verify_fast_subset(capsys):

@@ -108,36 +108,6 @@ def test_parking_brute_force_small():
         assert exact.parking_full_prob(n, m) == Fraction(wins, n ** m)
 
 
-def test_simple_walk_hitting():
-    assert exact.simple_walk_hitting_pmf(1) == Fraction(1, 2)
-    assert exact.simple_walk_hitting_pmf(2) == Fraction(1, 8)
-    partial = [sum(exact.simple_walk_hitting_pmf(j) for j in range(1, n + 1))
-               for n in (10, 20, 30)]
-    assert partial[-1] > Fraction(89, 100)
-    assert partial[0] < partial[1] < partial[2] < 1
-
-
-def test_plane_height_pmf():
-    assert exact.plane_height_pmf(9, 0) == Fraction(1, 10)
-    assert exact.plane_height_pmf(2, 1) == Fraction(1, 2)
-    for n in (1, 2, 5, 37, 200):
-        assert sum(exact.plane_height_pmf(n, h) for h in range(n + 1)) == 1
-
-
-def test_plane_height_brute_force_two_edges():
-    # the 2 plane trees with 2 edges have height profiles (0,1,2) and (0,1,1)
-    heights = Counter([0, 1, 2] + [0, 1, 1])
-    for h, mult in heights.items():
-        assert exact.plane_height_pmf(2, h) == Fraction(mult, 6)
-
-
-def test_cayley_distance_pmf():
-    assert exact.cayley_distance_pmf(17, 1) == Fraction(1, 17)
-    assert exact.cayley_distance_pmf(2, 2) == Fraction(1, 2)
-    for n in (1, 2, 6, 41, 200):
-        assert sum(exact.cayley_distance_pmf(n, k) for k in range(1, n + 1)) == 1
-
-
 def test_cycles_count_pmf_small():
     assert exact.cycles_count_pmf(1) == [Fraction(1)]
     assert exact.cycles_count_pmf(2) == [Fraction(1, 2), Fraction(1, 2)]
@@ -214,6 +184,13 @@ def test_extinction_no_deaths_is_zero():
     assert exact.bgw_extinction(OffspringLaw.from_pmf({2: 1.0})) == 0.0
 
 
+def test_extinction_binomial_root_cluster():
+    # the open cluster of bond percolation at p = 3/4 below the root of the
+    # 3-regular tree: z = (1/4 + 3z/4)^2 has smallest root 1/9
+    assert exact.bgw_extinction(OffspringLaw.binomial(2, 0.75)) == \
+        pytest.approx(1 / 9, abs=1e-9)
+
+
 def test_giant_fraction_values():
     assert exact.giant_fraction(0.5) == 0.0
     assert exact.giant_fraction(1.0) == 0.0
@@ -262,11 +239,36 @@ def test_dickman_nonincreasing_and_integral_identity():
         assert abs(y * exact.dickman_rho(y) - integral) < 1e-6
 
 
-def test_poisson_ld_rate():
-    assert exact.poisson_ld_rate(1.0) == 0.0
-    assert exact.poisson_ld_rate(math.e) == pytest.approx(1.0)
-    assert exact.poisson_ld_rate_inverse(0.0) == 1.0
-    assert abs(exact.poisson_ld_rate_inverse(1.0) - math.e) < 1e-10
+def _dickman_grid_per_ceiling(x_max: int) -> np.ndarray:
+    """The tabulated Dickman function as one grid per integer ceiling, built
+    from rho = 1 on [0, 1] each time."""
+    k = 10_000
+    h = 1e-4
+    rho = np.empty(x_max * k + 1)
+    rho[: k + 1] = 1.0
+    integral = 1.0
+    for j in range(k, x_max * k):
+        rhs = integral + 0.5 * h * rho[j] - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
+        rho[j + 1] = rhs / ((j + 1) * h - 0.5 * h)
+        integral = integral + 0.5 * h * (rho[j] + rho[j + 1]) \
+            - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
+    return rho
+
+
+def test_dickman_grid_extended_in_place_matches_per_ceiling_grids():
+    exact._DICKMAN_CACHE.clear()
+    refs = {c: _dickman_grid_per_ceiling(c) for c in (2, 3, 5, 7)}
+    for c in (2, 3, 5, 7, 5, 3, 2):  # rising, then falling ceilings
+        ref = refs[c]
+        assert np.array_equal(exact._dickman_grid(c), ref)
+        for x in np.concatenate([np.linspace(c - 1, c, 41), [c - 1e-9, c + 0.0]]):
+            if x <= 1.0:
+                continue
+            pos = x / 1e-4
+            j = min(int(pos), ref.size - 2)
+            frac = pos - j
+            assert exact.dickman_rho(float(x)) == \
+                float((1.0 - frac) * ref[j] + frac * ref[j + 1])
 
 
 def test_ba_height_constant():

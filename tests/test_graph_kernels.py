@@ -139,7 +139,7 @@ def ref_explore(g):
         in_stack[x] = False
         stack_count -= 1
         comp_len += 1
-        nbrs = g.neighbors(x)
+        nbrs = g.indices[g.indptr[x]:g.indptr[x + 1]]
         fresh = nbrs[untouched[nbrs]]
         untouched[fresh] = False
         in_stack[fresh] = True

@@ -17,7 +17,7 @@ def test_graph_invariants():
     g = Graph(4, [[0, 1], [1, 2]])
     assert g.m == 2
     assert g.degrees().sum() == 2 * g.m
-    assert g.neighbors(1).tolist() == [0, 2]
+    assert g.indices[g.indptr[1]:g.indptr[2]].tolist() == [0, 2]
     with pytest.raises(InvalidParameterError):
         Graph(3, [[0, 0]])
     with pytest.raises(InvalidParameterError):
@@ -99,7 +99,8 @@ def test_explore_matches_union_find_components():
         n = int(rng.gen.integers(2, 60))
         g = graphs.sample_gnp(n, min(1.0, float(rng.gen.random() * 3 / n)), rng)
         trace = graphs.explore_luka(g)
-        assert np.array_equal(trace.sorted_components(), graphs.components(g))
+        assert np.array_equal(np.sort(trace.component_sizes)[::-1],
+                              graphs.components(g))
         prefix = np.concatenate([[0], trace.walk.prefix_sums()])
         assert prefix[-1] == -trace.component_sizes.size
         # stack size identity at every step
@@ -147,45 +148,6 @@ def test_isolated_mean_at_threshold():
     assert abs(counts.mean() - target) < 3 * se
 
 
-def test_clique_trivial_cases():
-    complete = graphs.sample_gnp(10, 1.0, make_stream(2, 9))
-    assert graphs.clique_greedy(complete) == 10
-    assert graphs.clique_max_exact(complete) == 10
-    assert graphs.clique_greedy(Graph(7, [])) == 1
-    assert graphs.clique_max_exact(Graph(7, [])) == 1
-    with pytest.raises(ResourceLimitError):
-        graphs.clique_max_exact(Graph(50, []))
-
-
-def test_clique_growth_rate_and_exact_dominates():
-    rng = make_stream(2, 10)
-    ratios = []
-    for _ in range(20):
-        g = graphs.sample_gnp(2_000, 0.5, rng)
-        ratios.append(graphs.clique_greedy(g) / math.log2(2_000))
-        # exact max on an induced prefix subgraph of 40 vertices
-        sub_edges = [e for e in g.edge_array() if e[0] < 40 and e[1] < 40]
-        sub = Graph(40, np.array(sub_edges))
-        assert graphs.clique_max_exact(sub) >= graphs.clique_greedy(sub)
-    assert 0.85 <= np.mean(ratios) <= 1.15
-
-
-def test_independent_greedy_trivial():
-    assert graphs.independent_greedy(Graph(5, []))[0] == 5
-    complete = graphs.sample_gnp(8, 1.0, make_stream(2, 11))
-    assert graphs.independent_greedy(complete)[0] == 1
-
-
-def test_independent_greedy_fluid_limit():
-    n, c = 100_000, 1.0
-    g = graphs.sample_gnp(n, c / n, make_stream(2, 12))
-    size, trajectory = graphs.independent_greedy(g)
-    assert abs(size / n - math.log(2.0)) < 0.01
-    t = np.arange(trajectory.size) / n
-    limit = np.maximum((1 + c - np.exp(c * t)) * np.exp(-c * t) / c, 0.0)
-    assert np.max(np.abs(trajectory / n - limit)) < 0.02
-
-
 def test_triangle_counts():
     k4 = graphs.sample_gnp(4, 1.0, make_stream(2, 13))
     assert graphs.triangle_count(k4) == 4
@@ -204,70 +166,10 @@ def test_spectral_moment_identities():
         graphs.spectral_moments(graphs.sample_gnp(5000, 0.0, rng), 3)
 
 
-def test_stacked_walk_monotone_coupling():
-    rng = make_stream(2, 15)
-    path = graphs.stacked_walk(500, 0.01, rng)
-    s = np.concatenate([[0], np.cumsum(path.increments)])
-    k = np.arange(s.size)
-    assert np.all(np.diff(s + k) >= 0)
-
-
-def test_stacked_walk_first_increment_binomial():
-    n, p, reps = 100, 0.05, 50_000
-    rng = make_stream(2, 16)
-    first = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        first[r] = graphs.stacked_walk(n, p, rng).increments[0] + 1
-    emp = EmpiricalDist.from_samples(first)
-    report = chi_square_gof(emp, lambda k: sps.binom.pmf(int(k), n, p),
-                            alpha_level=0.01)
-    assert report.passed, (report.statistic, report.threshold)
-
-
-def test_stacked_walk_rising_curve():
-    # the reservoir walk follows 1 - e^(-ct) - t with no infimum reflection
-    n = 100_000
-    sup = graphs.stacked_sup_distance(n, 2.0 / n, 2.0, make_stream(2, 17))
-    assert sup < 0.02
-
-
 def test_exploration_walk_fluid_limit():
     # the component exploration walk follows the piecewise curve
     sup = graphs.fluid_sup_distance(50_000, 2.0, make_stream(2, 20))
     assert sup < 0.02
-
-
-def test_poissonized_walk_laws():
-    alpha, p, k_max, reps = 5.0, 0.1, 200, 100_000
-    rng = make_stream(2, 18)
-    totals = np.empty(reps, dtype=np.int64)
-    firsts = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        inc = graphs.poissonized_walk(alpha, p, rng, k_max).increments
-        totals[r] = inc.sum() + k_max
-        firsts[r] = inc[0] + 1
-    report = chi_square_gof(EmpiricalDist.from_samples(totals),
-                            lambda k: sps.poisson.pmf(int(k), alpha),
-                            alpha_level=0.01)
-    assert report.passed, (report.statistic, report.threshold)
-    report = chi_square_gof(EmpiricalDist.from_samples(firsts),
-                            lambda k: sps.poisson.pmf(int(k), alpha * p),
-                            alpha_level=0.01)
-    assert report.passed, (report.statistic, report.threshold)
-
-
-def test_poissonized_walk_critical_window_scaling():
-    # order-of-magnitude band for the rescaled running maximum near p = 1/n
-    n = 10_000
-    reps = 1_000
-    k_max = int(5 * n ** (2 / 3))
-    rng = make_stream(2, 19)
-    maxima = np.empty(reps)
-    for r in range(reps):
-        inc = graphs.poissonized_walk(float(n), 1.0 / n, rng, k_max).increments
-        maxima[r] = np.max(np.concatenate([[0], np.cumsum(inc)])) / n ** (1 / 3)
-    median = float(np.median(maxima))
-    assert 0.3 <= median <= 3.0
 
 
 def test_giant_experiment_smoke():

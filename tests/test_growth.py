@@ -10,7 +10,7 @@ from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitE
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              ks_test, mean_ci)
+                              ks_test)
 
 
 def test_growing_tree_validation():
@@ -76,59 +76,11 @@ def test_ba_degree_sum():
         assert int(tree.degrees().sum()) == 2 * n
 
 
-def test_polya_uniform_red_count():
-    # from one ball of each color, the red count after n - 1 draws is uniform
-    # over {1..n}
-    n = 10
-    reps = 200_000
-    rng = make_stream(4, 7)
-    reds = growth.polya_final_batch(n - 1, 1, 1, reps, rng)
-    counts = np.bincount(reds, minlength=n + 1)[1:]
-    assert chi_square_counts(counts, [1 / n] * n, alpha_level=0.01).passed
-
-
-def test_polya_trajectory_matches_batch_dynamics():
-    rng = make_stream(4, 8)
-    trajectory = growth.polya_urn(50, 1, 1, rng)
-    assert trajectory.shape == (51, 2)
-    assert np.all(np.diff(trajectory.sum(axis=1)) == 1)
-    assert trajectory[0].tolist() == [1, 1]
-
-
-def test_polya_limit_proportion_uniform():
-    reps = 2_000
-    steps = 10_000
-    rng = make_stream(4, 9)
-    reds = growth.polya_final_batch(steps, 1, 1, reps, rng)
-    fractions = np.sort(reds / (steps + 2))
-    report = ks_test(fractions, lambda x: np.clip(x, 0, 1), alpha_level=0.01)
-    assert report.passed, (report.statistic, report.threshold)
-
-
-def test_urn_and_count_samplers_validate_their_arguments():
+def test_yule_counts_validate_reps():
     rng = make_stream(4, 11)
-    for args in ((3, 0, 1, 2), (3, 1, 0, 2), (-1, 1, 1, 2), (3, 1, 1, -1)):
-        with pytest.raises(InvalidParameterError):
-            growth.polya_final_batch(*args, rng)
-    for args in ((3, 0, 1), (-1, 1, 1)):
-        with pytest.raises(InvalidParameterError):
-            growth.polya_urn(*args, rng)
     with pytest.raises(InvalidParameterError):
         growth.yule_counts_at(2, 1.0, -1, rng)
-    assert growth.polya_final_batch(3, 1, 1, 0, rng).shape == (0,)
-    assert growth.polya_final_batch(0, 2, 1, 3, rng).tolist() == [2, 2, 2]
-    assert growth.polya_urn(0, 2, 1, rng).tolist() == [[2, 1]]
     assert growth.yule_counts_at(2, 1.0, 0, rng).shape == (0,)
-
-
-def test_polya_asymmetric_start_mean():
-    # with two red and one blue to start, the red share is a martingale at 2/3
-    reps = 100_000
-    rng = make_stream(4, 10)
-    reds = growth.polya_final_batch(2_000, 2, 1, reps, rng)
-    share = reds / 2_003
-    se = share.std(ddof=1) / math.sqrt(reps)
-    assert abs(share.mean() - 2 / 3) < 3 * se
 
 
 def test_yule_mean_growth():
@@ -176,8 +128,8 @@ def test_yule_jump_times_martingale():
 def test_yule_tree_structure_invariants():
     tree = growth.yule_simulate(3, make_stream(4, 15), n_particles=13)
     assert np.all(np.diff(tree.jump_times) > 0)
-    assert tree.alive_counts()[-1] == len(tree.alive)
-    assert tree.alive_counts()[-1] == 1 + tree.n_jumps * 2
+    # each jump turns one particle into k = 3: 1 + 2 per jump, 13 at the stop
+    assert len(tree.alive) == 1 + tree.n_jumps * 2 == 13
 
 
 def test_yule_clock_queue_cross_check():

@@ -242,12 +242,6 @@ def test_batch_classics_validate_n_and_reps(fn):
     with pytest.raises(InvalidParameterError):
         fn(5, -1, rng)
     assert fn(5, 0, rng).shape == (0,)
-    # the scalar wrappers reject the same n
-    scalar = {growth.pills_batch: growth.pills,
-              growth.ok_corral_batch: growth.ok_corral,
-              growth.coupon_collector_batch: growth.coupon_collector}[fn]
-    with pytest.raises(InvalidParameterError):
-        scalar(1, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,8 @@
-import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from randstruct import exact, permutations as perms, rng as rng_module
 from randstruct.errors import FormatError, InvalidParameterError
@@ -40,51 +37,32 @@ def test_fixed_point_mean_is_one():
     assert abs(fixed.mean() - 1.0) < 3 * se
 
 
-def test_cycles_of_known_permutation():
-    perm = Permutation(np.array([2, 3, 1, 5, 4, 6]))
-    structure = perms.cycles_of(perm)
-    assert structure.lengths == (3, 2, 1)  # min-ranked: (1 2 3), (4 5), (6)
-    assert structure.counts == (1, 1, 1, 0, 0, 0)
-    assert structure.n_cycles == 3
-
-
-def test_foata_identity_word():
-    word = perms.foata(Permutation(np.array([1, 2, 3])))
-    assert word.tolist() == [1, 2, 3]
-    assert perms._suffix_minima_count(word) == 3
-
-
-def test_foata_roundtrip_exhaustive_n4():
-    for images in itertools.permutations(range(1, 5)):
-        perm = Permutation(np.array(images))
-        assert perms.foata_inv(perms.foata(perm)).images.tolist() == list(images)
-
-
-def test_foata_cycles_equal_records_random():
-    rng = make_stream(3, 3)
-    for _ in range(2_000):
-        perm = perms.sample_perm(50, rng)
-        word = perms.foata(perm)  # internal assertion ties cycles to records
-        assert perms._suffix_minima_count(word) == perms.cycles_of(perm).n_cycles
-
-
-def test_foata_inv_rejects_non_words():
-    with pytest.raises(FormatError):
-        perms.foata_inv([1, 1, 2])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.permutations(list(range(1, 9))))
-def test_foata_roundtrip_property(images):
-    perm = Permutation(np.array(images))
-    assert perms.foata_inv(perms.foata(perm)).images.tolist() == list(images)
+def ref_cycle_counts(images):
+    """counts[i-1] = cycles of length i, by index chasing with a seen bitmap."""
+    n = len(images)
+    seen = [False] * (n + 1)
+    counts = [0] * n
+    for start in range(1, n + 1):
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            length += 1
+            v = int(images[v - 1])
+        if length:
+            counts[length - 1] += 1
+    return counts
 
 
 def test_cycle_type_batch_matches_cycles_of_across_row_blocks():
     # n = 6 rows go in blocks of 21,845, so 45,000 rows span three blocks
     rng = make_stream(3, 22)
     batch = rng.gen.permuted(np.tile(np.arange(1, 7), (45_000, 1)), axis=1)
-    want = np.array([perms.cycles_of(Permutation(row)).counts for row in batch])
+    want = np.array([ref_cycle_counts(row) for row in batch])
+    # min-ranked cycles (1 2 3), (4 5), (6)
+    known = np.array([[2, 3, 1, 5, 4, 6]])
+    assert ref_cycle_counts(known[0]) == [1, 1, 1, 0, 0, 0]
+    assert perms.cycle_type_batch(known).tolist() == [[1, 1, 1, 0, 0, 0]]
     assert np.array_equal(perms.cycle_type_batch(batch), want)
     assert np.array_equal(perms.cycle_type_batch(batch, 2), want[:, :2])
 
@@ -171,63 +149,6 @@ def test_number_of_cycles_law_n8():
     pmf = exact.cycles_count_pmf(n)
     assert chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
                           alpha_level=0.01).passed
-
-
-def test_crp_single_customer():
-    sizes, perm = perms.crp_chain(1, make_stream(3, 9))
-    assert sizes == [1]
-    assert perm.images.tolist() == [1]
-
-
-def test_crp_table_count_law():
-    reps = 400_000
-    rng = make_stream(3, 10)
-    tables = np.array([len(perms.crp_chain(5, rng)[0]) for _ in range(reps)])
-    emp = EmpiricalDist.from_samples(tables)
-    pmf = exact.cycles_count_pmf(5)
-    assert chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
-                          alpha_level=0.01).passed
-
-
-def test_crp_permutation_marginal_uniform():
-    reps = 600_000
-    rng = make_stream(3, 11)
-    codes = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        _, perm = perms.crp_chain(3, rng)
-        codes[r] = perm.images[0] * 10 + perm.images[1]
-    counts = np.unique(codes, return_counts=True)[1]
-    assert counts.size == 6
-    assert chi_square_counts(counts, [1 / 6] * 6, alpha_level=0.01).passed
-
-
-def test_crp_tables_equal_foata_lengths():
-    rng = make_stream(3, 12)
-    for _ in range(5_000):
-        sizes, perm = perms.crp_chain(20, rng)
-        assert tuple(sizes) == perms.cycles_of(perm).lengths
-
-
-def test_stick_breaking_invariants():
-    rng = make_stream(3, 13)
-    reps = 100_000
-    first = np.empty(reps)
-    largest = np.empty(reps)
-    for r in range(reps):
-        stick = perms.stick_breaking(rng, epsilon=1e-9)
-        assert abs(stick.lengths.sum() + stick.residual - 1.0) < 1e-12
-        first[r] = stick.lengths[0]
-        largest[r] = stick.lengths.max()
-    se = first.std(ddof=1) / math.sqrt(reps)
-    assert abs(first.mean() - 0.5) < 3 * se
-    p_half = float(np.mean(largest <= 0.5))
-    target = 1.0 - math.log(2.0)
-    assert abs(p_half - target) < 3 * math.sqrt(target * (1 - target) / reps)
-
-
-def test_stick_breaking_epsilon_validation():
-    with pytest.raises(InvalidParameterError):
-        perms.stick_breaking(make_stream(3, 14), epsilon=2.0)
 
 
 def test_longest_cycle_statistics():

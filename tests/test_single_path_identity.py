@@ -3,6 +3,7 @@ references.  Every reference makes the same draws in the same order as the
 path that replaced it, so on the same stream both must give bit-identical
 output and leave the stream at the same position (the next draw is equal)."""
 
+import collections
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ def ref_feller_cycles(n, rng):
         gap = int(rng.gen.integers(1, left + 1))
         lengths.append(gap)
         left -= gap
-    return CycleStructure.from_lengths(lengths, n)
+    return CycleStructure(tuple(lengths))
 
 
 def ref_spacing_rows(n, reps, rng):
@@ -65,29 +66,6 @@ def ref_small_cycle_counts(n, i_max, reps, rng):
         if ell <= i_max:
             out[r, ell - 1] += 1
     return out
-
-
-def ref_polya_urn(steps, r0, b0, rng):
-    out = np.empty((steps + 1, 2), dtype=np.int64)
-    r, b = r0, b0
-    out[0] = r, b
-    u = rng.gen.random(steps)
-    for i in range(steps):
-        if u[i] * (r + b) < r:
-            r += 1
-        else:
-            b += 1
-        out[i + 1] = r, b
-    return out
-
-
-def ref_polya_final_batch(steps, r0, b0, reps, rng):
-    r = np.full(reps, r0, dtype=np.int64)
-    total = r0 + b0
-    for _ in range(steps):
-        r += rng.gen.random(reps) * total < r
-        total += 1
-    return r
 
 
 def ref_coupon_collector(n, rng):
@@ -308,41 +286,6 @@ def test_feller_spacings_at_zero_reps():
 
 
 # ---------------------------------------------------------------------------
-# Reinforcement urn
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("steps,r0,b0", [(0, 1, 1), (1, 1, 1), (50, 1, 1),
-                                         (3000, 2, 5)])
-def test_polya_urn_matches_trajectory_loop(seed, steps, r0, b0):
-    want, got, same_next = _same_draws(
-        lambda r: ref_polya_urn(steps, r0, b0, r),
-        lambda r: growth.polya_urn(steps, r0, b0, r), seed, 4)
-    assert got.dtype == np.int64
-    assert np.array_equal(want, got)
-    assert same_next
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("steps,r0,b0,reps", [(0, 1, 1, 4), (9, 1, 1, 1),
-                                              (40, 3, 1, 0), (500, 1, 2, 3000)])
-def test_polya_final_batch_matches_batch_loop(seed, steps, r0, b0, reps):
-    want, got, same_next = _same_draws(
-        lambda r: ref_polya_final_batch(steps, r0, b0, reps, r),
-        lambda r: growth.polya_final_batch(steps, r0, b0, reps, r), seed, 5)
-    assert np.array_equal(want, got)
-    assert same_next
-
-
-def test_polya_urn_is_the_single_urn_view_of_the_batch():
-    want, got, same_next = _same_draws(
-        lambda r: growth.polya_urn(200, 2, 3, r)[-1, 0],
-        lambda r: growth.polya_final_batch(200, 2, 3, 1, r)[0], 11)
-    assert want == got
-    assert same_next
-
-
-# ---------------------------------------------------------------------------
 # Coupon collector and parking
 
 
@@ -352,11 +295,6 @@ def test_coupon_batch_matches_scalar_calls(seed, n, reps):
     want, got, same_next = _same_draws(
         lambda r: [ref_coupon_collector(n, r) for _ in range(reps)],
         lambda r: growth.coupon_collector_batch(n, reps, r).tolist(), seed, 6)
-    assert want == got
-    assert same_next
-    want, got, same_next = _same_draws(
-        lambda r: [ref_coupon_collector(n, r) for _ in range(3)],
-        lambda r: [growth.coupon_collector(n, r) for _ in range(3)], seed, 7)
     assert want == got
     assert same_next
 
@@ -560,3 +498,70 @@ def test_bgw_total_sizes_match_in_blocks_of_seven_values(monkeypatch, law):
             lambda r: trees.bgw_total_sizes(law, 60, r, cap=512), seed, 16)
         assert np.array_equal(want, got)
         assert same_next
+
+
+# ---------------------------------------------------------------------------
+# Registry replicates against one-chain references
+
+
+def ref_pills(n, rng):
+    """One jar by the two-clock embedding, in scalars."""
+    log_rest = np.log1p(-rng.gen.random()) / n
+    m = -np.expm1(log_rest)
+    q = -m * np.log(m) / np.exp(log_rest) if m > 0.0 else 0.0
+    return 1 + int(rng.gen.binomial(n - 1, q))
+
+
+def ref_ok_corral(n, rng):
+    """One duel, one uniform per shot."""
+    a = b = n
+    while a and b:
+        if rng.gen.random() * (a + b) < b:
+            a -= 1
+        else:
+            b -= 1
+    return a + b
+
+
+def ref_yule_count(k, t, rng):
+    """Particles at time t, one exponential wait per split."""
+    count, clock = 1, 0.0
+    while True:
+        clock += rng.gen.exponential(1.0 / count)
+        if clock > t:
+            return count
+        count += k - 1
+
+
+def ref_max_load(n, rng):
+    return max(collections.Counter(rng.gen.integers(0, n, size=n).tolist()).values())
+
+
+REGISTRY_REFERENCES = {
+    "bgw-size": ({"law": "geometric", "param": 0.5, "cap": 4096},
+                 lambda r: float(ref_bgw_total_sizes(OffspringLaw.geometric(0.5),
+                                                     1, r)[0])),
+    "bins": ({"n": 500}, lambda r: float(ref_max_load(500, r))),
+    "corral": ({"n": 40}, lambda r: float(ref_ok_corral(40, r))),
+    "coupon": ({"n": 30}, lambda r: float(ref_coupon_collector(30, r))),
+    "cycles": ({"n": 200}, lambda r: float(ref_feller_cycles(200, r).n_cycles)),
+    "parking": ({"n": 10, "m": 10},
+                lambda r: float(ref_parking_simulate(10, 10, r).success)),
+    "pills": ({"n": 25}, lambda r: float(ref_pills(25, r))),
+    "poisson-dirichlet": ({"n": 300},
+                          lambda r: float(ref_longest_cycle_stats(300, 1, r)[0])),
+    "yule": ({"k": 3, "t": 1.5}, lambda r: float(ref_yule_count(3, 1.5, r))),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(REGISTRY_REFERENCES))
+def test_registry_rep_matches_one_chain_reference(seed, name):
+    # every registry sampler draws one replicate as its one-row batch form
+    params, ref = REGISTRY_REFERENCES[name]
+    rep_fn = experiments.REGISTRY[name].rep_fn
+    want, got, same_next = _same_draws(
+        lambda r: [(ref(r),) for _ in range(6)],
+        lambda r: [rep_fn(params, r) for _ in range(6)], seed, 17)
+    assert want == got
+    assert same_next

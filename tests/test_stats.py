@@ -12,20 +12,20 @@ from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
 
 def test_chi_square_exact_multiples_pass():
     pmf = {0: 0.5, 1: 0.3, 2: 0.2}
-    emp = EmpiricalDist.from_counts({k: int(1000 * p) for k, p in pmf.items()})
+    emp = EmpiricalDist(np.arange(3), np.array([500, 300, 200]), 1000)
     report = chi_square_gof(emp, lambda v: pmf[int(v)])
     assert report.passed and report.statistic < 1e-9
 
 
 def test_chi_square_fair_die_zero_statistic():
-    emp = EmpiricalDist.from_counts({i: 1000 for i in range(1, 7)})
+    emp = EmpiricalDist(np.arange(1, 7), np.full(6, 1000), 6000)
     report = chi_square_gof(emp, lambda v: 1 / 6 if 1 <= v <= 6 else 0.0)
     assert report.statistic == 0.0 and report.passed
 
 
 def test_chi_square_loaded_die_statistic_1500():
-    counts = dict(zip(range(1, 7), (2000, 1000, 1000, 1000, 500, 500)))
-    emp = EmpiricalDist.from_counts(counts)
+    emp = EmpiricalDist(np.arange(1, 7),
+                        np.array([2000, 1000, 1000, 1000, 500, 500]), 6000)
     report = chi_square_gof(emp, lambda v: 1 / 6 if 1 <= v <= 6 else 0.0,
                             alpha_level=1e-6)
     assert report.statistic == pytest.approx(1500.0)
@@ -47,7 +47,7 @@ def test_chi_square_pools_mass_below_the_sample_minimum_on_the_left():
     # the sample misses 0 and 4: the mass of 0 joins cell 1 and that of 4
     # joins cell 3, each expecting 3, so every cell matches exactly
     pmf = {0: 0.003, 1: 0.297, 2: 0.4, 3: 0.297, 4: 0.003}
-    emp = EmpiricalDist.from_counts({1: 300, 2: 400, 3: 300})
+    emp = EmpiricalDist(np.arange(1, 4), np.array([300, 400, 300]), 1000)
     report = chi_square_gof(emp, lambda k: pmf.get(int(k), 0.0))
     assert report.df == 2 and report.statistic < 1e-12
     # a missed minimum expecting >= 5 is a cell of its own with 0 observed
@@ -122,7 +122,7 @@ def test_chi_square_callers_keep_their_statistics(monkeypatch):
 
 
 def test_chi_square_single_cell_invalid():
-    emp = EmpiricalDist.from_counts({0: 100})
+    emp = EmpiricalDist(np.array([0]), np.array([100]), 100)
     with pytest.raises(InvalidTestError):
         chi_square_gof(emp, lambda v: 1.0)
 

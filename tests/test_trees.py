@@ -4,8 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from randstruct import exact, rng as rng_module, trees
 from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
@@ -13,74 +11,59 @@ from randstruct.exact import OffspringLaw
 from randstruct.rng import make_stream
 from randstruct.stats import EmpiricalDist, chi_square_counts, chi_square_gof, ks_test
 from randstruct.verify import _plane_tree_sequences
-from randstruct.walks import LatticePath
-
-
-def all_plane_trees(n_edges):
-    return [trees.PlaneTree(seq) for seq in _plane_tree_sequences(n_edges)]
 
 
 # ---------------------------------------------------------------------------
-# Encodings
+# Exact laws the samplers are checked against
 
 
-def test_luka_cherry():
-    cherry = trees.PlaneTree([2, 0, 0])
-    assert trees.luka_encode(cherry).increments.tolist() == [1, -1, -1]
+def plane_height_pmf(n, h):
+    """Height law of a uniform vertex in a uniform plane tree with n edges."""
+    return Fraction((2 * h + 1) * math.comb(2 * n + 1, n - h),
+                    (2 * n + 1) * math.comb(2 * n, n))
 
 
-def test_luka_decode_star():
-    star = trees.luka_decode(LatticePath([2, -1, -1, -1]))
-    assert star.child_counts.tolist() == [3, 0, 0, 0]
+def cayley_distance_pmf(n, k):
+    """P(distance between vertex 1 and a uniform vertex is k - 1) in a uniform
+    labeled tree on n vertices; the first-collision law of the birthday problem."""
+    num = k
+    for j in range(1, k):
+        num *= n - j
+    return Fraction(num, n ** k)
 
 
-def test_luka_roundtrip_exhaustive_four_edges():
-    forest = all_plane_trees(4)
-    assert len(forest) == 14
-    for tree in forest:
-        assert trees.luka_decode(trees.luka_encode(tree)) == tree
+def test_plane_height_pmf():
+    assert plane_height_pmf(9, 0) == Fraction(1, 10)
+    assert plane_height_pmf(2, 1) == Fraction(1, 2)
+    for n in (1, 2, 5, 37, 200):
+        assert sum(plane_height_pmf(n, h) for h in range(n + 1)) == 1
 
 
-def test_luka_decode_rejects_bad_paths():
-    with pytest.raises(FormatError):
-        trees.luka_decode(LatticePath([1, -1, -1, -1]))  # ends at -2
-    with pytest.raises(FormatError):
-        trees.luka_decode(LatticePath([-1, 1, -1]))  # hits -1 early
+def test_plane_height_brute_force_two_edges():
+    # the 2 plane trees with 2 edges have height profiles (0,1,2) and (0,1,1);
+    # up to 5 edges, every vertex of every plane tree counts once
+    heights = Counter([0, 1, 2] + [0, 1, 1])
+    for h, mult in heights.items():
+        assert plane_height_pmf(2, h) == Fraction(mult, 6)
+    for n in range(1, 6):
+        profile = Counter()
+        forest = [trees.PlaneTree(seq) for seq in _plane_tree_sequences(n)]
+        for tree in forest:
+            profile.update(tree.depths().tolist())
+        total = len(forest) * (n + 1)
+        assert all(plane_height_pmf(n, h) == Fraction(profile[h], total)
+                   for h in range(n + 1))
 
 
-def test_contour_examples():
-    edge = trees.PlaneTree([1, 0])
-    assert trees.contour_encode(edge).increments.tolist() == [1, -1]
-    cherry = trees.PlaneTree([2, 0, 0])
-    assert trees.contour_encode(cherry).increments.tolist() == [1, -1, 1, -1]
+def test_cayley_distance_pmf():
+    assert cayley_distance_pmf(17, 1) == Fraction(1, 17)
+    assert cayley_distance_pmf(2, 2) == Fraction(1, 2)
+    for n in (1, 2, 6, 41, 200):
+        assert sum(cayley_distance_pmf(n, k) for k in range(1, n + 1)) == 1
 
 
-def test_contour_roundtrip_exhaustive():
-    for n_edges in range(6):
-        for tree in all_plane_trees(n_edges):
-            path = trees.contour_encode(tree)
-            assert path.n == 2 * tree.n_edges
-            assert trees.contour_decode(path) == tree
-
-
-def test_contour_decode_rejects_bad_paths():
-    with pytest.raises(FormatError):
-        trees.contour_decode(LatticePath([1, -1, -1, 1]))  # dips below 0
-    with pytest.raises(FormatError):
-        trees.contour_decode(LatticePath([1, 1, -1]))  # odd length
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_roundtrips_on_random_bgw(seed):
-    rng = make_stream(seed, 0)
-    tree = trees.sample_bgw(OffspringLaw.geometric(0.5), rng, vertex_cap=512)
-    if tree is None:
-        return
-    assert trees.luka_decode(trees.luka_encode(tree)) == tree
-    assert trees.contour_decode(trees.contour_encode(tree)) == tree
-    # vertices - 1 = sum of child counts
-    assert tree.n_vertices - 1 == int(tree.child_counts.sum())
+# ---------------------------------------------------------------------------
+# Dump format
 
 
 def test_tree_line_roundtrip():
@@ -94,12 +77,6 @@ def test_tree_line_roundtrip():
 # Samplers
 
 
-def test_bgw_delta_zero_single_vertex():
-    law = OffspringLaw.from_pmf({0: 1})
-    tree = trees.sample_bgw(law, make_stream(0, 0))
-    assert tree.n_vertices == 1
-
-
 def test_bgw_size_frequencies_geometric_half():
     rng = make_stream(0, 1)
     sizes = trees.bgw_total_sizes(OffspringLaw.geometric(0.5), 200_000, rng)
@@ -109,9 +86,15 @@ def test_bgw_size_frequencies_geometric_half():
     assert abs(p2 - 1 / 8) < 3 * math.sqrt(1 / 8 * 7 / 8 / sizes.size)
 
 
+def test_bgw_delta_zero_single_vertex():
+    law = OffspringLaw.from_pmf({0: 1})
+    assert trees.bgw_total_sizes(law, 10, make_stream(0, 0)).tolist() == [1] * 10
+
+
 def test_bgw_cap_marker():
     law = OffspringLaw.from_pmf({2: 1})  # immortal binary population
-    assert trees.sample_bgw(law, make_stream(0, 2), vertex_cap=100) is None
+    sizes = trees.bgw_total_sizes(law, 10, make_stream(0, 2), cap=100)
+    assert sizes.tolist() == [100] * 10
 
 
 def test_bgw_size_law_matches_one_over_n_convolution():
@@ -205,6 +188,37 @@ def test_conditioned_poisson_three_vertex_shapes():
     assert abs(path_frac - 2 / 3) < 3 * math.sqrt(2 / 9 / len(batch))
 
 
+def test_cayley_distance_law():
+    rng = make_stream(0, 8)
+    n = 20
+    reps = 30_000
+    picks = rng.gen.integers(1, n + 1, size=reps)
+    dists = np.empty(reps, dtype=np.int64)
+    for r in range(reps):
+        dists[r] = tree_distance(trees.sample_cayley(n, rng), 1, int(picks[r]))
+    emp = EmpiricalDist.from_samples(dists + 1)  # law indexed by k = distance+1
+    report = chi_square_gof(
+        emp, lambda k: float(cayley_distance_pmf(n, int(k))) if k >= 1 else 0.0,
+        alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def tree_distance(tree, u, v):
+    """Edge count of the path from u to v, by breadth-first search."""
+    adjacency = {w: [] for w in range(1, tree.n + 1)}
+    for a, b in tree.edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    dist = {u: 0}
+    order = [u]
+    for x in order:  # the list grows as the search reaches new vertices
+        for y in adjacency[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                order.append(y)
+    return dist[v]
+
+
 def test_cayley_sampler_small_uniform():
     rng = make_stream(0, 7)
     assert trees.sample_cayley(2, rng).edges == ((1, 2),)
@@ -213,21 +227,6 @@ def test_cayley_sampler_small_uniform():
     report = chi_square_counts(list(counts.values()), [1 / 3] * 3,
                                alpha_level=0.01)
     assert report.passed
-
-
-def test_cayley_distance_law():
-    rng = make_stream(0, 8)
-    n = 20
-    reps = 30_000
-    picks = rng.gen.integers(1, n + 1, size=reps)
-    dists = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        dists[r] = trees.sample_cayley(n, rng).distance(1, int(picks[r]))
-    emp = EmpiricalDist.from_samples(dists + 1)  # law indexed by k = distance+1
-    report = chi_square_gof(
-        emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))) if k >= 1 else 0.0,
-        alpha_level=0.01)
-    assert report.passed, (report.statistic, report.threshold)
 
 
 def test_conditioned_argument_checks():
@@ -358,41 +357,27 @@ def test_plane_depths_match_loop(n):
 def test_plane_depths_of_small_trees_and_a_long_path():
     assert trees.PlaneTree([0]).depths().tolist() == [0]
     assert trees.PlaneTree([1, 0]).depths().tolist() == [0, 1]
+    assert trees.PlaneTree([0]).height() == 0
+    assert trees.PlaneTree([3, 0, 0, 0]).height() == 1
     path = trees.PlaneTree([1] * 9_999 + [0])
     assert np.array_equal(path.depths(), np.arange(10_000))
     assert np.array_equal(path.depths(), ref_plane_depths(path.child_counts))
     assert path.height() == 9_999
 
 
-# ---------------------------------------------------------------------------
-# Statistics
-
-
-def test_tree_stats_examples():
-    single = trees.PlaneTree([0])
-    assert trees.tree_stats(single) == (0, Counter({0: 1}), 1)
-    star = trees.PlaneTree([3, 0, 0, 0])
-    assert trees.tree_stats(star) == (1, Counter({3: 1, 0: 3}), 4)
-
-
-def test_bgw_survives_one_generation_half():
-    rng = make_stream(0, 9)
-    reps = 100_000
-    tall = 0
-    for _ in range(reps):
-        tree = trees.sample_bgw(OffspringLaw.geometric(0.5), rng, vertex_cap=4096)
-        tall += tree is None or tree.height() >= 1  # capped trees are tall
-    assert abs(tall / reps - 0.5) < 3 * math.sqrt(0.25 / reps)
+def uniform_vertex_heights(batch, rng):
+    """The depth of one uniform vertex of each tree."""
+    picks = rng.gen.integers(0, batch[0].n_vertices, size=len(batch))
+    return np.array([t.depths()[i] for t, i in zip(batch, picks.tolist())])
 
 
 def test_uniform_vertex_height_small():
-    single = trees.PlaneTree([0])
-    assert trees.uniform_vertex_height(single, make_stream(0, 10)) == 0
+    assert trees.PlaneTree([0]).depths()[0] == 0
     rng = make_stream(0, 11)
     batch = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5), 3,
                                                30_000, rng)
-    hits = np.array([trees.uniform_vertex_height(t, rng) == 1 for t in batch])
-    target = float(exact.plane_height_pmf(2, 1))
+    hits = uniform_vertex_heights(batch, rng) == 1
+    target = float(plane_height_pmf(2, 1))
     assert abs(hits.mean() - target) < 3 * math.sqrt(0.25 / hits.size)
 
 
@@ -401,11 +386,9 @@ def test_uniform_vertex_height_matches_exact_law():
     rng = make_stream(0, 12)
     batch = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5),
                                                n + 1, 20_000, rng)
-    heights = np.array([trees.uniform_vertex_height(t, rng) for t in batch])
-    emp = EmpiricalDist.from_samples(heights)
-    report = chi_square_gof(
-        emp, lambda h: float(exact.plane_height_pmf(n, int(h))),
-        alpha_level=0.01)
+    emp = EmpiricalDist.from_samples(uniform_vertex_heights(batch, rng))
+    report = chi_square_gof(emp, lambda h: float(plane_height_pmf(n, int(h))),
+                            alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -418,7 +401,7 @@ def test_height_rayleigh_limit():
     rng = make_stream(0, 13)
     batch = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5),
                                                n + 1, reps, rng)
-    heights = np.array([trees.uniform_vertex_height(t, rng) for t in batch])
+    heights = uniform_vertex_heights(batch, rng)
     blurred = (heights + rng.gen.random(reps)) / math.sqrt(n)
     report = ks_test(np.sort(blurred),
                      lambda x: 1.0 - np.exp(-np.clip(x, 0, None) ** 2),
@@ -427,56 +410,31 @@ def test_height_rayleigh_limit():
 
 
 # ---------------------------------------------------------------------------
-# Random mappings
-
-
-def test_mapping_single_point():
-    assert trees.cyclic_point_count(np.array([1])) == 1
-
-
-def test_mapping_known_graph():
-    mapping = np.array([6, 9, 4, 6, 10, 3, 7, 7, 1, 13, 1, 8, 5])
-    assert trees.cyclic_point_count(mapping) == 7
-
-
-def test_mapping_cyclic_count_law():
-    n = 30
-    reps = 100_000
-    rng = make_stream(0, 14)
-    counts = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        counts[r] = trees.cyclic_point_count(trees.random_mapping(n, rng))
-    emp = EmpiricalDist.from_samples(counts)
-    report = chi_square_gof(
-        emp, lambda k: float(exact.cayley_distance_pmf(n, int(k))) if k >= 1 else 0.0,
-        alpha_level=0.01)
-    assert report.passed, (report.statistic, report.threshold)
-
-
-# ---------------------------------------------------------------------------
 # Percolation on the regular tree
+#
+# Each vertex below the root of the 3-regular tree keeps each of its two
+# child edges with chance p, so the open cluster of the root is a BGW tree
+# with Binomial(2, p) offspring; it survives when its size reaches the cap.
 
 
-def test_percolation_needs_a_replicate():
-    with pytest.raises(InvalidParameterError):
-        trees.tree_percolation_survival(3, 0.5, 0, make_stream(7, 0))
+def percolation_survival(p, reps, rng, cap):
+    sizes = trees.bgw_total_sizes(OffspringLaw.binomial(2, p), reps, rng, cap=cap)
+    return float(np.mean(sizes == cap))
 
 
 def test_percolation_subcritical_dies():
     rng = make_stream(0, 15)
-    freq = trees.tree_percolation_survival(3, 0.4, 300, rng, cap=10_000)
-    assert freq == 0.0
+    assert percolation_survival(0.4, 300, rng, cap=10_000) == 0.0
 
 
 def test_percolation_critical_rarely_reaches_cap():
     rng = make_stream(0, 16)
-    freq = trees.tree_percolation_survival(3, 0.5, 300, rng, cap=100_000)
-    assert freq < 0.02
+    assert percolation_survival(0.5, 300, rng, cap=100_000) < 0.02
 
 
 def test_percolation_supercritical_matches_fixed_point():
     rng = make_stream(0, 17)
-    freq = trees.tree_percolation_survival(3, 0.75, 2_000, rng, cap=10_000)
+    freq = percolation_survival(0.75, 2_000, rng, cap=10_000)
     target = 1.0 - exact.bgw_extinction(OffspringLaw.binomial(2, 0.75))
     assert target == pytest.approx(8 / 9, abs=1e-9)
     assert abs(freq - target) < 0.02

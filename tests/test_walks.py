@@ -47,16 +47,8 @@ def test_sample_path_poisson_mean():
     assert abs(path.increments.mean() - 1.0) < 4 * se
 
 
-def test_hitting_time_examples():
-    assert walks.hitting_time(LatticePath([-1])) == 1
-    assert walks.hitting_time(LatticePath([1, -1, -1])) == 3
-    assert walks.hitting_time(LatticePath([0, 1, -1])) is None
-
-
-def test_cycle_shift_and_good_shift_examples():
-    path = LatticePath([1, -1, -1])
-    assert walks.cycle_shift(path, 1).increments.tolist() == [-1, -1, 1]
-    assert walks.good_shift_count(path) == 1
+def test_good_shift_examples():
+    assert walks.good_shift_count(LatticePath([1, -1, -1])) == 1
     assert walks.good_shift_count(LatticePath([-1, -1])) == 2
     assert walks.good_shift_count(LatticePath([1, -1, 1, -1, -1, -1])) == 2
 
@@ -201,34 +193,6 @@ def test_arcsine_blurred_ks():
     assert report.passed, (report.statistic, report.threshold)
 
 
-def test_record_examples():
-    assert walks.record_stats(LatticePath([1, 1, 1]))[0] == 4
-    assert walks.record_stats(LatticePath([-1, -1]))[0] == 1
-
-
-def test_record_duality_identity():
-    # mean weak-ascending-record count equals the mean first-passage time
-    # below zero, here 1/|drift| = 3
-    law = OffspringLaw.from_pmf({0: Fraction(2, 3), 2: Fraction(1, 3)})
-    rng = make_stream(1, 4)
-    reps = 10_000
-    records = np.empty(reps)
-    for r in range(reps):
-        records[r] = walks.record_stats(walks.sample_path(law, 10_000, rng))[0]
-    hit_rng = make_stream(1, 5)
-    hits = np.empty(reps)
-    for r in range(reps):
-        path = walks.sample_path(law, 2_000, hit_rng)
-        t = walks.hitting_time(path, 1)
-        hits[r] = t if t is not None else np.nan
-    assert not np.isnan(hits).any()
-    se_rec = records.std(ddof=1) / math.sqrt(reps)
-    se_hit = hits.std(ddof=1) / math.sqrt(reps)
-    assert abs(records.mean() - 3.0) < 3 * se_rec + 0.01
-    assert abs(hits.mean() - 3.0) < 3 * se_hit
-    assert abs(records.mean() - hits.mean()) < 3 * (se_rec + se_hit)
-
-
 def test_poisson_hitting_matches_borel_tanner():
     # first passage below zero for the unit-drop Poisson walk; the first
     # passage time coincides with a branching total progeny, so the batched
@@ -244,6 +208,21 @@ def test_poisson_hitting_matches_borel_tanner():
     assert report.passed, (report.statistic, report.threshold)
 
 
+def simple_walk_hitting_pmf(n):
+    """P(first passage to -1 of the +-1 walk takes 2n - 1 steps)
+    = C_(n-1) / (2 4^(n-1))."""
+    return Fraction(exact.catalan(n - 1), 2 * 4 ** (n - 1))
+
+
+def test_simple_walk_hitting():
+    assert simple_walk_hitting_pmf(1) == Fraction(1, 2)
+    assert simple_walk_hitting_pmf(2) == Fraction(1, 8)
+    partial = [sum(simple_walk_hitting_pmf(j) for j in range(1, n + 1))
+               for n in (10, 20, 30)]
+    assert partial[-1] > Fraction(89, 100)
+    assert partial[0] < partial[1] < partial[2] < 1
+
+
 def test_pm1_hitting_matches_catalan_form():
     # the +-1 walk first passage is odd; censored runs land in the tail cell
     from randstruct.exact import OffspringLaw
@@ -255,10 +234,9 @@ def test_pm1_hitting_matches_catalan_form():
     assert np.all((hits % 2 == 1) | (hits == cap))
     ns = (hits + 1) // 2
     cap_n = (cap + 1) // 2
-    tail = 1.0 - sum(float(exact.simple_walk_hitting_pmf(v))
-                     for v in range(1, cap_n))
+    tail = 1.0 - sum(float(simple_walk_hitting_pmf(v)) for v in range(1, cap_n))
     emp = EmpiricalDist.from_samples(ns)
     report = chi_square_gof(
-        emp, lambda n: float(exact.simple_walk_hitting_pmf(int(n)))
+        emp, lambda n: float(simple_walk_hitting_pmf(int(n)))
         if 1 <= n < cap_n else tail if n >= cap_n else 0.0, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
