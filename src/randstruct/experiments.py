@@ -141,9 +141,9 @@ def write_report(report: Report, cfg: ExperimentConfig) -> None:
             "summary": report.summary,
             "verdicts": report.verdicts,
         }
+        text = json.dumps(payload, indent=2, sort_keys=True)  # fails before open()
         with open(cfg.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
         return
     with open(cfg.out, "w") as fh:
         fh.write("experiment,seed,metric,value\n")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -141,65 +140,92 @@ def ba_chain_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class YuleTree:
-    """Splitting tree of order k: every particle lives an exponential unit-rate
-    lifetime, then splits into k ordered children.
-
-    The record is the jump chain.  The root is particle 0; at ``jump_times[j]``
-    particle ``split_particles[j]`` splits into particles jk+1, ..., jk+k, so
-    particle i >= 1 is child (i - 1) % k + 1 of ``split_particles[(i - 1) // k]``.
-    """
+class YuleForest:
+    """Splitting trees of order k, where every particle lives an Exp(1) time,
+    then splits into k ordered children, as their jump chains, flat and tree
+    by tree: at the j-th of its ``n_jumps`` jumps (``jump_times``), a tree's
+    particle ``split_particles`` splits into its particles jk+1, ..., jk+k."""
 
     order: int
     jump_times: np.ndarray
-    split_particles: np.ndarray  # particle that split at each jump
-    alive: np.ndarray            # ids alive at the stopping time
-
-    @property
-    def n_jumps(self) -> int:
-        return int(self.jump_times.size)
+    split_particles: np.ndarray
+    n_jumps: np.ndarray  # per tree
 
 
-def yule_simulate(k: int, rng: RngStream, t: float | None = None,
-                  n_particles: int | None = None) -> YuleTree:
-    """Simulate the splitting tree as its jump chain: waiting times are
-    exponential with rate equal to the current particle count and the particle
-    that splits is uniform among the living.  Its first child takes its slot
-    among the living; the others are appended."""
+def _mean_jumps(k: int, t: float) -> float:
+    """E[J] = (e^{(k-1)t} - 1) / (k - 1) jumps by t, saturated far past any block."""
+    return math.expm1(min((k - 1) * t, 40.0)) / (k - 1)
+
+
+def yule_simulate(k: int, reps: int, rng: RngStream, t: float | None = None,
+                  n_particles: int | None = None) -> YuleForest:
+    """``reps`` independent splitting trees as their jump chains, stopped at
+    time t or after J = ceil((n_particles - 1) / (k - 1)) jumps.  With
+    c_j = 1 + j(k - 1) particles a tree waits an Exp(c_j) time, then the one
+    in a uniform slot of c_j splits: its first child takes the slot and the
+    others fill slots c_j, ..., c_j + k - 2.  ``_PARTICLE_CAP`` bounds the
+    particles of the record.  Draw layout: rounds over the m trees still
+    running, in tree order, each an (m, w) block of standard exponentials E,
+    then one of uniforms U; a row continues its tree's waits E / c_j and
+    slots floor(U c_j) until J jumps or a time beyond t, and no draw is ever
+    re-drawn.  w starts at J or at 1 + floor(E[J]) and doubles every round,
+    within the draw budget and the cap's room, and at least 1."""
     if k < 2:
         raise InvalidParameterError("order must be >= 2")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
     if (t is None) == (n_particles is None):
         raise InvalidParameterError("stop with exactly one of t or n_particles")
-    if t is not None and t < 0:
+    if t is not None and not t >= 0:
         raise InvalidParameterError("t must be >= 0")
     if n_particles is not None and n_particles < 1:
         raise InvalidParameterError("n_particles must be >= 1")
-    stop = math.inf if n_particles is None else n_particles
-    horizon = math.inf if t is None else t
-    exponential, integers = rng.gen.exponential, rng.gen.integers
-    jump_times = []
-    split_particles = []
-    alive = [0]
-    now = 0.0
-    first = 1  # first child of the next jump
-    while True:
-        count = len(alive)
-        if count >= stop:
-            break
-        if count > _PARTICLE_CAP:
-            raise ResourceLimitError("particle cap exceeded")
-        wait = exponential(1.0 / count)
-        pick = integers(0, count)
-        if now + wait > horizon:
-            break
-        now += wait
-        jump_times.append(now)
-        split_particles.append(alive[pick])
-        alive[pick] = first
-        alive.extend(range(first + 1, first + k))
-        first += k
-    return YuleTree(k, np.array(jump_times), np.array(split_particles, dtype=np.int64),
-                    np.array(alive, dtype=np.int64))
+    room = (_PARTICLE_CAP - reps) // (k - 1)  # jumps left below the cap
+    if t is None:
+        t, limit = math.inf, -(-(n_particles - 1) // (k - 1))
+        width = limit
+        room = room if reps * limit <= room else -1  # raise before drawing
+    else:
+        limit, width = math.inf, 1 + int(_mean_jumps(k, t))
+    n_jumps = np.zeros(reps, dtype=np.int64)
+    clock = np.zeros(reps)
+    running = np.arange(reps if limit else 0)
+    trees, times, slots = [running[:0]], [clock[:0]], [n_jumps[:0]]
+    done = 0  # draws per running tree so far
+    while running.size and room >= 0:
+        m = running.size
+        w = int(max(1, min(_block_rows(m, width), room // m, limit - done)))
+        done += w
+        counts = 1.0 + (k - 1) * (n_jumps[running, None] + np.arange(w))
+        block = rng.gen.standard_exponential((m, w)) / counts
+        block[:, 0] += clock[running]
+        np.cumsum(block, axis=1, out=block)
+        kept = block <= t
+        made = kept.sum(axis=1)
+        trees.append(np.repeat(running, made))
+        times.append(block[kept])
+        slots.append((rng.gen.random((m, w)) * counts)[kept].astype(np.int64))
+        n_jumps[running] += made
+        room -= int(made.sum())
+        going = (made == w) & (done < limit)
+        running = running[going]
+        clock[running] = block[going, -1]
+        width *= 2
+    if room < 0:
+        raise ResourceLimitError("particle cap exceeded")
+    order = np.argsort(np.concatenate(trees), kind="stable")  # rounds are sorted runs
+    slots = np.concatenate(slots)[order]
+    # The particle in a jump's slot is the first child of the tree's last
+    # earlier jump to that slot, else its first holder: 0 in slot 0, and child
+    # (s - 1) % (k - 1) + 2 of jump (s - 1) // (k - 1) in slot s >= 1.
+    jump = np.arange(slots.size) - np.repeat(np.cumsum(n_jumps) - n_jumps, n_jumps)
+    key = np.repeat(np.arange(reps) * (1 + (k - 1) * int(n_jumps.max(initial=0))),
+                    n_jumps) + slots
+    by_slot = np.argsort(key, kind="stable")
+    split = np.where(slots > 0, (slots - 1) // (k - 1) * k + (slots - 1) % (k - 1) + 2, 0)
+    again = np.flatnonzero(np.diff(key[by_slot]) == 0) + 1
+    split[by_slot[again]] = jump[by_slot[again - 1]] * k + 1
+    return YuleForest(k, np.concatenate(times)[order], split, n_jumps)
 
 
 def yule_counts_at(k: int, t: float, reps: int, rng: RngStream) -> np.ndarray:
@@ -219,52 +245,56 @@ def yule_counts_at(k: int, t: float, reps: int, rng: RngStream) -> np.ndarray:
     return counts
 
 
-def _contract(trees: tuple[YuleTree, ...], n: int) -> GrowingTree:
-    """Contract splitting trees of one order k into a growing tree on n + 1
-    vertices.  Vertices 0..r-1 are the r roots, each attached to the one
-    before; the jumps of all trees, merged by time, open the vertices after
-    them.  At a split the first k - 1 children stay in the splitting
-    particle's vertex and the k-th child opens the next vertex, attached to
-    that one.  The trees must hold at least n + 1 - r jumps between them."""
-    k, roots = trees[0].order, len(trees)
-    events = [(time, w, u) for w, tree in enumerate(trees)
-              for time, u in zip(tree.jump_times.tolist(),
-                                 tree.split_particles.tolist())]
-    events.sort(key=itemgetter(0))  # stable: a tie keeps tree, then jump, order
-    vertex = [[w] for w in range(roots)]  # vertex of each particle, per tree
-    parent = list(range(-1, roots - 1))
-    for v, (_, w, u) in enumerate(events[:n + 1 - roots], start=roots):
-        b = vertex[w][u]
-        vertex[w] += [b] * (k - 1) + [v]
-        parent.append(b)
-    return GrowingTree._grown(np.array(parent, dtype=np.int64))
+def _contract(forest: YuleForest, roots: int, n: int) -> np.ndarray:
+    """Contract each run of r = ``roots`` trees into a growing tree on n + 1
+    vertices, one parent row each: roots 0..r-1 form a path, and the run's
+    jumps merged by time (ties in tree, then jump, order) open the next
+    vertices.  At a split the first k - 1 children keep the splitting
+    particle's vertex and the k-th opens the new one, attached to it; so a
+    particle's vertex is its nearest root or k-th-child ancestor-or-self's."""
+    k, jumps = forest.order, forest.n_jumps
+    opened = n + 1 - roots
+    per_run = jumps.reshape(-1, roots).sum(axis=1)
+    if np.any(per_run < opened):
+        raise InvalidParameterError("trees stopped before n + 1 vertices")
+    parent = np.empty((per_run.size, n + 1), dtype=np.int64)
+    parent[:, :roots] = np.arange(-1, roots - 1)
+    tree = np.repeat(np.arange(jumps.size), jumps)
+    order = np.argsort(forest.jump_times, kind="stable")
+    order = order[np.argsort(tree[order] // roots, kind="stable")]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.repeat(np.cumsum(per_run) - per_run, per_run)
+    u = forest.split_particles
+    born = np.repeat(np.cumsum(jumps) - jumps, jumps) + (u - 1) // k  # u's jump
+    kth = (u > 0) & ((u - 1) % k == k - 1)
+    vertex = np.where(kth, roots + rank[np.where(kth, born, 0)], tree % roots)
+    ptr = np.where((u > 0) & ~kth, born, np.arange(u.size))
+    while not np.array_equal(ptr, nxt := ptr[ptr]):
+        ptr = nxt
+    keep = rank < opened
+    parent[tree[keep] // roots, roots + rank[keep]] = vertex[ptr[keep]]
+    return parent
 
 
-def yule_to_rrt(tree: YuleTree, n: int) -> GrowingTree:
-    """Contract the leftmost-child lines of an order-2 splitting tree observed
-    at its n-th jump; the labeled contraction grows exactly like the uniform
-    attachment chain."""
-    if tree.order != 2:
-        raise InvalidParameterError("contraction needs an order-2 tree")
+def yule_to_rrt(forest: YuleForest, n: int) -> np.ndarray:
+    """Contract each order-2 tree at its n-th jump, one parent row per tree;
+    the labeled contraction grows exactly like the uniform attachment chain."""
+    if forest.order != 2:
+        raise InvalidParameterError("contraction needs order-2 trees")
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    if tree.n_jumps < n:
-        raise InvalidParameterError("tree stopped before n + 1 particles")
-    return _contract((tree,), n)
+    return _contract(forest, 1, n)
 
 
-def yule3_to_ba(tree0: YuleTree, tree1: YuleTree, n: int) -> GrowingTree:
-    """Contract two independent order-3 splitting trees into the preferential
-    attachment chain at 2n total particles: at every split the first two
-    children stay in the splitting particle's block, the third child opens a
-    new block, and blocks are labeled by order of appearance (roots first)."""
-    if tree0.order != 3 or tree1.order != 3:
-        raise InvalidParameterError("contraction needs order-3 trees")
+def yule3_to_ba(forest: YuleForest, n: int) -> np.ndarray:
+    """Contract trees 2i and 2i + 1 of an order-3 forest into the preferential
+    attachment chain at 2n total particles, one parent row per pair: the
+    third child of a split opens a new block, labeled in order of appearance."""
+    if forest.order != 3 or forest.n_jumps.size % 2:
+        raise InvalidParameterError("contraction needs pairs of order-3 trees")
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    if tree0.n_jumps + tree1.n_jumps < n - 1:
-        raise InvalidParameterError("trees stopped before 2n total particles")
-    return _contract((tree0, tree1), n)
+    return _contract(forest, 2, n)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +302,7 @@ def yule3_to_ba(tree0: YuleTree, tree1: YuleTree, n: int) -> GrowingTree:
 
 
 _FUNCTIONALS = ("constant-1", "height-at-least", "degree-at-least")
+_BLOCK_JUMPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -298,69 +329,63 @@ def _functional_indicator(kind: str, arg: int, n_last, n_other):
     raise InvalidParameterError(f"functional must be one of {_FUNCTIONALS}")
 
 
-def _alive_line_stats(tree: YuleTree):
-    """Ancestry-line statistics of every particle alive in ``tree``: along its
-    line from the root, the branch points continued in position 1 (the child
-    that keeps the splitting particle's slot among the living) and those
-    continued in any other position.  Summed by pointer doubling over the
-    parent array, as ``GrowingTree.depths`` does."""
-    k = tree.order
-    anc = np.zeros(1 + tree.n_jumps * k, dtype=np.int64)
-    anc[1:] = np.repeat(tree.split_particles, k)
-    line = np.zeros((2, anc.size), dtype=np.int64)  # position-1 steps, depth
-    line[0, 1::k] = 1
-    line[1, 1:] = 1
+def _alive_line_stats(forest: YuleForest):
+    """For the 1 + n_jumps(k - 1) particles alive in each tree, by tree and id:
+    the branch points of the line from the root continued in position 1 (the
+    child that keeps the slot) and in any other.  Summed per jump by pointer
+    doubling, as ``GrowingTree.depths`` does, with index 0 a stepless sentinel
+    for the roots; a line packs (position-1 steps) * 2^32 + depth."""
+    k, jumps, u = forest.order, forest.n_jumps, forest.split_particles
+    first = np.repeat(np.cumsum(jumps) - jumps, jumps)  # each tree's first jump
+    child = (u - 1) % k  # u's place among its siblings
+    line = np.zeros(1 + u.size, dtype=np.int64)
+    line[1:] = np.where(u > 0, np.where(child == 0, (1 << 32) + 1, 1), 0)
+    anc = np.zeros(1 + u.size, dtype=np.int64)
+    anc[1:] = np.where(u > 0, first + (u - 1) // k + 1, 0)  # 1 + jump u was born at
     while anc.any():
-        line += line[:, anc]
+        line += line[anc]
         anc = anc[anc]
-    last = line[0, tree.alive]
-    return last, line[1, tree.alive] - last
-
-
-def _spine_line_stats(k: int, t: float, rng: RngStream) -> tuple[int, int]:
-    """Line statistics of the distinguished particle: the marked line branches
-    at rate k and continues in a uniform position, counted with the
-    population's position 1 when the drawn position is k.  The k - 1 ordinary
-    subtrees it hangs at every branch point do not affect these statistics, so
-    they are not simulated."""
-    now = 0.0
-    n_last = 0
-    n_other = 0
-    while True:
-        now += rng.gen.exponential(1.0 / k)
-        if now > t:
-            return n_last, n_other
-        if int(rng.gen.integers(1, k + 1)) == k:
-            n_last += 1
-        else:
-            n_other += 1
+    children = line[1:, None] + np.where(np.arange(k) == 0, (1 << 32) + 1, 1)
+    living = np.ones(children.size, dtype=bool)
+    living[(first * k + u - 1)[u > 0]] = False
+    packed = np.zeros(int(jumps.sum()) * (k - 1) + jumps.size, dtype=np.int64)
+    rooted = np.zeros(packed.size, dtype=bool)  # trees that never split
+    rooted[(np.cumsum(1 + jumps * (k - 1)) - 1)[jumps == 0]] = True
+    packed[~rooted] = children.reshape(-1)[living]
+    last = packed >> 32
+    return last, (packed & 0xFFFFFFFF) - last
 
 
 def _many_to_one_samples(k: int, t: float, functionals, reps: int,
                          rng: RngStream):
     """Per-replicate sums of each functional over ``reps`` populations alive
-    at t, then ``reps`` marked-line estimates e^{(k-1)t} f(line), in that
-    draw order."""
+    at t, drawn in blocks of max(1, floor(2^16 / max(1, E[J]))) trees, then
+    ``reps`` marked-line estimates e^{(k-1)t} f(line).  The line branches at
+    rate k into a uniform position, so its position-1 and other branch points
+    are independent Poisson(t) and Poisson((k - 1)t) counts, one vector each."""
     if k < 2:
         raise InvalidParameterError("k must be >= 2")
     if not 0 <= t <= 8:
         raise InvalidParameterError("t must be in [0, 8]")
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
     for kind, _ in functionals:
         if kind not in _FUNCTIONALS:
             raise InvalidParameterError(f"functional must be one of {_FUNCTIONALS}")
     lhs = {f: np.empty(reps) for f in functionals}
-    rhs = {f: np.empty(reps) for f in functionals}
-    for r in range(reps):
-        last, other = _alive_line_stats(yule_simulate(k, rng, t=t))
-        for kind, arg in functionals:
-            lhs[(kind, arg)][r] = _functional_indicator(kind, arg, last, other).sum()
-    for r in range(reps):
-        last, other = _spine_line_stats(k, t, rng)
-        for kind, arg in functionals:
-            rhs[(kind, arg)][r] = float(
-                _functional_indicator(kind, arg, last, other)[()])
+    group = max(1, int(_BLOCK_JUMPS / max(1.0, _mean_jumps(k, t))))
+    for lo in range(0, reps, group):
+        forest = yule_simulate(k, min(group, reps - lo), rng, t=t)
+        last, other = _alive_line_stats(forest)
+        alive = 1 + forest.n_jumps * (k - 1)
+        for f in functionals:
+            lhs[f][lo:lo + forest.n_jumps.size] = np.add.reduceat(
+                _functional_indicator(*f, last, other), np.cumsum(alive) - alive)
+    n_last = rng.gen.poisson(t, reps)
+    n_other = rng.gen.poisson((k - 1) * t, reps)
     growth = math.exp((k - 1) * t)
-    return lhs, {f: growth * rhs[f] for f in functionals}
+    return lhs, {f: growth * _functional_indicator(*f, n_last, n_other)
+                 for f in functionals}
 
 
 def many_to_one_table(k: int, t: float, functionals, reps: int,

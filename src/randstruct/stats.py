@@ -181,7 +181,7 @@ def ks_test(samples, cdf, alpha_level: float = 0.01) -> TestReport:
     i = np.arange(1, n + 1)
     d = max(float(np.max(i / n - f)), float(np.max(f - (i - 1) / n)))
     threshold = float(special.kolmogi(alpha_level)) / np.sqrt(n)
-    return TestReport(d, threshold, None, d <= threshold, n)
+    return TestReport(d, threshold, None, bool(d <= threshold), n)
 
 
 def mean_ci(samples, level: float = 0.95) -> tuple[float, float]:

@@ -470,10 +470,9 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     picks = _rrt_parent_rows(3, creps, rng)
     direct = np.bincount(picks[:, 1] * 3 + picks[:, 2], minlength=6)
     rng = make_stream(seed, 143)
-    contracted = np.zeros(6, dtype=np.int64)
-    for _ in range(creps // 3):
-        tree = growth.yule_to_rrt(growth.yule_simulate(2, rng, n_particles=4), 3)
-        contracted[int(tree.parent[2]) * 3 + int(tree.parent[3])] += 1
+    forest = growth.yule_simulate(2, creps // 3, rng, n_particles=4)
+    parent = growth.yule_to_rrt(forest, 3)
+    contracted = np.bincount(parent[:, 2] * 3 + parent[:, 3], minlength=6)
     report = chi_square_two_sample(direct, contracted, alpha_level=0.01)
     chk.add("contraction vs chain shapes (n=3)", report.passed,
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
@@ -500,11 +499,8 @@ def criterion_15_ba(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 151)
     direct = growth.ba_chain_batch(4, creps, rng)[:, 2:]
     rng = make_stream(seed, 152)
-    contracted = np.empty((creps // 3, 3), dtype=np.int64)
-    for row in contracted:
-        y0 = growth.yule_simulate(3, rng, n_particles=7)
-        y1 = growth.yule_simulate(3, rng, n_particles=7)
-        row[:] = growth.yule3_to_ba(y0, y1, 4).parent[2:]
+    forest = growth.yule_simulate(3, 2 * (creps // 3), rng, n_particles=7)
+    contracted = growth.yule3_to_ba(forest, 4)[:, 2:]
     # shapes are cells in order of first appearance, direct side first
     _, first, cell = np.unique(np.concatenate([direct, contracted]), axis=0,
                                return_index=True, return_inverse=True)
@@ -540,10 +536,9 @@ def _height_clauses(chk: _Check, label: str, heights: np.ndarray,
     frac = float(np.mean((ratios >= lo) & (ratios <= hi)))
     p_band = float(pmf[(levels / norm >= lo) & (levels / norm <= hi)].sum())
     if reps >= 20:
-        counts = np.bincount(heights, minlength=pmf.size)
-        report = chi_square_gof(
-            EmpiricalDist(np.arange(counts.size), counts, reps),
-            lambda k: pmf[k] if k < pmf.size else 0.0, alpha_level=0.01)
+        report = chi_square_gof(EmpiricalDist.from_samples(heights),
+                                lambda k: pmf[k] if k < pmf.size else 0.0,
+                                alpha_level=0.01)
         chk.add(f"{label} chi-square vs exact law", report.passed,
                 f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
         chk.within(f"{label} fraction in [{lo},{hi}]", frac, p_band,

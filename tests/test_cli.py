@@ -213,6 +213,22 @@ def test_cli_many_to_one_particle_cap_is_a_resource_error(monkeypatch, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+def test_cli_json_report_with_a_ks_verdict(tmp_path):
+    # 60 replicates give arcsine its KS verdict, a Python bool in the JSON
+    out = tmp_path / "arcsine.json"
+    assert run_cli("run", "--experiment", "arcsine", "--param", "n=100", "--reps", "60",
+                   "--format", "json", "--out", str(out)) == cli.EXIT_OK
+    verdict = json.loads(out.read_text())["verdicts"]["arcsine_ks"]
+    assert verdict is True or verdict is False
+    # a payload json cannot encode fails before the file is opened
+    report = experiments.Report("arcsine", {"n": 100}, 0, 60, ["argmax_frac"], [],
+                                {}, {"arcsine_ks": object()})
+    with pytest.raises(TypeError):
+        experiments.write_report(report, ExperimentConfig(
+            "arcsine", {"n": 100}, out=str(out), fmt="json"))
+    assert json.loads(out.read_text())["verdicts"]["arcsine_ks"] is verdict
+
+
 def test_cli_seed_outside_64_bits_is_a_usage_error(capsys):
     assert run_cli("run", "--experiment", "cycles", "--param", "n=5",
                    "--seed", "-1") == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,22 +115,20 @@ def test_yule_jump_times_martingale():
     rng = make_stream(4, 14)
     reps = 20_000
     n_jumps = 40
-    gaps = np.empty((reps, n_jumps))
-    for r in range(reps):
-        tree = growth.yule_simulate(2, rng, n_particles=n_jumps + 1)
-        times = np.concatenate([[0.0], tree.jump_times])
-        gaps[r] = np.diff(times)
-    tau = gaps.sum(axis=1)
+    forest = growth.yule_simulate(2, reps, rng, n_particles=n_jumps + 1)
+    assert forest.n_jumps.tolist() == [n_jumps] * reps
+    tau = forest.jump_times.reshape(reps, n_jumps)[:, -1]
     harmonic = np.sum(1.0 / np.arange(1, n_jumps + 1))
     se = tau.std(ddof=1) / math.sqrt(reps)
     assert abs(tau.mean() - harmonic) < 3 * se
 
 
 def test_yule_tree_structure_invariants():
-    tree = growth.yule_simulate(3, make_stream(4, 15), n_particles=13)
-    assert np.all(np.diff(tree.jump_times) > 0)
+    forest = growth.yule_simulate(3, 1, make_stream(4, 15), n_particles=13)
+    assert np.all(np.diff(forest.jump_times) > 0)
     # each jump turns one particle into k = 3: 1 + 2 per jump, 13 at the stop
-    assert len(tree.alive) == 1 + tree.n_jumps * 2 == 13
+    last, other = growth._alive_line_stats(forest)
+    assert last.size == other.size == 1 + int(forest.n_jumps[0]) * 2 == 13
 
 
 def test_yule_clock_queue_cross_check():
@@ -157,16 +156,21 @@ def test_yule_clock_queue_cross_check():
 
 
 def test_yule_to_rrt_single_edge():
-    tree = growth.yule_simulate(2, make_stream(4, 18), n_particles=2)
-    assert growth.yule_to_rrt(tree, 1).parent.tolist() == [-1, 0]
+    forest = growth.yule_simulate(2, 3, make_stream(4, 18), n_particles=2)
+    assert growth.yule_to_rrt(forest, 1).tolist() == [[-1, 0]] * 3
 
 
 def test_yule_to_rrt_needs_enough_particles():
-    tree = growth.yule_simulate(2, make_stream(4, 19), n_particles=3)
+    forest = growth.yule_simulate(2, 2, make_stream(4, 19), n_particles=3)
     with pytest.raises(InvalidParameterError):
-        growth.yule_to_rrt(tree, 5)
+        growth.yule_to_rrt(forest, 5)
     with pytest.raises(InvalidParameterError):
-        growth.yule_to_rrt(tree, -1)
+        growth.yule_to_rrt(forest, -1)
+    with pytest.raises(InvalidParameterError):
+        growth.yule3_to_ba(forest, 2)
+    odd = growth.yule_simulate(3, 3, make_stream(4, 19), n_particles=3)
+    with pytest.raises(InvalidParameterError):
+        growth.yule3_to_ba(odd, 2)
 
 
 def test_yule_root_degree_law():
@@ -175,10 +179,8 @@ def test_yule_root_degree_law():
     n = 6
     reps = 150_000
     rng = make_stream(4, 20)
-    degrees = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        tree = growth.yule_simulate(2, rng, n_particles=n + 1)
-        degrees[r] = growth.yule_to_rrt(tree, n).out_degrees()[0]
+    parent = growth.yule_to_rrt(growth.yule_simulate(2, reps, rng, n_particles=n + 1), n)
+    degrees = (parent[:, 1:] == 0).sum(axis=1)
     pmf = exact.cycles_count_pmf(n)
     emp = EmpiricalDist.from_samples(degrees)
     report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
@@ -187,21 +189,18 @@ def test_yule_root_degree_law():
 
 
 def test_yule3_to_ba_two_vertices():
-    y0 = growth.yule_simulate(3, make_stream(4, 21), n_particles=3)
-    y1 = growth.yule_simulate(3, make_stream(4, 22), n_particles=3)
-    tree = growth.yule3_to_ba(y0, y1, 2)
-    assert tree.parent[1] == 0
-    assert tree.parent[2] in (0, 1)
+    forest = growth.yule_simulate(3, 8, make_stream(4, 21), n_particles=3)
+    parent = growth.yule3_to_ba(forest, 2)
+    assert parent.shape == (4, 3)
+    assert np.all(parent[:, :2] == [-1, 0])
+    assert np.isin(parent[:, 2], (0, 1)).all()
 
 
 def test_yule3_to_ba_first_attachment_uniform():
     rng = make_stream(4, 23)
     reps = 60_000
-    hits = 0
-    for _ in range(reps):
-        y0 = growth.yule_simulate(3, rng, n_particles=3)
-        y1 = growth.yule_simulate(3, rng, n_particles=3)
-        hits += growth.yule3_to_ba(y0, y1, 2).parent[2] == 0
+    forest = growth.yule_simulate(3, 2 * reps, rng, n_particles=3)
+    hits = int(np.sum(growth.yule3_to_ba(forest, 2)[:, 2] == 0))
     assert abs(hits / reps - 0.5) < 3 * math.sqrt(0.25 / reps)
 
 
@@ -249,6 +248,78 @@ def test_many_to_one_population_obeys_the_particle_cap(monkeypatch):
     monkeypatch.setattr(growth, "_PARTICLE_CAP", 1_000)
     with pytest.raises(ResourceLimitError):
         growth.many_to_one_table(3, 8.0, [("constant-1", 0)], 2, make_stream(4, 30))
+
+
+def test_splitting_trees_stop_at_the_particle_cap_before_filling_it(monkeypatch):
+    # a huge t raises within O(cap + reps) values, not cap * reps
+    monkeypatch.setattr(growth, "_PARTICLE_CAP", 1_000)
+    for stop in ({"t": 1e9}, {"t": math.inf}, {"n_particles": 11}):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                growth.yule_simulate(3, 500, make_stream(4, 31), **stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000 * 500 * 8 / 10
+    with pytest.raises(ResourceLimitError):
+        growth.yule_simulate(2, 1_001, make_stream(4, 31), t=0.0)
+    assert growth.yule_simulate(2, 1_000, make_stream(4, 31), t=0.0).n_jumps.size == 1_000
+
+
+def test_many_to_one_memory_at_the_full_criterion_size():
+    # criterion 18's k = 3 population, 10^4 trees at t = 3, in bounded blocks
+    functionals = [("constant-1", 0), ("degree-at-least", 4), ("height-at-least", 6)]
+    tracemalloc.start()
+    try:
+        lhs, _ = growth._many_to_one_samples(3, 3.0, functionals, 10_000,
+                                             make_stream(4, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20, peak / 2 ** 20
+    assert lhs[("constant-1", 0)].shape == (10_000,)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_splitting_trees_at_the_edges(k):
+    rng = make_stream(4, 33)
+    for reps in (0, 4):
+        for stop in ({"t": 0.0}, {"n_particles": 1}):
+            forest = growth.yule_simulate(k, reps, rng, **stop)
+            assert forest.order == k and forest.n_jumps.size == reps
+            assert forest.n_jumps.tolist() == [0] * reps
+            assert forest.jump_times.size == forest.split_particles.size == 0
+            last, other = growth._alive_line_stats(forest)
+            assert last.tolist() == other.tolist() == [0] * reps
+    # no jumps draw nothing
+    before = make_stream(4, 34)
+    after = make_stream(4, 34)
+    growth.yule_simulate(k, 5, after, n_particles=1)
+    growth.yule_simulate(k, 0, after, t=2.0)
+    assert before.gen.random() == after.gen.random()
+    assert growth.yule_to_rrt(growth.yule_simulate(2, 0, rng, n_particles=4), 3).shape == (0, 4)
+    assert growth.yule3_to_ba(growth.yule_simulate(3, 0, rng, n_particles=7), 4).shape == (0, 5)
+    assert growth.yule_to_rrt(growth.yule_simulate(2, 3, rng, t=0.0), 0).tolist() == [[-1]] * 3
+    functionals = [("constant-1", 0), ("height-at-least", 1)]
+    lhs, rhs = growth._many_to_one_samples(k, 0.0, functionals, 5, rng)
+    assert lhs[functionals[0]].tolist() == rhs[functionals[0]].tolist() == [1.0] * 5
+    assert lhs[functionals[1]].tolist() == rhs[functionals[1]].tolist() == [0.0] * 5
+    lhs, rhs = growth._many_to_one_samples(k, 1.0, functionals, 0, rng)
+    assert lhs[functionals[0]].shape == rhs[functionals[0]].shape == (0,)
+
+
+def test_splitting_trees_validate_their_arguments():
+    rng = make_stream(4, 35)
+    for bad in ({"k": 1, "reps": 1, "t": 1.0}, {"k": 2, "reps": -1, "t": 1.0},
+                {"k": 2, "reps": -1, "n_particles": 3}, {"k": 2, "reps": 1},
+                {"k": 2, "reps": 1, "t": 1.0, "n_particles": 3},
+                {"k": 2, "reps": 1, "t": -1.0}, {"k": 2, "reps": 1, "t": math.nan},
+                {"k": 2, "reps": 1, "n_particles": 0}):
+        with pytest.raises(InvalidParameterError):
+            growth.yule_simulate(rng=rng, **bad)
+    with pytest.raises(InvalidParameterError):
+        growth._many_to_one_samples(2, 1.0, [("constant-1", 0)], -1, rng)
 
 
 def test_coupon_collector_mean():

@@ -215,10 +215,10 @@ def _sampled_trees():
         yield growth.rrt_chain(n, rng)
         yield growth.ba_chain(n, rng)
     for n in (1, 2, 30):
-        yield growth.yule_to_rrt(growth.yule_simulate(2, rng, n_particles=n + 1), n)
-        y0 = growth.yule_simulate(3, rng, n_particles=2 * n + 1)
-        y1 = growth.yule_simulate(3, rng, n_particles=2 * n + 1)
-        yield growth.yule3_to_ba(y0, y1, n)
+        forest = growth.yule_simulate(2, 3, rng, n_particles=n + 1)
+        yield from map(GrowingTree._grown, growth.yule_to_rrt(forest, n))
+        forest = growth.yule_simulate(3, 6, rng, n_particles=2 * n + 1)
+        yield from map(GrowingTree._grown, growth.yule3_to_ba(forest, n))
 
 
 def test_sampler_trees_pass_the_public_checks():

@@ -1,19 +1,25 @@
 """Each sampler law has one code path; the twins it replaced are kept here as
 references.  Every reference makes the same draws in the same order as the
 path that replaced it, so on the same stream both must give bit-identical
-output and leave the stream at the same position (the next draw is equal)."""
+output and leave the stream at the same position (the next draw is equal).
+The batch splitting-tree sampler draws differently from the one-tree loop
+kept here, so the two are tied in law; a loop that spends the batch draws one
+jump at a time is its same-draws reference."""
 
 import collections
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from randstruct import (exact, experiments, growth, permutations as perms,
                         rng as rng_module, trees, walks)
 from randstruct.exact import OffspringLaw
 from randstruct.permutations import CycleStructure
 from randstruct.rng import make_stream
+from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
+                              chi_square_two_sample, ks_test)
 from randstruct.walks import LatticePath
 
 # ---------------------------------------------------------------------------
@@ -102,7 +108,8 @@ def ref_good_shift_count(path):
 
 
 def ref_yule_simulate(k, rng, t=None, n_particles=None):
-    # the per-particle record: parent, position, birth time and first child
+    # one tree, two scalar draws per jump, with the per-particle record:
+    # parent, position, birth time and first child
     parent, position, birth = [-1], [0], [0.0]
     jump_times, split_particles, first_child = [], [], []
     alive = [0]
@@ -134,26 +141,53 @@ def ref_yule_simulate(k, rng, t=None, n_particles=None):
             "alive": np.array(alive, dtype=np.int64)}
 
 
-def ref_population_line_stats(k, t, rng):
-    # its own jump-chain loop; the k-th child takes the parent's slot
-    n_last, n_other, alive = [0], [0], [0]
-    now = 0.0
-    while True:
-        count = len(alive)
-        wait = rng.gen.exponential(1.0 / count)
-        pick = int(rng.gen.integers(0, count))
-        if now + wait > t:
-            break
-        now += wait
-        u = alive[pick]
-        base = len(n_last)
+def ref_yule_rounds(k, reps, rng, t=None, n_particles=None):
+    """The batch sampler's draws (see ``growth.yule_simulate``), spent one
+    scalar jump at a time on a list of the living, one tree after another:
+    the jump-chain loop above with the per-particle line statistics."""
+    trees = [{"now": 0.0, "alive": [0], "jump_times": [], "split_particles": [],
+              "n_last": [0], "n_other": [0]} for _ in range(reps)]
+
+    def jump(tree, e, u):
+        count = len(tree["alive"])
+        now = tree["now"] + e / count
+        if t is not None and now > t:
+            return False
+        pick = int(u * count)
+        v, first = tree["alive"][pick], len(tree["n_last"])
         for pos in range(1, k + 1):
-            n_last.append(n_last[u] + (pos == k))
-            n_other.append(n_other[u] + (pos != k))
-        alive[pick] = base + k - 1
-        alive.extend(range(base, base + k - 1))
-    return (np.array([n_last[u] for u in alive]),
-            np.array([n_other[u] for u in alive]))
+            tree["n_last"].append(tree["n_last"][v] + (pos == 1))
+            tree["n_other"].append(tree["n_other"][v] + (pos != 1))
+        tree["alive"][pick] = first
+        tree["alive"].extend(range(first + 1, first + k))
+        tree["now"] = now
+        tree["jump_times"].append(now)
+        tree["split_particles"].append(v)
+        return True
+
+    if t is None:
+        limit = width = -(-(n_particles - 1) // (k - 1))
+    else:
+        limit, width = math.inf, 1 + int(math.expm1(min((k - 1) * t, 40.0)) / (k - 1))
+    running = list(range(reps)) if limit else []
+    room = (growth._PARTICLE_CAP - reps) // (k - 1)
+    done = 0
+    while running:
+        m = len(running)
+        w = int(max(1, min(width, max(1, rng_module._BLOCK_VALUES // m), room // m,
+                           limit - done)))
+        done += w
+        waits = rng.gen.standard_exponential((m, w)).tolist()
+        uniforms = rng.gen.random((m, w)).tolist()
+        going = []
+        for i, es, us in zip(running, waits, uniforms):
+            before = len(trees[i]["jump_times"])
+            if all(jump(trees[i], e, u) for e, u in zip(es, us)) and done < limit:
+                going.append(i)
+            room -= len(trees[i]["jump_times"]) - before
+        running = going
+        width *= 2
+    return trees
 
 
 def ref_yule_to_rrt(tree, n):
@@ -346,56 +380,102 @@ def test_good_shift_count_matches_wrapper(seed, n, k):
 
 
 # ---------------------------------------------------------------------------
-# Splitting trees: one jump-chain loop, one contraction
+# Splitting trees: the batch jump chain against loops on the same draws, in
+# law against the one-tree loop, and its consumers on the same record
 
 
-def _particle_record(tree):
-    """The old per-particle fields, derived from the jump chain."""
-    k = tree.order
-    ids = np.arange(1, 1 + tree.n_jumps * k)
-    jump = (ids - 1) // k
-    return {"parent": np.concatenate([[-1], tree.split_particles[jump]]),
-            "position": np.concatenate([[0], (ids - 1) % k + 1]),
-            "birth_time": np.concatenate([[0.0], tree.jump_times[jump]]),
-            "first_child": np.arange(tree.n_jumps, dtype=np.int64) * k + 1}
+def _tree_dicts(forest):
+    """Each tree of a batch record as the reference loops' fields."""
+    k, out, start = forest.order, [], 0
+    for jumps in forest.n_jumps.tolist():
+        out.append({"jump_times": forest.jump_times[start:start + jumps],
+                    "split_particles": forest.split_particles[start:start + jumps],
+                    "first_child": np.arange(jumps, dtype=np.int64) * k + 1})
+        start += jumps
+    return out
+
+
+def _forest(k, trees):
+    """A batch record holding the given trees, in order."""
+    return growth.YuleForest(
+        k, np.concatenate([[]] + [tree["jump_times"] for tree in trees]),
+        np.concatenate([np.zeros(0, np.int64)]
+                       + [tree["split_particles"] for tree in trees]),
+        np.array([len(tree["jump_times"]) for tree in trees], dtype=np.int64))
+
+
+def ref_alive_line_stats(tree):
+    """Line statistics of a replayed tree's living, by particle id."""
+    alive = sorted(tree["alive"])
+    return ([tree["n_last"][v] for v in alive], [tree["n_other"][v] for v in alive])
+
+
+STOPS = [{"t": 0.0}, {"t": 1.0}, {"t": 3.0}, {"n_particles": 1}, {"n_particles": 2},
+         {"n_particles": 40}]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("k", [2, 3, 4])
-@pytest.mark.parametrize("stop", [{"t": 0.0}, {"t": 1.0}, {"t": 3.0},
-                                  {"n_particles": 1}, {"n_particles": 2},
-                                  {"n_particles": 40}])
+@pytest.mark.parametrize("stop", STOPS)
 def test_yule_simulate_matches_particle_record_loop(seed, k, stop):
-    calls = 10
+    reps = 10
     want, got, same_next = _same_draws(
-        lambda r: [ref_yule_simulate(k, r, **stop) for _ in range(calls)],
-        lambda r: [growth.yule_simulate(k, r, **stop) for _ in range(calls)],
-        seed, 10)
-    for old, new in zip(want, got):
-        for name in ("jump_times", "split_particles", "alive"):
-            assert getattr(new, name).dtype == old[name].dtype
-            assert np.array_equal(getattr(new, name), old[name])
-        for name, value in _particle_record(new).items():
-            assert np.array_equal(value, old[name])
+        lambda r: ref_yule_rounds(k, reps, r, **stop),
+        lambda r: growth.yule_simulate(k, reps, r, **stop), seed, 10)
+    assert got.order == k and got.n_jumps.size == reps
+    assert got.n_jumps.dtype == got.split_particles.dtype == np.int64
+    assert got.n_jumps.tolist() == [len(tree["jump_times"]) for tree in want]
+    for old, new in zip(want, _tree_dicts(got)):
+        assert np.array_equal(new["jump_times"], old["jump_times"])
+        assert np.array_equal(new["split_particles"], old["split_particles"])
     assert same_next
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_yule_simulate_matches_the_loop_in_small_draw_blocks(monkeypatch, rows):
+    # the draw budget caps a round at `rows` values per tree
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", rows * 30)
+    for seed, stop in zip(SEEDS, ({"t": 2.0}, {"n_particles": 40}, {"t": 0.5})):
+        want, got, same_next = _same_draws(
+            lambda r: ref_yule_rounds(3, 30, r, **stop),
+            lambda r: growth.yule_simulate(3, 30, r, **stop), seed, 10)
+        assert got.n_jumps.tolist() == [len(tree["jump_times"]) for tree in want]
+        assert np.array_equal(got.split_particles, np.concatenate(
+            [tree["split_particles"] for tree in want]))
+        assert same_next
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.0])
 def test_population_line_stats_match_own_loop(seed, k, t):
-    # the old loop counted the k-th child, which took the parent's slot; the
-    # jump chain puts the first child there, so position 1 is counted
-    calls = 10
-    want, got, same_next = _same_draws(
-        lambda r: [ref_population_line_stats(k, t, r) for _ in range(calls)],
-        lambda r: [growth._alive_line_stats(growth.yule_simulate(k, r, t=t))
-                   for _ in range(calls)], seed, 11)
-    for (old_last, old_other), (last, other) in zip(want, got):
-        assert last.dtype == old_last.dtype and other.dtype == old_other.dtype
-        assert np.array_equal(last, old_last)
-        assert np.array_equal(other, old_other)
-    assert same_next
+    # the batch statistics of one record against the replay's, tree by tree
+    want, got, _ = _same_draws(lambda r: ref_yule_rounds(k, 10, r, t=t),
+                               lambda r: growth.yule_simulate(k, 10, r, t=t), seed, 11)
+    last, other = growth._alive_line_stats(got)
+    assert last.dtype == other.dtype == np.int64
+    want_last, want_other = [], []
+    for tree in want:
+        tree_last, tree_other = ref_alive_line_stats(tree)
+        want_last += tree_last
+        want_other += tree_other
+    assert last.tolist() == want_last
+    assert other.tolist() == want_other
+
+
+def _ref_many_to_one(k, t, functionals, blocks, r):
+    lhs = {f: [] for f in functionals}
+    for reps in blocks:
+        for tree in ref_yule_rounds(k, reps, r, t=t):
+            last, other = ref_alive_line_stats(tree)
+            for f in functionals:
+                lhs[f].append(float(growth._functional_indicator(*f, last, other).sum()))
+    n = sum(blocks)
+    n_last, n_other = r.gen.poisson(t, n), r.gen.poisson((k - 1) * t, n)
+    rhs = {f: (math.exp((k - 1) * t)
+               * growth._functional_indicator(*f, n_last, n_other)).tolist()
+           for f in functionals}
+    return lhs, rhs
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -406,65 +486,121 @@ def test_many_to_one_rep_matches_population_then_line(seed, k, t, functional):
     params = {"k": k, "t": t, "functional": functional[0], "arg": functional[1]}
 
     def ref(r):
-        last, other = ref_population_line_stats(k, t, r)
-        lhs = growth._functional_indicator(*functional, last, other).sum()
-        last, other = growth._spine_line_stats(k, t, r)
-        rhs = math.exp((k - 1) * t) * float(
-            growth._functional_indicator(*functional, last, other)[()])
-        return float(lhs), rhs
+        lhs, rhs = _ref_many_to_one(k, t, [functional], [1], r)
+        return lhs[functional][0], rhs[functional][0]
     want, got, same_next = _same_draws(
         ref, lambda r: experiments.REGISTRY["many-to-one"].rep_fn(params, r), seed, 12)
     assert want == got
     assert same_next
 
 
+def test_many_to_one_blocks_match_per_tree_loops():
+    # k = 3, t = 3 holds floor(2^16 / E[J]) = 325 trees per block
+    functionals = [("constant-1", 0), ("degree-at-least", 4), ("height-at-least", 6)]
+    assert int(growth._BLOCK_JUMPS / growth._mean_jumps(3, 3.0)) == 325
+    want, got, same_next = _same_draws(
+        lambda r: _ref_many_to_one(3, 3.0, functionals, [325, 325, 50], r),
+        lambda r: growth._many_to_one_samples(3, 3.0, functionals, 700, r), 5, 12)
+    for side in (0, 1):
+        for f in functionals:
+            assert got[side][f].tolist() == want[side][f]
+    assert same_next
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [0, 1, 2, 4, 5, 30, 39])
 def test_yule_to_rrt_matches_block_dictionary(seed, n):
-    for extra in (0, 1, 7):
-        r1, r2 = make_stream(seed, 13), make_stream(seed, 13)
-        old = ref_yule_simulate(2, r1, n_particles=n + 1 + extra)
-        new = growth.yule_simulate(2, r2, n_particles=n + 1 + extra)
-        got = growth.yule_to_rrt(new, n).parent
-        assert got.dtype == np.int64
-        assert np.array_equal(got, ref_yule_to_rrt(old, n))
+    rng = make_stream(seed, 13)
+    stopped = [growth.yule_simulate(2, 5, rng, n_particles=n + 1 + extra)
+               for extra in (0, 1, 7)]
+    timed = [tree for tree in _tree_dicts(growth.yule_simulate(2, 40, rng, t=3.5))
+             if len(tree["jump_times"]) >= n]
+    for forest in stopped + [_forest(2, timed)]:
+        got = growth.yule_to_rrt(forest, n)
+        assert got.dtype == np.int64 and got.shape == (forest.n_jumps.size, n + 1)
+        for row, tree in zip(got, _tree_dicts(forest)):
+            assert np.array_equal(row, ref_yule_to_rrt(tree, n))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [1, 2, 4, 5, 30, 39])
 def test_yule3_to_ba_matches_block_dictionaries(seed, n):
+    rng = make_stream(seed, 14)
     for sizes in ((2 * n + 1, 2 * n + 1), (1, 2 * n + 1), (2 * n + 1, 1), (n, n + 3)):
-        r1, r2 = make_stream(seed, 14), make_stream(seed, 14)
-        old = [ref_yule_simulate(3, r1, n_particles=m) for m in sizes]
-        new = [growth.yule_simulate(3, r2, n_particles=m) for m in sizes]
-        if sum(tree.n_jumps for tree in new) < n - 1:
+        pairs = list(zip(*[_tree_dicts(growth.yule_simulate(3, 6, rng, n_particles=m))
+                           for m in sizes]))
+        if sum(len(tree["jump_times"]) for tree in pairs[0]) < n - 1:
             continue
-        got = growth.yule3_to_ba(*new, n).parent
-        assert got.dtype == np.int64
-        assert np.array_equal(got, ref_yule3_to_ba(*old, n))
+        got = growth.yule3_to_ba(_forest(3, [tree for pair in pairs for tree in pair]), n)
+        assert got.dtype == np.int64 and got.shape == (6, n + 1)
+        for row, pair in zip(got, pairs):
+            assert np.array_equal(row, ref_yule3_to_ba(*pair, n))
 
 
 def test_contractions_match_on_the_acceptance_shapes():
     # criterion 14 contracts order-2 trees at n = 3, criterion 15 pairs of
     # order-3 trees at n = 4
-    calls = 20
-    for seed in range(50):
-        want, got, same_next = _same_draws(
-            lambda r: [ref_yule_to_rrt(ref_yule_simulate(2, r, n_particles=4), 3)
-                       for _ in range(calls)],
-            lambda r: [growth.yule_to_rrt(growth.yule_simulate(2, r, n_particles=4),
-                                          3).parent for _ in range(calls)], seed, 143)
-        assert all(np.array_equal(a, b) for a, b in zip(want, got))
-        assert same_next
-        want, got, same_next = _same_draws(
-            lambda r: [ref_yule3_to_ba(ref_yule_simulate(3, r, n_particles=7),
-                                       ref_yule_simulate(3, r, n_particles=7), 4)
-                       for _ in range(calls)],
-            lambda r: [growth.yule3_to_ba(growth.yule_simulate(3, r, n_particles=7),
-                                          growth.yule_simulate(3, r, n_particles=7),
-                                          4).parent for _ in range(calls)], seed, 152)
-        assert all(np.array_equal(a, b) for a, b in zip(want, got))
-        assert same_next
+    rng = make_stream(0, 143)
+    forest = growth.yule_simulate(2, 3000, rng, n_particles=4)
+    for row, tree in zip(growth.yule_to_rrt(forest, 3), _tree_dicts(forest)):
+        assert np.array_equal(row, ref_yule_to_rrt(tree, 3))
+    forest = growth.yule_simulate(3, 6000, rng, n_particles=7)
+    trees = _tree_dicts(forest)
+    for row, pair in zip(growth.yule3_to_ba(forest, 4), zip(trees[::2], trees[1::2])):
+        assert np.array_equal(row, ref_yule3_to_ba(*pair, 4))
+
+
+@pytest.mark.parametrize("k,t", [(2, 1.0), (3, 1.0), (4, 1.0)])
+def test_yule_jump_count_is_negative_binomial(k, t):
+    # the count of jumps by t is NegBin(1/(k-1), e^{-(k-1)t}) (Kendall 1966)
+    jumps = growth.yule_simulate(k, 20_000, make_stream(7, 20 + k), t=t).n_jumps
+    r, p = 1.0 / (k - 1), math.exp(-(k - 1) * t)
+    report = chi_square_gof(EmpiricalDist.from_samples(jumps),
+                            lambda j: float(sps.nbinom.pmf(j, r, p)), alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+@pytest.mark.parametrize("k,t", [(2, 1.0), (3, 1.0), (4, 0.5)])
+def test_yule_jump_times_are_order_statistics_given_the_count(k, t):
+    # given J jumps, the times are the order statistics of J iid draws with
+    # density proportional to e^{(k-1)s} on [0, t]
+    forest = growth.yule_simulate(k, 5_000, make_stream(7, 30 + k), t=t)
+    tree = np.repeat(np.arange(forest.n_jumps.size), forest.n_jumps)
+    assert np.all(np.diff(forest.jump_times)[tree[1:] == tree[:-1]] >= 0.0)
+    assert forest.jump_times.min() >= 0.0 and forest.jump_times.max() <= t
+    rate = k - 1
+    report = ks_test(np.sort(forest.jump_times),
+                     lambda s: np.expm1(rate * s) / math.expm1(rate * t), alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
+
+
+@pytest.mark.parametrize("k,stop", [(2, {"t": 0.7}), (3, {"t": 0.4}),
+                                    (3, {"n_particles": 7}), (4, {"n_particles": 7})])
+def test_yule_small_tree_shapes_match_the_loop(k, stop):
+    # a tree's shape is its sequence of splitting particles
+    reps = 20_000
+    rng = make_stream(7, 40 + k)
+    old = [tuple(ref_yule_simulate(k, rng, **stop)["split_particles"].tolist())
+           for _ in range(reps)]
+    new = [tuple(tree["split_particles"].tolist())
+           for tree in _tree_dicts(growth.yule_simulate(k, reps, rng, **stop))]
+    cells = {shape: i for i, shape in enumerate(sorted(set(old) | set(new)))}
+    count = [np.bincount([cells[shape] for shape in side], minlength=len(cells))
+             for side in (old, new)]
+    report = chi_square_two_sample(*count, alpha_level=0.01)
+    assert report.df >= 3
+    assert report.passed, (report.statistic, report.threshold)
+
+
+def test_rrt_contraction_is_uniform_at_n3():
+    # the 6 increasing trees on vertices 0..3 are equally likely
+    parent = growth.yule_to_rrt(
+        growth.yule_simulate(2, 60_000, make_stream(7, 50), n_particles=4), 3)
+    assert np.all(parent[:, 1] == 0)
+    counts = np.bincount(parent[:, 2] * 3 + parent[:, 3], minlength=6)
+    assert counts.size == 6
+    report = chi_square_counts(counts, np.full(6, 1 / 6), alpha_level=0.01)
+    assert report.passed, (report.statistic, report.threshold)
 
 
 # ---------------------------------------------------------------------------

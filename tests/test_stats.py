@@ -97,8 +97,10 @@ def ref_chi_square_gof(emp, pmf, alpha_level=0.01):
 
 
 def test_chi_square_callers_keep_their_statistics(monkeypatch):
-    # criteria 04, 10, 14 and 17 observe their support minimum and the height
-    # clauses pass the full grid, so the left-end cell leaves them unchanged
+    # criteria 04, 10, 14 and 17 observe their support minimum, so the
+    # left-end cell leaves them unchanged; the height clauses pass only the
+    # observed heights, and the left-end cell gives them the statistic of the
+    # full grid of levels they passed before, up to rounding
     from randstruct import exact, verify
     calls = []
 
@@ -108,10 +110,22 @@ def test_chi_square_callers_keep_their_statistics(monkeypatch):
         calls.append(got)
         return got
 
+    def as_full_grid(emp, pmf, alpha_level=0.01):
+        got = chi_square_gof(emp, pmf, alpha_level)
+        counts = np.bincount(np.repeat(emp.values, emp.counts), minlength=40)
+        grid = chi_square_gof(EmpiricalDist(np.arange(40), counts, emp.total), pmf,
+                              alpha_level)
+        assert counts.size == 40 and emp.values.min() > 0
+        assert (got.df, got.threshold, got.passed) == (grid.df, grid.threshold, grid.passed)
+        assert got.statistic == pytest.approx(grid.statistic, rel=1e-12)
+        calls.append(got)
+        return got
+
     monkeypatch.setattr(verify, "chi_square_gof", both)
     for criterion in (verify.criterion_04_borel_tanner, verify.criterion_10_triangles,
                       verify.criterion_14_rrt, verify.criterion_17_yule_classics):
         criterion("fast", verify.MASTER_SEED)
+    monkeypatch.setattr(verify, "chi_square_gof", as_full_grid)
     n = 2_000
     for cdf in (exact.rrt_height_cdf(n, 40), exact.ba_height_cdf(n, 40)):
         heights = np.random.default_rng(5).choice(
