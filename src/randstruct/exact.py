@@ -54,8 +54,8 @@ class OffspringLaw:
 
     @classmethod
     def poisson(cls, c: float) -> "OffspringLaw":
-        if c < 0:
-            raise InvalidParameterError("poisson mean must be >= 0")
+        if not 0 <= c <= 1e18:  # numpy's sampler takes means up to ~9.2e18
+            raise InvalidParameterError("poisson mean must be in [0, 1e18]")
         return cls("poisson", (float(c),))
 
     @classmethod
@@ -344,8 +344,8 @@ def _dickman_grid(x_max: int) -> np.ndarray:
 
 def dickman_rho(x: float) -> float:
     """Dickman's function: rho = 1 on [0, 1] and x rho'(x) = -rho(x - 1)."""
-    if x < 0.0:
-        raise InvalidParameterError("x must be >= 0")
+    if not 0.0 <= x < math.inf:
+        raise InvalidParameterError("x must be finite and >= 0")
     if x <= 1.0:
         return 1.0
     grid = _dickman_grid(int(math.ceil(x)))

@@ -362,9 +362,14 @@ def _yule_summary(params, matrix):
     return summary, {}
 
 
+def _yule_rep(p, s):
+    """Particles alive at t: the root, plus k - 1 for each jump."""
+    return (float(1 + (p["k"] - 1) * growth.yule_simulate(p["k"], 1, s, t=p["t"]).n_jumps[0]),)
+
+
 _register(Experiment(
     "yule", {"k": int, "t": float}, ("particles",),
-    lambda p, s: (float(growth.yule_counts_at(p["k"], p["t"], 1, s)[0]),),
+    _yule_rep,
     _yule_summary,
 ))
 
@@ -403,15 +408,16 @@ _register(Experiment(
 def _many_to_one_rep(p, s):
     """One population sum, then one marked-line estimate."""
     functional = (p["functional"], p["arg"])
-    lhs, rhs = growth._many_to_one_samples(p["k"], p["t"], [functional], 1, s)
+    lhs, rhs = growth.many_to_one_samples(p["k"], p["t"], [functional], 1, s)
     return float(lhs[functional][0]), float(rhs[functional][0])
 
 
 def _many_to_one_summary(params, matrix):
     summary, _ = _mean_summary(("population", "line"), level=0.99)(params, matrix)
-    result = growth.ManyToOneResult(summary["population_mean"], summary["population_hw"],
-                                    summary["line_mean"], summary["line_hw"])
-    return summary, {"ci_overlap": result.overlap()}
+    pop, pop_hw = summary["population_mean"], summary["population_hw"]
+    line, line_hw = summary["line_mean"], summary["line_hw"]
+    overlap = pop - pop_hw <= line + line_hw and line - line_hw <= pop + pop_hw
+    return summary, {"ci_overlap": overlap}
 
 
 _register(Experiment(

@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import FormatError, InvalidParameterError, ResourceLimitError
 from .rng import RngStream, _block_buffer, _block_rows, _uniform_block
-from .stats import mean_ci
 
 _PARTICLE_CAP = 10_000_000
 
@@ -228,23 +228,6 @@ def yule_simulate(k: int, reps: int, rng: RngStream, t: float | None = None,
     return YuleForest(k, np.concatenate(times)[order], split, n_jumps)
 
 
-def yule_counts_at(k: int, t: float, reps: int, rng: RngStream) -> np.ndarray:
-    """Particle counts at time t over independent order-k trees (count-only)."""
-    if k < 2 or t < 0:
-        raise InvalidParameterError("need k >= 2 and t >= 0")
-    if reps < 0:
-        raise InvalidParameterError("reps must be >= 0")
-    counts = np.ones(reps, dtype=np.int64)
-    clock = np.zeros(reps)
-    active = np.arange(reps)
-    while active.size:
-        clock[active] += rng.gen.exponential(1.0 / counts[active])
-        still = clock[active] <= t
-        counts[active[still]] += k - 1
-        active = active[still]
-    return counts
-
-
 def _contract(forest: YuleForest, roots: int, n: int) -> np.ndarray:
     """Contract each run of r = ``roots`` trees into a growing tree on n + 1
     vertices, one parent row each: roots 0..r-1 form a path, and the run's
@@ -305,20 +288,6 @@ _FUNCTIONALS = ("constant-1", "height-at-least", "degree-at-least")
 _BLOCK_JUMPS = 1 << 16
 
 
-@dataclass(frozen=True)
-class ManyToOneResult:
-    lhs_mean: float
-    lhs_half_width: float
-    rhs_mean: float
-    rhs_half_width: float
-
-    def overlap(self) -> bool:
-        return (self.lhs_mean - self.lhs_half_width
-                <= self.rhs_mean + self.rhs_half_width) and \
-               (self.rhs_mean - self.rhs_half_width
-                <= self.lhs_mean + self.lhs_half_width)
-
-
 def _functional_indicator(kind: str, arg: int, n_last, n_other):
     if kind == "constant-1":
         return np.ones_like(np.asarray(n_last), dtype=float)
@@ -327,6 +296,19 @@ def _functional_indicator(kind: str, arg: int, n_last, n_other):
     if kind == "degree-at-least":
         return (np.asarray(n_other) >= arg).astype(float)
     raise InvalidParameterError(f"functional must be one of {_FUNCTIONALS}")
+
+
+def line_mean(k: int, t: float, kind: str, arg: int) -> float:
+    """Exact mean of the marked-line estimate e^{(k-1)t} f(line) of
+    ``_functional_indicator``: the line's position-1 branch points by t are
+    N ~ Poisson(t) for height-at-least(arg), its others N ~ Poisson((k-1)t)
+    for degree-at-least(arg), and the mean is e^{(k-1)t} P(N >= arg);
+    constant-1 has e^{(k-1)t}."""
+    if kind not in _FUNCTIONALS:
+        raise InvalidParameterError(f"functional must be one of {_FUNCTIONALS}")
+    rate = t if kind == "height-at-least" else (k - 1) * t
+    tail = 1.0 if kind == "constant-1" or arg <= 0 else float(special.pdtrc(arg - 1, rate))
+    return math.exp((k - 1) * t) * tail
 
 
 def _alive_line_stats(forest: YuleForest):
@@ -356,8 +338,8 @@ def _alive_line_stats(forest: YuleForest):
     return last, (packed & 0xFFFFFFFF) - last
 
 
-def _many_to_one_samples(k: int, t: float, functionals, reps: int,
-                         rng: RngStream):
+def many_to_one_samples(k: int, t: float, functionals, reps: int,
+                        rng: RngStream):
     """Per-replicate sums of each functional over ``reps`` populations alive
     at t, drawn in blocks of max(1, floor(2^16 / max(1, E[J]))) trees, then
     ``reps`` marked-line estimates e^{(k-1)t} f(line).  The line branches at
@@ -386,19 +368,6 @@ def _many_to_one_samples(k: int, t: float, functionals, reps: int,
     growth = math.exp((k - 1) * t)
     return lhs, {f: growth * _functional_indicator(*f, n_last, n_other)
                  for f in functionals}
-
-
-def many_to_one_table(k: int, t: float, functionals, reps: int,
-                      rng: RngStream) -> dict[tuple[str, int], ManyToOneResult]:
-    """Evaluate several functionals on shared population / marked-line draws."""
-    functionals = [tuple(f) for f in functionals]
-    lhs, rhs = _many_to_one_samples(k, t, functionals, reps, rng)
-    out = {}
-    for f in functionals:
-        lhs_mean, lhs_hw = mean_ci(lhs[f], level=0.99)
-        rhs_mean, rhs_hw = mean_ci(rhs[f], level=0.99)
-        out[f] = ManyToOneResult(lhs_mean, lhs_hw, rhs_mean, rhs_hw)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from . import exact, graphs, growth, permutations, trees, walks
 from .exact import OffspringLaw
 from .experiments import ExperimentConfig, run_experiment
 from .rng import make_stream
-from .stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                    chi_square_two_sample, ks_test, mean_ci)
+from .stats import (EmpiricalDist, chi_square_counts, chi_square_gof, ks_test,
+                    mean_ci)
 
 MASTER_SEED = 20260810
 
@@ -440,6 +440,30 @@ def _rrt_parent_rows(n: int, reps: int, rng) -> np.ndarray:
     return rng.gen.integers(0, np.tile(np.arange(1, n + 1), (reps, 1)))
 
 
+def _shape_clause(chk: _Check, label: str, keys: np.ndarray, probs: np.ndarray):
+    """Shapes, keyed by integers below ``probs.size``, against their exact law."""
+    report = chi_square_counts(np.bincount(keys, minlength=probs.size), probs,
+                               alpha_level=0.01)
+    chk.add(f"{label} vs exact law", report.passed,
+            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+
+
+def _ba_shape_law() -> dict[int, Fraction]:
+    """Exact law of the preferential shape (p2, p3, p4) at n = 4, keyed by
+    p2 * 16 + p3 * 4 + p4: vertex i joins v with probability deg(v) / (2(i - 1)),
+    the law of the 2 * 4 * 6 equally likely slot picks of
+    ``growth.ba_chain_batch``."""
+    law = {}
+    for shape in itertools.product(range(2), range(3), range(4)):
+        parent = [-1, 0, *shape]
+        prob = Fraction(1)
+        for i in (2, 3, 4):
+            degree = parent[1:i].count(parent[i]) + (parent[i] > 0)
+            prob *= Fraction(degree, 2 * (i - 1))
+        law[shape[0] * 16 + shape[1] * 4 + shape[2]] = prob
+    return law
+
+
 def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     n = 100_000 if scale == "full" else 20_000
@@ -465,17 +489,16 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
                             if 1 <= k <= 8 else 0.0, alpha_level=0.01)
     chk.add("vertex-8 height vs cycle-count law", report.passed,
             f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    # the 6 shapes (parent[2], parent[3]) at n = 3 are equally likely
     creps = 300_000 if scale == "full" else 50_000
     rng = make_stream(seed, 142)
-    picks = _rrt_parent_rows(3, creps, rng)
-    direct = np.bincount(picks[:, 1] * 3 + picks[:, 2], minlength=6)
+    direct = _rrt_parent_rows(3, creps, rng)[:, 1:]
     rng = make_stream(seed, 143)
     forest = growth.yule_simulate(2, creps // 3, rng, n_particles=4)
-    parent = growth.yule_to_rrt(forest, 3)
-    contracted = np.bincount(parent[:, 2] * 3 + parent[:, 3], minlength=6)
-    report = chi_square_two_sample(direct, contracted, alpha_level=0.01)
-    chk.add("contraction vs chain shapes (n=3)", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    contracted = growth.yule_to_rrt(forest, 3)[:, 2:]
+    for label, rows in (("chain", direct), ("contraction", contracted)):
+        _shape_clause(chk, f"{label} shapes (n=3)", rows[:, 0] * 3 + rows[:, 1],
+                      np.full(6, 1 / 6))
     return chk.result()
 
 
@@ -501,16 +524,11 @@ def criterion_15_ba(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 152)
     forest = growth.yule_simulate(3, 2 * (creps // 3), rng, n_particles=7)
     contracted = growth.yule3_to_ba(forest, 4)[:, 2:]
-    # shapes are cells in order of first appearance, direct side first
-    _, first, cell = np.unique(np.concatenate([direct, contracted]), axis=0,
-                               return_index=True, return_inverse=True)
-    cell = np.argsort(np.argsort(first))[cell.reshape(-1)]
-    direct_counts = np.bincount(cell[:creps], minlength=first.size)
-    contracted_counts = np.bincount(cell[creps:], minlength=first.size)
-    report = chi_square_two_sample(direct_counts, contracted_counts,
-                                   alpha_level=0.01)
-    chk.add("contraction vs chain shapes (n=4)", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    probs = np.zeros(64)
+    for key, prob in _ba_shape_law().items():
+        probs[key] = prob
+    for label, rows in (("chain", direct), ("contraction", contracted)):
+        _shape_clause(chk, f"{label} shapes (n=4)", rows @ [16, 4, 1], probs)
     return chk.result()
 
 
@@ -611,7 +629,7 @@ def criterion_17_yule_classics(scale: str, seed: int) -> tuple[bool, str]:
     # geometric particle-count law at t = 2
     reps = 100_000 if scale == "full" else 20_000
     rng = make_stream(seed, 17)
-    counts = growth.yule_counts_at(2, 2.0, reps, rng)
+    counts = 1 + growth.yule_simulate(2, reps, rng, t=2.0).n_jumps
     q = math.exp(-2.0)
     emp = EmpiricalDist.from_samples(counts)
     report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
@@ -650,11 +668,12 @@ def criterion_18_many_to_one(scale: str, seed: int) -> tuple[bool, str]:
     functionals = [("constant-1", 0), ("degree-at-least", 4), ("height-at-least", 6)]
     for i, k in enumerate((2, 3)):
         rng = make_stream(seed, 18 * 10 + i)
-        table = growth.many_to_one_table(k, 3.0, functionals, reps, rng)
-        for f, result in table.items():
-            chk.add(f"k={k} {f[0]}({f[1]})", result.overlap(),
-                    f" (lhs {result.lhs_mean:.3f}+-{result.lhs_half_width:.3f}"
-                    f" rhs {result.rhs_mean:.3f}+-{result.rhs_half_width:.3f})")
+        population, _ = growth.many_to_one_samples(k, 3.0, functionals, reps, rng)
+        for f in functionals:
+            sums = population[f]
+            chk.within(f"k={k} {f[0]}({f[1]}) population mean", float(sums.mean()),
+                       growth.line_mean(k, 3.0, *f),
+                       3.0 * float(sums.std(ddof=1)) / math.sqrt(reps))
     return chk.result()
 
 

@@ -213,6 +213,25 @@ def test_cli_many_to_one_particle_cap_is_a_resource_error(monkeypatch, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+def test_cli_yule_rejects_nan_and_stops_at_the_particle_cap(monkeypatch, capsys):
+    yule = ("run", "--experiment", "yule", "--param", "k=2")
+    assert run_cli(*yule, "--param", "t=nan") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    monkeypatch.setattr(growth, "_PARTICLE_CAP", 1_000)
+    assert run_cli(*yule, "--param", "t=inf") == cli.EXIT_RESOURCE
+    assert "resource error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [("dickman", "x=nan"), ("dickman", "x=inf"),
+                                    ("bgw-size", "law=poisson", "param=nan"),
+                                    ("bgw-size", "law=poisson", "param=inf")])
+def test_cli_non_finite_parameters_are_usage_errors(params, capsys):
+    name, *values = params
+    args = [arg for value in values for arg in ("--param", value)]
+    assert run_cli("run", "--experiment", name, *args) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_cli_json_report_with_a_ks_verdict(tmp_path):
     # 60 replicates give arcsine its KS verdict, a Python bool in the JSON
     out = tmp_path / "arcsine.json"

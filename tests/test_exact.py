@@ -517,6 +517,9 @@ def test_offspring_validation():
         OffspringLaw.from_pmf({1: 1.0})  # concentrated on {1}
     with pytest.raises(InvalidParameterError):
         OffspringLaw.from_pmf({0: 0.4, 1: 0.4})  # mass 0.8
+    for mean in (-1.0, math.nan, math.inf, 1e19):  # numpy draws means to ~9.2e18
+        with pytest.raises(InvalidParameterError):
+            OffspringLaw.poisson(mean)
 
 
 def test_offspring_pgf_and_mean():

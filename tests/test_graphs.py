@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from stats_helpers import chi_square_two_sample
 
 from randstruct import exact, graphs
 from randstruct.errors import InvalidParameterError, ResourceLimitError
 from randstruct.experiments import ExperimentConfig, run_experiment
 from randstruct.graphs import Graph
 from randstruct.rng import make_stream
-from randstruct.stats import (EmpiricalDist, chi_square_gof,
-                              chi_square_two_sample)
+from randstruct.stats import EmpiricalDist, chi_square_gof
 
 
 def test_graph_invariants():

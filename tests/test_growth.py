@@ -5,13 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import stats as sps
+from stats_helpers import chi_square_two_sample
 
 from randstruct import exact, growth
 from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              ks_test)
+                              ks_test, mean_ci)
 
 
 def test_growing_tree_validation():
@@ -77,23 +78,32 @@ def test_ba_degree_sum():
         assert int(tree.degrees().sum()) == 2 * n
 
 
+def _yule_counts(k, t, reps, rng):
+    """Particles alive at t in ``reps`` order-k trees, each 1 + (k - 1) per
+    jump, drawn in blocks of about 2^18 expected jumps."""
+    block = max(1, (1 << 18) // math.ceil(math.exp((k - 1) * t)))
+    return np.concatenate([
+        1 + (k - 1) * growth.yule_simulate(k, min(block, reps - lo), rng, t=t).n_jumps
+        for lo in range(0, reps, block)])
+
+
 def test_yule_counts_validate_reps():
     rng = make_stream(4, 11)
     with pytest.raises(InvalidParameterError):
-        growth.yule_counts_at(2, 1.0, -1, rng)
-    assert growth.yule_counts_at(2, 1.0, 0, rng).shape == (0,)
+        growth.yule_simulate(2, -1, rng, t=1.0)
+    assert growth.yule_simulate(2, 0, rng, t=1.0).n_jumps.shape == (0,)
 
 
 def test_yule_mean_growth():
     rng = make_stream(4, 11)
-    counts = growth.yule_counts_at(2, 3.0, 100_000, rng)
+    counts = _yule_counts(2, 3.0, 100_000, rng)
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - math.exp(3.0)) < 3 * se
 
 
 def test_yule_geometric_law():
     rng = make_stream(4, 12)
-    counts = growth.yule_counts_at(2, 2.0, 50_000, rng)
+    counts = _yule_counts(2, 2.0, 50_000, rng)
     q = math.exp(-2.0)
     emp = EmpiricalDist.from_samples(counts)
     report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
@@ -103,7 +113,7 @@ def test_yule_geometric_law():
 
 def test_yule_exponential_limit():
     rng = make_stream(4, 13)
-    counts = growth.yule_counts_at(2, 8.0, 3_000, rng)
+    counts = _yule_counts(2, 8.0, 3_000, rng)
     scaled = np.sort(counts * math.exp(-8.0))
     report = ks_test(scaled, lambda x: 1.0 - np.exp(-np.clip(x, 0, None)),
                      alpha_level=0.01)
@@ -146,9 +156,8 @@ def test_yule_clock_queue_cross_check():
     rng = make_stream(4, 16)
     queue_counts = np.array([clock_queue_count(2.0, rng) for _ in range(20_000)])
     rng = make_stream(4, 17)
-    chain_counts = growth.yule_counts_at(2, 2.0, 20_000, rng)
+    chain_counts = _yule_counts(2, 2.0, 20_000, rng)
     hi = max(queue_counts.max(), chain_counts.max())
-    from randstruct.stats import chi_square_two_sample
     report = chi_square_two_sample(np.bincount(queue_counts, minlength=hi + 1),
                                    np.bincount(chain_counts, minlength=hi + 1),
                                    alpha_level=0.01)
@@ -222,10 +231,12 @@ def test_ba_fixed_vertex_degree_scaling():
 
 def test_many_to_one_constant():
     rng = make_stream(4, 25)
-    result = growth.many_to_one_table(2, 3.0, [("constant-1", 0)], 2_000,
-                                      rng)[("constant-1", 0)]
-    assert result.rhs_mean == pytest.approx(math.exp(3.0))
-    assert result.overlap()
+    f = ("constant-1", 0)
+    lhs, rhs = growth.many_to_one_samples(2, 3.0, [f], 2_000, rng)
+    assert growth.line_mean(2, 3.0, *f) == pytest.approx(math.exp(3.0))
+    assert rhs[f].tolist() == pytest.approx([math.exp(3.0)] * 2_000)
+    mean, half_width = mean_ci(lhs[f], level=0.99)
+    assert abs(mean - growth.line_mean(2, 3.0, *f)) <= half_width
 
 
 def test_many_to_one_analytic_anchors():
@@ -233,21 +244,31 @@ def test_many_to_one_analytic_anchors():
     # arrive at unit rate, so the two named functionals have closed values
     rng = make_stream(4, 26)
     t = 3.0
-    table = growth.many_to_one_table(
-        2, t, [("degree-at-least", 4), ("height-at-least", 6)], 6_000, rng)
-    deg = table[("degree-at-least", 4)]
-    hgt = table[("height-at-least", 6)]
-    assert abs(deg.rhs_mean - math.exp(t) * sps.poisson.sf(3, t)) \
-        <= deg.rhs_half_width
-    assert abs(hgt.rhs_mean - math.exp(t) * sps.poisson.sf(5, t)) \
-        <= hgt.rhs_half_width
-    assert deg.overlap() and hgt.overlap()
+    functionals = [("degree-at-least", 4), ("height-at-least", 6)]
+    lhs, rhs = growth.many_to_one_samples(2, t, functionals, 6_000, rng)
+    for f, tail in zip(functionals, (sps.poisson.sf(3, t), sps.poisson.sf(5, t))):
+        exact_mean = growth.line_mean(2, t, *f)
+        assert exact_mean == pytest.approx(math.exp(t) * tail, rel=1e-12)
+        for side in (lhs, rhs):
+            mean, half_width = mean_ci(side[f], level=0.99)
+            assert abs(mean - exact_mean) <= half_width
+
+
+def test_line_mean_edges():
+    # k = 3: the other branch points come at rate 2t; arg <= 0 always holds
+    assert growth.line_mean(3, 1.5, "degree-at-least", 2) == pytest.approx(
+        math.exp(3.0) * sps.poisson.sf(1, 3.0), rel=1e-12)
+    for kind in ("constant-1", "height-at-least", "degree-at-least"):
+        assert growth.line_mean(3, 1.5, kind, 0) == pytest.approx(math.exp(3.0))
+        assert growth.line_mean(2, 0.0, kind, 1) == (kind == "constant-1")
+    with pytest.raises(InvalidParameterError):
+        growth.line_mean(2, 1.0, "width-at-least", 1)
 
 
 def test_many_to_one_population_obeys_the_particle_cap(monkeypatch):
     monkeypatch.setattr(growth, "_PARTICLE_CAP", 1_000)
     with pytest.raises(ResourceLimitError):
-        growth.many_to_one_table(3, 8.0, [("constant-1", 0)], 2, make_stream(4, 30))
+        growth.many_to_one_samples(3, 8.0, [("constant-1", 0)], 2, make_stream(4, 30))
 
 
 def test_splitting_trees_stop_at_the_particle_cap_before_filling_it(monkeypatch):
@@ -272,7 +293,7 @@ def test_many_to_one_memory_at_the_full_criterion_size():
     functionals = [("constant-1", 0), ("degree-at-least", 4), ("height-at-least", 6)]
     tracemalloc.start()
     try:
-        lhs, _ = growth._many_to_one_samples(3, 3.0, functionals, 10_000,
+        lhs, _ = growth.many_to_one_samples(3, 3.0, functionals, 10_000,
                                              make_stream(4, 32))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -302,10 +323,10 @@ def test_splitting_trees_at_the_edges(k):
     assert growth.yule3_to_ba(growth.yule_simulate(3, 0, rng, n_particles=7), 4).shape == (0, 5)
     assert growth.yule_to_rrt(growth.yule_simulate(2, 3, rng, t=0.0), 0).tolist() == [[-1]] * 3
     functionals = [("constant-1", 0), ("height-at-least", 1)]
-    lhs, rhs = growth._many_to_one_samples(k, 0.0, functionals, 5, rng)
+    lhs, rhs = growth.many_to_one_samples(k, 0.0, functionals, 5, rng)
     assert lhs[functionals[0]].tolist() == rhs[functionals[0]].tolist() == [1.0] * 5
     assert lhs[functionals[1]].tolist() == rhs[functionals[1]].tolist() == [0.0] * 5
-    lhs, rhs = growth._many_to_one_samples(k, 1.0, functionals, 0, rng)
+    lhs, rhs = growth.many_to_one_samples(k, 1.0, functionals, 0, rng)
     assert lhs[functionals[0]].shape == rhs[functionals[0]].shape == (0,)
 
 
@@ -319,7 +340,7 @@ def test_splitting_trees_validate_their_arguments():
         with pytest.raises(InvalidParameterError):
             growth.yule_simulate(rng=rng, **bad)
     with pytest.raises(InvalidParameterError):
-        growth._many_to_one_samples(2, 1.0, [("constant-1", 0)], -1, rng)
+        growth.many_to_one_samples(2, 1.0, [("constant-1", 0)], -1, rng)
 
 
 def test_coupon_collector_mean():
@@ -367,7 +388,6 @@ def test_pills_matches_exact_embedding_law():
     y = rng.gen.exponential(1.0, size=(reps, n))
     embedded = ((x + y) > x.max(axis=1, keepdims=True)).sum(axis=1)
     hi = int(max(direct.max(), embedded.max()))
-    from randstruct.stats import chi_square_two_sample
     report = chi_square_two_sample(np.bincount(direct, minlength=hi + 1),
                                    np.bincount(embedded, minlength=hi + 1),
                                    alpha_level=0.01)

@@ -9,13 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from stats_helpers import chi_square_two_sample
 from test_exact import _pills_law_fraction
 
 from randstruct import growth, rng as rng_module
 from randstruct.errors import InvalidParameterError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
-from randstruct.stats import EmpiricalDist, chi_square_gof, chi_square_two_sample
+from randstruct.stats import EmpiricalDist, chi_square_gof
 
 # ---------------------------------------------------------------------------
 # Reference implementations

@@ -12,14 +12,14 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from stats_helpers import chi_square_two_sample
 
 from randstruct import (exact, experiments, growth, permutations as perms,
                         rng as rng_module, trees, walks)
 from randstruct.exact import OffspringLaw
 from randstruct.permutations import CycleStructure
 from randstruct.rng import make_stream
-from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              chi_square_two_sample, ks_test)
+from randstruct.stats import EmpiricalDist, chi_square_counts, chi_square_gof, ks_test
 from randstruct.walks import LatticePath
 
 # ---------------------------------------------------------------------------
@@ -500,7 +500,7 @@ def test_many_to_one_blocks_match_per_tree_loops():
     assert int(growth._BLOCK_JUMPS / growth._mean_jumps(3, 3.0)) == 325
     want, got, same_next = _same_draws(
         lambda r: _ref_many_to_one(3, 3.0, functionals, [325, 325, 50], r),
-        lambda r: growth._many_to_one_samples(3, 3.0, functionals, 700, r), 5, 12)
+        lambda r: growth.many_to_one_samples(3, 3.0, functionals, 700, r), 5, 12)
     for side in (0, 1):
         for f in functionals:
             assert got[side][f].tolist() == want[side][f]
@@ -659,16 +659,6 @@ def ref_ok_corral(n, rng):
     return a + b
 
 
-def ref_yule_count(k, t, rng):
-    """Particles at time t, one exponential wait per split."""
-    count, clock = 1, 0.0
-    while True:
-        clock += rng.gen.exponential(1.0 / count)
-        if clock > t:
-            return count
-        count += k - 1
-
-
 def ref_max_load(n, rng):
     return max(collections.Counter(rng.gen.integers(0, n, size=n).tolist()).values())
 
@@ -686,7 +676,8 @@ REGISTRY_REFERENCES = {
     "pills": ({"n": 25}, lambda r: float(ref_pills(25, r))),
     "poisson-dirichlet": ({"n": 300},
                           lambda r: float(ref_longest_cycle_stats(300, 1, r)[0])),
-    "yule": ({"k": 3, "t": 1.5}, lambda r: float(ref_yule_count(3, 1.5, r))),
+    "yule": ({"k": 3, "t": 1.5},
+             lambda r: float(len(ref_yule_rounds(3, 1, r, t=1.5)[0]["alive"]))),
 }
 
 

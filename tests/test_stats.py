@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from stats_helpers import chi_square_two_sample
 
 from randstruct import rng as R, stats as stats_module
 from randstruct.errors import InvalidParameterError, InvalidTestError
 from randstruct.exact import OffspringLaw
 from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              chi_square_two_sample, ks_test, mean_ci)
+                              ks_test, mean_ci)
 
 
 def test_chi_square_exact_multiples_pass():

@@ -4,13 +4,16 @@ criteria are the draws of the samplers they stand for; and the suite reaches
 the sampler modules through their public names only."""
 
 import ast
+import itertools
 import math
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randstruct import exact, growth, permutations, verify
+from randstruct import exact, experiments, growth, permutations, verify
 from randstruct.rng import make_stream
 
 
@@ -92,8 +95,10 @@ def test_criterion_14_rows_are_rrt_chain_draws(seed, n, index):
 
 
 def test_verify_imports_no_private_sampler_names():
+    # neither the suite nor the experiment registry
     modules = {"walks", "trees", "graphs", "permutations", "growth", "exact"}
-    tree = ast.parse(Path(verify.__file__).read_text())
+    tree = ast.Module([*ast.parse(Path(verify.__file__).read_text()).body,
+                       *ast.parse(Path(experiments.__file__).read_text()).body], [])
     private = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module in modules:
@@ -102,3 +107,24 @@ def test_verify_imports_no_private_sampler_names():
               and isinstance(node.value, ast.Name) and node.value.id in modules):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_ba_shape_law_at_n4():
+    law = verify._ba_shape_law()
+    assert len(law) == 24 and sum(law.values()) == 1
+    assert all(prob > 0 for prob in law.values())
+    marginal = [Counter(), Counter(), Counter()]  # p2, p3, p4
+    for key, prob in law.items():
+        for i, shift in enumerate((4, 2, 0)):
+            marginal[i][key >> shift & 3] += prob
+    assert marginal[0][0] == Fraction(1, 2)
+    for i in (2, 3, 4):
+        assert marginal[i - 2][i - 1] == Fraction(1, 2 * (i - 1))
+    # the same law as the 2 * 4 * 6 equally likely slot picks of ba_chain_batch
+    picks = Counter()
+    for slots in itertools.product(range(2), range(4), range(6)):
+        parent = [-1, 0]
+        for r in slots:
+            parent.append(r // 2 + 1 if r & 1 else parent[r // 2 + 1])
+        picks[parent[2] * 16 + parent[3] * 4 + parent[4]] += 1
+    assert law == {key: Fraction(count, 48) for key, count in picks.items()}
