@@ -175,13 +175,14 @@ def _mean_hw(values, level=0.95):
     return mean_ci(values, level) if values.size > 1 else (float(values[0]), 0.0)
 
 
-def _mean_summary(columns, level=0.95):
+def _mean_summary(columns, level=0.95, extra=None):
+    """Mean and half-width of each column, plus the reference values that
+    ``extra(params)`` gives."""
     def summarize(params, matrix):
         summary = {}
         for j, col in enumerate(columns):
-            mean, hw = _mean_hw(matrix[:, j], level)
-            summary[f"{col}_mean"] = mean
-            summary[f"{col}_hw"] = hw
+            summary[f"{col}_mean"], summary[f"{col}_hw"] = _mean_hw(matrix[:, j], level)
+        summary.update(extra(params) if extra else {})
         return summary, {}
     return summarize
 
@@ -284,29 +285,18 @@ _register(Experiment(
 ))
 
 
-def _ballot_summary(params, matrix):
-    summary, _ = _mean_summary(("always_ahead",))(params, matrix)
-    summary["exact_probability"] = float(walks.ballot_prob(params["a"], params["b"]))
-    return summary, {}
-
-
 _register(Experiment(
     "ballot", {"a": int, "b": int}, ("always_ahead",),
     lambda p, s: (walks.ballot_mc(p["a"], p["b"], 1, s),),
-    _ballot_summary,
+    _mean_summary(("always_ahead",), extra=lambda p: {
+        "exact_probability": float(walks.ballot_prob(p["a"], p["b"]))}),
 ))
-
-
-def _cycles_summary(params, matrix):
-    summary, _ = _mean_summary(("n_cycles",))(params, matrix)
-    summary["harmonic_mean"] = exact.pills_mean(params["n"])  # H_n by digamma
-    return summary, {}
-
 
 _register(Experiment(
     "cycles", {"n": int}, ("n_cycles",),
     lambda p, s: (float(permutations.feller_cycles(p["n"], s).n_cycles),),
-    _cycles_summary,
+    _mean_summary(("n_cycles",), extra=lambda p: {
+        "harmonic_mean": exact.pills_mean(p["n"])}),  # H_n by digamma
 ))
 
 
@@ -323,14 +313,9 @@ _register(Experiment(
 ))
 
 
-def _dickman_rep(params, stream):
-    del stream  # deterministic evaluation
-    return (exact.dickman_rho(params["x"]),)
-
-
 _register(Experiment(
     "dickman", {"x": float}, ("rho",),
-    _dickman_rep,
+    lambda p, s: (exact.dickman_rho(p["x"]),),  # deterministic: draws nothing
     _mean_summary(("rho",)),
 ))
 
@@ -356,12 +341,6 @@ _register(Experiment(
 ))
 
 
-def _yule_summary(params, matrix):
-    summary, _ = _mean_summary(("particles",))(params, matrix)
-    summary["mean_limit"] = math.exp((params["k"] - 1) * params["t"])
-    return summary, {}
-
-
 def _yule_rep(p, s):
     """Particles alive at t: the root, plus k - 1 for each jump."""
     return (float(1 + (p["k"] - 1) * growth.yule_simulate(p["k"], 1, s, t=p["t"]).n_jumps[0]),)
@@ -370,7 +349,8 @@ def _yule_rep(p, s):
 _register(Experiment(
     "yule", {"k": int, "t": float}, ("particles",),
     _yule_rep,
-    _yule_summary,
+    _mean_summary(("particles",),
+                  extra=lambda p: {"mean_limit": math.exp((p["k"] - 1) * p["t"])}),
 ))
 
 _register(Experiment(
@@ -386,16 +366,11 @@ _register(Experiment(
 ))
 
 
-def _pills_summary(params, matrix):
-    summary, _ = _mean_summary(("half_pills_left",))(params, matrix)
-    summary["half_pills_left_exact_mean"] = exact.pills_mean(params["n"])
-    return summary, {}
-
-
 _register(Experiment(
     "pills", {"n": int}, ("half_pills_left",),
     lambda p, s: (float(growth.pills_batch(p["n"], 1, s)[0]),),
-    _pills_summary,
+    _mean_summary(("half_pills_left",), extra=lambda p: {
+        "half_pills_left_exact_mean": exact.pills_mean(p["n"])}),
 ))
 
 _register(Experiment(
@@ -432,11 +407,6 @@ _register(Experiment(
 _PM_ONE = exact.OffspringLaw.from_pmf({0: 0.5, 2: 0.5})  # steps -1 and +1
 
 
-def _arcsine_rep(p, s):
-    path = walks.sample_path(_PM_ONE, p["n"], s)
-    return (walks.argmax_time(path) / p["n"],)
-
-
 def _arcsine_summary(params, matrix):
     mean, hw = _mean_hw(matrix[:, 0])
     verdicts = {}
@@ -449,6 +419,6 @@ def _arcsine_summary(params, matrix):
 
 _register(Experiment(
     "arcsine", {"n": int}, ("argmax_frac",),
-    _arcsine_rep,
+    lambda p, s: (walks.argmax_time(walks.sample_path(_PM_ONE, p["n"], s)) / p["n"],),
     _arcsine_summary,
 ))

@@ -132,78 +132,58 @@ def _pair_from_linear(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
         k -= over
 
 
-def _sample_gnp_sparse(n: int, p: float, rng: RngStream) -> Graph:
-    """Geometric gap skipping over the linearized pair order."""
-    total = n * (n - 1) // 2
-    gaps = []
-    pos = -1
-    expect = int(total * p + 6 * math.sqrt(total * p + 1) + 16)
-    while pos < total:
-        block = rng.gen.geometric(p, size=expect)
-        gaps.append(block)
-        pos += int(block.sum())
-        expect = max(16, expect // 2)
-    linear = np.cumsum(np.concatenate(gaps)) - 1
-    linear = linear[linear < total]
-    return Graph(n, _UpperPairs(*_pair_from_linear(linear, n)))
+def _gap_positions(p: float, stop: int, rng: RngStream, last: int = -1) -> np.ndarray:
+    """Positions after ``last`` of a Geometric(p) gap sequence, in chunks up
+    to the first chunk that reaches ``stop``: the first holds the expected
+    count plus six deviations and 16, each later one half the one before
+    (at least 16)."""
+    mean = (stop - 1 - last) * p
+    size, chunks = int(mean + 6 * math.sqrt(mean + 1) + 16), []
+    while last < stop:
+        chunks.append(last + np.cumsum(rng.gen.geometric(p, size=size)))
+        last, size = int(chunks[-1][-1]), max(16, size // 2)
+    return np.concatenate(chunks)
 
 
-def _sample_gnp_dense(n: int, p: float, rng: RngStream) -> Graph:
-    """One Bernoulli draw per vertex pair, in row-major pair order.  The
-    uniforms come in blocks of the shared draw budget, which continue one
-    stream."""
+def _gnp_pairs(n: int, p: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of one G(n, p) in row-major order: by geometric gap
+    skipping below p = 0.1, else by one uniform per pair, drawn in blocks of
+    the shared draw budget that continue one stream."""
+    if not 0.0 <= p <= 1.0 or n < 0:
+        raise InvalidParameterError("need p in [0, 1] and n >= 0")
+    if n > _PAIR_N_CAP:
+        raise ResourceLimitError(f"G(n, p) limited to n <= {_PAIR_N_CAP}")
     total = n * (n - 1) // 2
-    step = _block_rows(1, total)
-    hits = [start + np.flatnonzero(rng.gen.random(min(step, total - start)) < p)
-            for start in range(0, total, step)]
-    return Graph(n, _UpperPairs(*_pair_from_linear(np.concatenate(hits), n)))
+    linear = np.empty(0, dtype=np.int64)
+    if 0.0 < p < _SPARSE_P and n >= 2:
+        linear = _gap_positions(p, total, rng)
+        linear = linear[linear < total]
+    elif p and n >= 2:
+        step = _block_rows(1, total)
+        linear = np.concatenate([
+            start + np.flatnonzero(rng.gen.random(min(step, total - start)) < p)
+            for start in range(0, total, step)])
+    return _pair_from_linear(linear, n)
 
 
 def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
     """Graph where each of the n(n-1)/2 edges is present independently with
     probability p.  Below p = 0.1 edges are generated by geometric gap
     skipping over the linearized pair order (same law, near-linear cost)."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError("p must be in [0, 1]")
-    if n < 0:
-        raise InvalidParameterError("n must be >= 0")
-    if n > _PAIR_N_CAP:
-        raise ResourceLimitError(f"G(n, p) limited to n <= {_PAIR_N_CAP}")
-    if p == 0.0 or n < 2:
-        return Graph(n, np.empty((0, 2), dtype=np.int64))
-    if p < _SPARSE_P:
-        return _sample_gnp_sparse(n, p, rng)
-    return _sample_gnp_dense(n, p, rng)
+    return Graph(n, _UpperPairs(*_gnp_pairs(n, p, rng)))
 
 
 # ---------------------------------------------------------------------------
 # Components
 
 
-def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
-    return connected_components(g.adjacency_csr(), directed=True,
-                                connection="weak")
-
-
 def components(g: Graph) -> np.ndarray:
     """Component sizes, sorted descending."""
     if g.n == 0:
         return np.empty(0, dtype=np.int64)
-    sizes = np.sort(np.bincount(_component_labels(g)[1]))
-    return sizes[::-1]
-
-
-def connected(g: Graph) -> bool:
-    """Whether the graph has one component; any isolated vertex answers no."""
-    if g.n <= 1:
-        return True
-    if np.any(np.diff(g.indptr) == 0):
-        return False
-    return _component_labels(g)[0] == 1
-
-
-def isolated_count(g: Graph) -> int:
-    return int(np.sum(np.diff(g.indptr) == 0))
+    labels = connected_components(g.adjacency_csr(), directed=True,
+                                  connection="weak")[1]
+    return np.sort(np.bincount(labels))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +251,91 @@ def giant_rep(n: int, c: float, stream: RngStream) -> tuple[int, int]:
 
 
 def connectivity_rep(n: int, c: float, stream: RngStream) -> tuple[bool, bool]:
-    """(connected, no isolated vertex) for one G(n, p) at p = (log n + c)/n."""
+    """(connected, no isolated vertex) for one G(n, p) at p = (log n + c)/n.
+    A graph with an isolated vertex is decided from the degrees of its pairs;
+    any other is connected iff its upper triangle has one weak component."""
+    if n < 2:
+        raise InvalidParameterError("n must be >= 2")
     p = (math.log(n) + c) / n
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError("(log n + c) / n is outside [0, 1]")
-    g = sample_gnp(n, p, stream)
-    conn = connected(g)
-    no_iso = isolated_count(g) == 0
-    assert not conn or no_iso, "a connected graph cannot have isolated vertices"
-    return conn, no_iso
+    i, j = _gnp_pairs(n, p, stream)
+    out_degrees = np.bincount(i, minlength=n)
+    if np.any(out_degrees + np.bincount(j, minlength=n) == 0):
+        return False, False
+    rows = np.append(0, np.cumsum(out_degrees))
+    upper = sparse.csr_matrix((np.ones(i.size), j, rows), shape=(n, n))
+    return connected_components(upper, connection="weak")[0] == 1, True
 
 
 # ---------------------------------------------------------------------------
 # Triangles and spectral moments
 
+# int64 temporaries per pair of a triangle_counts block, and per wedge
+_PAIR_WORDS, _WEDGE_WORDS = 16, 8
+
+
+def _closed_wedges(owner, i, j, n: int, size: int) -> np.ndarray:
+    """Triangles per owner 0..size-1 among pairs sorted by (owner, i, j): the
+    triangle a < b < c is the wedge of (a, b) and (a, c) at its lowest vertex,
+    closed by (b, c).  Wedges come in chunks of the shared draw budget."""
+    head = (owner * n + i) * n
+    key = head + j
+    # the later pairs of a pair's run of equal (owner, i) are its partners
+    later = np.searchsorted(head, head, side="right") - np.arange(key.size) - 1
+    through = np.cumsum(later)
+    step = _block_rows(_WEDGE_WORDS, max(1, int(through[-1]) if key.size else 0))
+    counts, lo = np.zeros(size, dtype=np.int64), 0
+    while lo < key.size:
+        hi = max(lo + 1, int(np.searchsorted(through, through[lo] - later[lo] + step,
+                                             side="right")))
+        m = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), m)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(m) - m, m)
+        closing = (owner[first] * n + j[first]) * n + j[second]
+        at = np.minimum(np.searchsorted(key, closing), key.size - 1)
+        counts += np.bincount(owner[first[key[at] == closing]], minlength=size)
+        lo = hi
+    return counts
+
 
 def triangle_count(g: Graph) -> int:
-    """Number of triangles, via the diagonal of the cubed adjacency matrix."""
-    if g.m == 0:
-        return 0
-    a = g.adjacency_csr()
-    paths2 = (a @ a).multiply(a)
-    return int(paths2.sum()) // 6
+    """Number of triangles: the wedges at their lowest vertex that close."""
+    i, j = g.edge_array().T
+    return int(_closed_wedges(np.zeros_like(i), i, j, g.n, 1)[0])
+
+
+def triangle_counts(n: int, p: float, reps: int, rng: RngStream) -> np.ndarray:
+    """Triangle counts of ``reps`` independent G(n, p), drawn from one stream.
+
+    Draw layout: one Geometric(p) gap sequence runs over reps * C(n, 2)
+    positions, position r * C(n, 2) + l being pair l, in row-major order, of
+    replicate r.  Blocks hold as many replicates as the draw budget holds at
+    their expected edge count, and gaps drawn past a block serve the next, so
+    the counts depend on the stream alone, not on the block size.
+    """
+    total = n * (n - 1) // 2
+    if not 0.0 <= p <= 1.0 or min(n, reps) < 0:
+        raise InvalidParameterError("need p in [0, 1] and n, reps >= 0")
+    if n > _PAIR_N_CAP or reps * total >= 1 << 62:
+        raise ResourceLimitError("reps * C(n, 2) must stay below 2^62")
+    counts = np.zeros(reps, dtype=np.int64)
+    if p == 0.0 or n < 3:
+        return counts
+    # blocks keep the pair keys (owner * n + i) * n + j in int64
+    per_block = min(_block_rows(_PAIR_WORDS * int(total * p + 16), max(reps, 1)),
+                    ((1 << 63) - 1) // (n * n))
+    last, carry = -1, np.empty(0, dtype=np.int64)
+    for lo in range(0, reps, per_block):
+        hi = min(reps, lo + per_block)
+        if last < hi * total:
+            carry = np.concatenate([carry, _gap_positions(p, hi * total, rng, last)])
+            last = int(carry[-1])
+        block, carry = np.split(carry, [np.searchsorted(carry, hi * total)])
+        owner = block // total
+        i, j = _pair_from_linear(block - owner * total, n)
+        counts[lo:hi] = _closed_wedges(owner - lo, i, j, n, hi - lo)
+    return counts
 
 
 def _spectral_dense(n: int, m: int, k_max: int) -> bool:

@@ -61,6 +61,14 @@ def _merge_right_tail(observed, expected):
     return np.array([o for o, _ in merged]), np.array([e for _, e in merged])
 
 
+def _impossible(probs, alpha_level, total) -> TestReport:
+    """The failed verdict, at statistic inf, of observations in a cell of
+    probability 0: no pooling may hide them."""
+    df = max(1, int(np.count_nonzero(probs)) - 1)
+    return TestReport(np.inf, float(sps.chi2.ppf(1.0 - alpha_level, df)), df,
+                      False, int(total))
+
+
 def _pearson_report(obs, exp, alpha_level, total) -> TestReport:
     if len(obs) < 2:
         raise InvalidTestError("chi-square needs at least two cells")
@@ -101,6 +109,8 @@ def chi_square_gof(emp: EmpiricalDist, pmf, alpha_level: float = 0.01) -> TestRe
     probs = np.array([float(pmf(v)) for v in grid])
     if np.any(probs < 0.0):
         raise InvalidParameterError("pmf returned a negative probability")
+    if np.any((probs == 0.0) & (observed > 0)):
+        return _impossible(probs, alpha_level, emp.total)
     expected = emp.total * probs
     outside = max(0.0, 1.0 - probs.sum())
     left = 0.0
@@ -122,10 +132,14 @@ def chi_square_gof(emp: EmpiricalDist, pmf, alpha_level: float = 0.01) -> TestRe
 
 
 def chi_square_counts(observed, probs, alpha_level: float = 0.01) -> TestReport:
-    """Pearson test for categorical counts; sparse cells are pooled into one."""
-    observed = np.asarray(observed, dtype=float)
-    probs = np.asarray(probs, dtype=float)
+    """Pearson test for categorical counts; sparse cells are pooled into one.
+    Missing cells count as 0; an observation of probability 0 fails."""
+    observed, probs = np.asarray(observed, float), np.asarray(probs, float)
+    cells = max(observed.size, probs.size)
+    observed, probs = (np.pad(a, (0, cells - a.size)) for a in (observed, probs))
     total = observed.sum()
+    if np.any((probs == 0.0) & (observed > 0)):
+        return _impossible(probs, alpha_level, total)
     expected = total * probs
     residual = total * max(0.0, 1.0 - probs.sum())
     big = expected >= MIN_EXPECTED

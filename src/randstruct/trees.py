@@ -230,12 +230,23 @@ def sample_bgw_conditioned(law: OffspringLaw, n_vertices: int,
     return sample_bgw_conditioned_batch(law, n_vertices, 1, rng)[0]
 
 
-def sample_cayley(n: int, rng: RngStream) -> LabeledTree:
-    """Uniform labeled tree on {1..n}: a size-conditioned unit-Poisson
-    branching tree with uniform labels, plane order forgotten."""
+def sample_cayley_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
+    """Edges (parent label, child label) of independent uniform labeled trees
+    on {1..n}, as a (reps, n - 1, 2) array: size-conditioned unit-Poisson
+    branching trees drawn as one batch, then their labels as one block of
+    permutations (one row draws the same as ``gen.permutation(n)``)."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    parent = sample_bgw_conditioned(OffspringLaw.poisson(1.0), n, rng)._parents()
-    labels = rng.gen.permutation(n) + 1
-    return LabeledTree.from_edges(n, zip(labels[parent[1:]].tolist(),
-                                         labels[1:].tolist()))
+    batch = sample_bgw_conditioned_batch(OffspringLaw.poisson(1.0), n, reps, rng)
+    counts = np.array([tree.child_counts for tree in batch],
+                      dtype=np.int64).reshape(reps, n)
+    labels = np.tile(np.arange(1, n + 1), (reps, 1))
+    rng.gen.permuted(labels, axis=1, out=labels)
+    # children are the vertices 1..n-1 of a row in breadth-first order
+    parents = np.repeat(np.tile(np.arange(n), reps), counts.ravel()).reshape(reps, n - 1)
+    return np.stack([np.take_along_axis(labels, parents, axis=1), labels[:, 1:]], axis=2)
+
+
+def sample_cayley(n: int, rng: RngStream) -> LabeledTree:
+    """One tree of ``sample_cayley_batch``."""
+    return LabeledTree.from_edges(n, sample_cayley_batch(n, 1, rng)[0].tolist())

@@ -47,6 +47,10 @@ class _Check:
     def note(self, text: str):
         self.notes.append(text)
 
+    def test(self, label: str, report):
+        self.add(label, report.passed,
+                 f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+
     def within(self, label: str, value: float, target: float, tol: float):
         self.add(label, abs(value - target) <= tol,
                  f" ({value:.6g} vs {target:.6g} tol {tol:.3g})")
@@ -223,8 +227,7 @@ def criterion_04_borel_tanner(scale: str, seed: int) -> tuple[bool, str]:
     emp = EmpiricalDist.from_samples(sizes)
     report = chi_square_gof(emp, lambda k: exact.borel_tanner_pmf(0.8, int(k))
                             if k >= 1 else 0.0, alpha_level=0.01)
-    chk.add("chi-square vs total-progeny law", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.test("chi-square vs total-progeny law", report)
     return chk.result()
 
 
@@ -244,22 +247,22 @@ def criterion_05_parking(scale: str, seed: int) -> tuple[bool, str]:
 def criterion_06_conditioned_uniform(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     reps = 100_000 if scale == "full" else 20_000
-    rng = make_stream(seed, 6)
     shapes = Counter(tuple(t.child_counts.tolist()) for t in
                      trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5),
-                                                        4, reps, rng))
-    chk.add("five plane shapes", len(shapes) == 5, f" ({len(shapes)})")
-    report = chi_square_counts([shapes[k] for k in sorted(shapes)],
-                               [1 / 5] * len(shapes), alpha_level=0.01)
-    chk.add("plane-tree uniformity", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
-    rng = make_stream(seed, 61)
-    keys = Counter(trees.sample_cayley(4, rng).edges for _ in range(reps // 2))
-    chk.add("sixteen labeled trees", len(keys) == 16, f" ({len(keys)})")
-    report = chi_square_counts([keys[k] for k in sorted(keys)],
-                               [1 / 16] * len(keys), alpha_level=0.01)
-    chk.add("labeled-tree uniformity", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+                                                        4, reps, make_stream(seed, 6)))
+    # a labeled tree is keyed by the bitmask of its edges among the 6 pairs
+    edges = np.sort(trees.sample_cayley_batch(4, reps // 2, make_stream(seed, 61)),
+                    axis=2) - 1
+    bit = np.zeros((4, 4), dtype=np.int64)
+    bit[np.triu_indices(4, 1)] = 1 << np.arange(6)
+    keys = np.bincount(bit[edges[..., 0], edges[..., 1]].sum(axis=1))
+    for label, law_label, counts, cells in (
+            ("five plane shapes", "plane-tree uniformity",
+             [shapes[k] for k in sorted(shapes)], 5),
+            ("sixteen labeled trees", "labeled-tree uniformity", keys[keys > 0], 16)):
+        chk.add(label, len(counts) == cells, f" ({len(counts)})")
+        chk.test(law_label, chi_square_counts(counts, [1 / cells] * len(counts),
+                                              alpha_level=0.01))
     return chk.result()
 
 
@@ -308,15 +311,12 @@ def criterion_10_triangles(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     n, c = 3_000, 1.5
     reps = 10_000 if scale == "full" else 1_000
-    rng = make_stream(seed, 10)
     lam = c ** 3 / 6.0
-    counts = np.array([graphs.triangle_count(graphs.sample_gnp(n, c / n, rng))
-                       for _ in range(reps)])
+    counts = graphs.triangle_counts(n, c / n, reps, make_stream(seed, 10))
     emp = EmpiricalDist.from_samples(counts)
     report = chi_square_gof(emp, lambda k: sps.poisson.pmf(int(k), lam),
                             alpha_level=0.01)
-    chk.add("chi-square vs Poisson(c^3/6)", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.test("chi-square vs Poisson(c^3/6)", report)
     return chk.result()
 
 
@@ -398,8 +398,7 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
         permutations.cycle_type_batch(_perm_rows(n, reps, rng)), keys)
     for label, counts in (("spacing", counts_f), ("direct", counts_d)):
         report = chi_square_counts(counts, probs, alpha_level=0.01)
-        chk.add(f"{label} sampler vs Cauchy cycle-type law (n=6)", report.passed,
-                f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+        chk.test(f"{label} sampler vs Cauchy cycle-type law (n=6)", report)
     dreps = 100_000 if scale == "full" else 20_000
     rng = make_stream(seed, 122)
     n1 = permutations.small_cycle_counts(2_000, 1, dreps, rng)[:, 0]
@@ -444,8 +443,7 @@ def _shape_clause(chk: _Check, label: str, keys: np.ndarray, probs: np.ndarray):
     """Shapes, keyed by integers below ``probs.size``, against their exact law."""
     report = chi_square_counts(np.bincount(keys, minlength=probs.size), probs,
                                alpha_level=0.01)
-    chk.add(f"{label} vs exact law", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.test(f"{label} vs exact law", report)
 
 
 def _ba_shape_law() -> dict[int, Fraction]:
@@ -487,8 +485,7 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     pmf = exact.cycles_count_pmf(8)
     report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1])
                             if 1 <= k <= 8 else 0.0, alpha_level=0.01)
-    chk.add("vertex-8 height vs cycle-count law", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.test("vertex-8 height vs cycle-count law", report)
     # the 6 shapes (parent[2], parent[3]) at n = 3 are equally likely
     creps = 300_000 if scale == "full" else 50_000
     rng = make_stream(seed, 142)
@@ -557,8 +554,7 @@ def _height_clauses(chk: _Check, label: str, heights: np.ndarray,
         report = chi_square_gof(EmpiricalDist.from_samples(heights),
                                 lambda k: pmf[k] if k < pmf.size else 0.0,
                                 alpha_level=0.01)
-        chk.add(f"{label} chi-square vs exact law", report.passed,
-                f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+        chk.test(f"{label} chi-square vs exact law", report)
         chk.within(f"{label} fraction in [{lo},{hi}]", frac, p_band,
                    _sigma_bound(p_band, reps))
     mean = float(levels @ pmf)
@@ -617,8 +613,7 @@ def _pills_clause(chk: _Check, leftovers: np.ndarray, n: int):
     pmf = exact.pills_pmf(n)
     report = chi_square_gof(EmpiricalDist.from_samples(leftovers),
                             lambda k: pmf[k], alpha_level=0.01)
-    chk.add(f"pills chi-square vs exact law (n={n})", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.test(f"pills chi-square vs exact law (n={n})", report)
     ks = ks_test(leftovers / math.log(n), lambda x: -np.expm1(-x))
     chk.note(f"pills D vs Exp(1) {ks.statistic:.4f} (exact law "
              f"{exact.pills_limit_distance(n):.4f}, KS thr {ks.threshold:.4f})")
@@ -634,8 +629,7 @@ def criterion_17_yule_classics(scale: str, seed: int) -> tuple[bool, str]:
     emp = EmpiricalDist.from_samples(counts)
     report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
                             if k >= 1 else 0.0, alpha_level=0.01)
-    chk.add("splitting count geometric at t=2", report.passed,
-            f" (stat {report.statistic:.1f} thr {report.threshold:.1f})")
+    chk.test("splitting count geometric at t=2", report)
     # coupon collector Gumbel limit
     creps = 10_000 if scale == "full" else 2_000
     n = 10_000

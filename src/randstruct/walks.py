@@ -1,19 +1,18 @@
 """Skip-free walks and the identities built on them: the good-shift count of
 the cycle lemma, the first-passage identity by enumeration, ballot
-estimates, argmax times, and the parking sampler with its replay."""
+estimates, argmax times, and the parking sampler."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .exact import OffspringLaw
-from .rng import RngStream
+from .rng import RngStream, _block_rows
 
 _ENUMERATION_CAP = 10_000_000
 
@@ -141,58 +140,26 @@ def ballot_mc(a: int, b: int, reps: int, rng: RngStream) -> float:
     return wins / reps
 
 
-@dataclass(frozen=True)
-class ParkingResult:
-    success: bool
-    occupancy: np.ndarray
-    exited: int
-
-
-def _park(n: int, arrivals) -> ParkingResult:
-    # next_free[s] = largest free spot <= s, found by path-compressed jumps
-    next_free = list(range(n + 1))  # spot 0 is the "exit" sentinel
-
-    def find(s: int) -> int:
-        root = s
-        while next_free[root] != root:
-            root = next_free[root]
-        while next_free[s] != root:
-            next_free[s], s = root, next_free[s]
-        return root
-
-    occupancy = np.zeros(n + 1, dtype=bool)
-    exited = 0
-    for spot in arrivals:
-        spot = int(spot)
-        if not 1 <= spot <= n:
-            raise InvalidParameterError(f"arrival spot {spot} outside 1..{n}")
-        free = find(spot)
-        if free == 0:
-            exited += 1
-        else:
-            occupancy[free] = True
-            next_free[free] = free - 1
-    return ParkingResult(exited == 0, occupancy[1:], exited)
-
-
-def parking_simulate(n: int, arrivals) -> ParkingResult:
-    """Park cars on a line of n spots, each driving left from its arrival spot,
-    replaying the given arrival spots in order."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    return _park(n, arrivals)
-
-
 def parking_success_batch(n: int, m: int, reps: int, rng: RngStream) -> np.ndarray:
     """Boolean vector of full-parking outcomes over independent arrival draws:
-    each replicate parks m cars at i.i.d. uniform spots of 1..n."""
+    each replicate parks m cars at i.i.d. uniform spots of 1..n.  Cars drive
+    left and leave past spot 1, so all park iff at most j arrive at spots
+    <= j, for every j: rows are decided by those prefix counts, in row
+    blocks of the shared draw budget."""
     if n < 1 or m < 1:
         raise InvalidParameterError("need n >= 1 and m >= 1")
     if reps < 0:
         raise InvalidParameterError("reps must be >= 0")
     arrivals = rng.gen.integers(1, n + 1, size=(reps, m))
-    return np.fromiter((_park(n, row).success for row in arrivals),
-                       dtype=bool, count=reps)
+    success = np.empty(reps, dtype=bool)
+    rows = _block_rows(max(n, m) + 1, max(reps, 1))
+    for lo in range(0, reps, rows):
+        block = arrivals[lo:lo + rows]
+        keys = block + (n + 1) * np.arange(block.shape[0])[:, None]
+        prefix = np.bincount(keys.ravel(), minlength=block.shape[0] * (n + 1))
+        prefix = np.cumsum(prefix.reshape(-1, n + 1), axis=1)
+        success[lo:lo + rows] = np.all(prefix <= np.arange(n + 1), axis=1)
+    return success
 
 
 def argmax_time(path: LatticePath) -> int:

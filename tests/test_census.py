@@ -27,8 +27,10 @@ ALLOWLIST = {
     "permutations.perm_from_line": "reader of the `dump --kind permutation` format",
     "trees.plane_tree_from_line": "reader of the `dump --kind plane-tree` format",
     "permutations.Permutation.validate": "the check `perm_from_line` makes",
-    "walks.parking_simulate": "the parking replay that enumerates the exact "
-                              "law of `exact.parking_full_prob` (criterion 05)",
+    "trees.sample_cayley": "the one-tree view of `sample_cayley_batch`, which "
+                           "perfbench's conditioned-trees workload times",
+    "trees.LabeledTree": "the tree `sample_cayley` returns",
+    "trees.LabeledTree.from_edges": "the constructor `sample_cayley` calls",
 }
 
 

@@ -195,7 +195,8 @@ def test_pills_summary_reports_the_exact_mean():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 9999, 10_000])
 def test_cycles_summary_harmonic_mean_is_the_harmonic_sum(n):
-    summary, _ = experiments._cycles_summary({"n": n}, np.array([[1.0], [2.0]]))
+    summarize = experiments.REGISTRY["cycles"].summarize
+    summary, _ = summarize({"n": n}, np.array([[1.0], [2.0]]))
     assert abs(summary["harmonic_mean"] - sum(1.0 / k for k in range(1, n + 1))) < 1e-12
 
 

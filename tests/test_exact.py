@@ -101,7 +101,7 @@ def test_parking_probabilities():
 
 def test_parking_brute_force_small():
     # enumerate every arrival sequence and replay the parking dynamics
-    from randstruct.walks import parking_simulate
+    from parking_helpers import parking_simulate
     for n, m in ((2, 2), (3, 3), (3, 2), (4, 2)):
         wins = sum(parking_simulate(n, arrivals=arrivals).success
                    for arrivals in itertools.product(range(1, n + 1), repeat=m))

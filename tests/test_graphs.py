@@ -48,13 +48,14 @@ def test_gnp_edge_count_mean():
     assert abs(counts.mean() - target) < 3 * se
 
 
-def test_gnp_sparse_and_dense_same_law():
+def test_gnp_sparse_and_dense_same_law(monkeypatch):
     # both internal paths produce Binomial(n(n-1)/2, p) edge counts
     n, p, reps = 200, 0.05, 4_000
     rng = make_stream(2, 2)
-    sparse = np.array([graphs._sample_gnp_sparse(n, p, rng).m for _ in range(reps)])
+    sparse = np.array([graphs.sample_gnp(n, p, rng).m for _ in range(reps)])
+    monkeypatch.setattr(graphs, "_SPARSE_P", 0.0)  # every p takes the dense path
     rng = make_stream(2, 3)
-    dense = np.array([graphs._sample_gnp_dense(n, p, rng).m for _ in range(reps)])
+    dense = np.array([graphs.sample_gnp(n, p, rng).m for _ in range(reps)])
     lo = min(sparse.min(), dense.min())
     hi = max(sparse.max(), dense.max())
     bins = np.arange(lo, hi + 2)
@@ -73,12 +74,25 @@ def test_components_examples():
     assert graphs.components(path_plus_isolated).tolist() == [3, 1]
 
 
+def isolated_count(g):
+    return int(np.sum(g.degrees() == 0))
+
+
 def test_connected_matches_component_count():
+    # connectivity_rep samples the graph of sample_gnp on the same stream
     rng = make_stream(2, 4)
-    for _ in range(300):
-        n = int(rng.gen.integers(1, 40))
-        g = graphs.sample_gnp(n, float(rng.gen.random() * 0.2), rng)
-        assert graphs.connected(g) == (graphs.components(g).size == 1)
+    for r in range(300):
+        n = int(rng.gen.integers(5, 40))
+        c = float(rng.gen.uniform(-1.5, 3.0))
+        g = graphs.sample_gnp(n, (math.log(n) + c) / n, make_stream(3, r))
+        assert graphs.connectivity_rep(n, c, make_stream(3, r)) == \
+            (graphs.components(g).size == 1, isolated_count(g) == 0)
+
+
+def test_connectivity_rep_needs_two_vertices():
+    for n in (0, 1):
+        with pytest.raises(InvalidParameterError):
+            graphs.connectivity_rep(n, 0.5, make_stream(3, 0))
 
 
 def test_explore_empty_graph():
@@ -127,10 +141,10 @@ def test_exploration_increment_law():
 
 
 def test_isolated_counts():
-    assert graphs.isolated_count(Graph(5, [])) == 5
+    assert isolated_count(Graph(5, [])) == 5
     rng = make_stream(2, 7)
     reps = 30_000
-    counts = np.array([graphs.isolated_count(graphs.sample_gnp(3, 0.5, rng))
+    counts = np.array([isolated_count(graphs.sample_gnp(3, 0.5, rng))
                        for _ in range(reps)])
     se = counts.std(ddof=1) / math.sqrt(reps)
     assert abs(counts.mean() - 0.75) < 3 * se
@@ -141,7 +155,7 @@ def test_isolated_mean_at_threshold():
     p = math.log(n) / n
     rng = make_stream(2, 8)
     reps = 100
-    counts = np.array([graphs.isolated_count(graphs.sample_gnp(n, p, rng))
+    counts = np.array([isolated_count(graphs.sample_gnp(n, p, rng))
                        for _ in range(reps)])
     target = n * (1 - p) ** (n - 1)
     se = counts.std(ddof=1) / math.sqrt(reps)

@@ -67,8 +67,15 @@ def ref_giant_experiment(n, c, reps, seed):
     return rows, mean_ci(rows[:, 0] / n), mean_ci(rows[:, 1] / n)
 
 
+def ref_connectivity_rep(n, c, stream):
+    """The CSR path: build the graph, then read its degrees and components."""
+    g = graphs.sample_gnp(n, (math.log(n) + c) / n, stream)
+    no_isolated = bool(np.all(g.degrees() > 0))
+    return no_isolated and graphs.components(g).size == 1, no_isolated
+
+
 def ref_connectivity_experiment(n, c, reps, seed):
-    rows = np.array([graphs.connectivity_rep(n, c, make_stream(seed, r))
+    rows = np.array([ref_connectivity_rep(n, c, make_stream(seed, r))
                      for r in range(reps)], dtype=np.int64)
     return (rows, mean_ci(rows[:, 0].astype(float)),
             mean_ci(rows[:, 1].astype(float)))
@@ -152,6 +159,17 @@ def test_connectivity_report_matches_old_driver(i, c):
         == connected
     assert (report.summary["no_isolated_mean"], report.summary["no_isolated_hw"]) \
         == no_isolated
+
+
+@pytest.mark.parametrize("n,reps", [(12, 300), (40, 300), (3_000, 60), (10_000, 12)])
+@pytest.mark.parametrize("c", [-1.0, 0.0, 2.0])
+def test_connectivity_rep_matches_csr_path(n, c, reps):
+    # n = 12 samples by one Bernoulli draw per pair at every c; n = 40 does
+    # so at c = 2 and skips geometric gaps at c = -1 and 0
+    for r in range(reps):
+        a, b = make_stream(77, r), make_stream(77, r)
+        assert graphs.connectivity_rep(n, c, a) == ref_connectivity_rep(n, c, b)
+        assert a.gen.random() == b.gen.random()
 
 
 def test_criterion_14_degree_fractions_match_old_statistic():

