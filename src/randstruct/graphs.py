@@ -154,11 +154,12 @@ def _gnp_pairs(n: int, p: float, rng: RngStream) -> tuple[np.ndarray, np.ndarray
     if n > _PAIR_N_CAP:
         raise ResourceLimitError(f"G(n, p) limited to n <= {_PAIR_N_CAP}")
     total = n * (n - 1) // 2
-    linear = np.empty(0, dtype=np.int64)
-    if 0.0 < p < _SPARSE_P and n >= 2:
+    if p == 0.0 or n < 2:
+        linear = np.empty(0, dtype=np.int64)
+    elif p < _SPARSE_P:
         linear = _gap_positions(p, total, rng)
         linear = linear[linear < total]
-    elif p and n >= 2:
+    else:
         step = _block_rows(1, total)
         linear = np.concatenate([
             start + np.flatnonzero(rng.gen.random(min(step, total - start)) < p)
