@@ -314,45 +314,63 @@ def fluid_curve(c: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-_DICKMAN_STEP = 1e-4  # grid step of the tabulated Dickman function
-# one tabulated grid per process, with the integral of rho over [y-1, y] at
-# its last point y, extended when a larger ceiling is asked for
-_DICKMAN_CACHE: dict[str, tuple[np.ndarray, float]] = {}
+# terms per unit interval of the Dickman series: the piece on [k, k + 1],
+# expanded about k + 1/2, continues analytically to within 3/2 of its centre
+# (its nearest singularity is k - 1), so on the interval its terms fall like
+# 3^-i
+_DICKMAN_TERMS = 48
+# exp of anything below this is 0.0 in float64
+_LOG_TINY = math.log(np.nextafter(0.0, 1.0)) - 1.0
 
 
-def _dickman_grid(x_max: int) -> np.ndarray:
-    """rho at 0, h, ..., x_max for h = _DICKMAN_STEP: the head of one grid
-    per process, whose points do not depend on how far it reaches."""
-    k = round(1.0 / _DICKMAN_STEP)
-    m = x_max * k
-    rho, integral = _DICKMAN_CACHE.get("grid", (np.ones(k + 1), 1.0))
-    start = rho.size - 1
-    if m > start:
-        rho = np.concatenate([rho, np.empty(m - start)])
-        h = _DICKMAN_STEP
-        for j in range(start, m):
-            # solve the integral form y rho(y) = int_{y-1}^{y} rho by trapezoid steps
-            y_next = (j + 1) * h
-            rhs = integral + 0.5 * h * rho[j] - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-            rho_next = rhs / (y_next - 0.5 * h)
-            rho[j + 1] = rho_next
-            integral = integral + 0.5 * h * (rho[j] + rho_next) \
-                - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-        _DICKMAN_CACHE["grid"] = (rho, integral)
-    return rho[: m + 1]
+@lru_cache(maxsize=1)
+def _dickman_pieces() -> tuple[np.ndarray, np.ndarray]:
+    """Scales and coefficients of rho on [k, k + 1], k = 0, 1, ..., up to the
+    first piece that underflows: rho(k + 1/2 + s) = exp(scale[k]) *
+    sum_i coef[k, i] s^i for |s| <= 1/2, with coef[k, 0] = 1.
+
+    With b the coefficients of the piece before, u rho'(u) = -rho(u - 1)
+    gives (k + 1/2)(i + 1) c_(i+1) + i c_i = -b_i (Marsaglia, Zaman &
+    Marsaglia, Math. Comp. 53, 1989).  c_0 comes from the integral form
+    u rho(u) = int_(u-1)^u rho at u = k + 1/2, a sum of positive parts:
+    matching values at u = k instead would cancel, and its rounding would
+    seed the solutions ~ C / u of the same equation, which swamp rho near
+    u = 13."""
+    i = np.arange(_DICKMAN_TERMS)
+    half = 0.5 ** i
+    left = np.where(i % 2 == 1, -half, half)  # s^i at s = -1/2
+    right_int = half / (2 * (i + 1))  # int_0^(1/2) s^i ds
+    left_int = np.where(i % 2 == 1, -right_int, right_int)  # int_(-1/2)^0
+    scales, coefs = [0.0], [np.eye(1, _DICKMAN_TERMS)[0]]
+    while True:
+        k, b, c = len(coefs), coefs[-1], np.zeros(_DICKMAN_TERMS)
+        for j in range(_DICKMAN_TERMS - 1):
+            c[j + 1] = -(b[j] + j * c[j]) / ((k + 0.5) * (j + 1))
+        # (k + 1/2) c_0 = int of the piece before over s in [0, 1/2] plus
+        # c_0 / 2 + int of sum_(j>=1) c_j s^j over s in [-1/2, 0]
+        c[0] = (np.dot(b, right_int) + np.dot(c, left_int)) / k
+        scales.append(scales[-1] + math.log(c[0]))
+        coefs.append(c / c[0])
+        # rho on the piece is at most its value at u = k, and later pieces
+        # lie below it
+        if scales[-1] + math.log(np.dot(coefs[-1], left)) < _LOG_TINY:
+            return np.array(scales), np.array(coefs)
 
 
 def dickman_rho(x: float) -> float:
-    """Dickman's function: rho = 1 on [0, 1] and x rho'(x) = -rho(x - 1)."""
+    """Dickman's function: rho = 1 on [0, 1] and x rho'(x) = -rho(x - 1),
+    to a relative accuracy near 1e-14 while it is above float64 underflow,
+    and 0.0 past it."""
     if not 0.0 <= x < math.inf:
         raise InvalidParameterError("x must be finite and >= 0")
     if x <= 1.0:
         return 1.0
-    grid = _dickman_grid(int(math.ceil(x)))
-    pos = x / _DICKMAN_STEP
-    j = min(int(pos), len(grid) - 2)
-    frac = pos - j
-    return float((1.0 - frac) * grid[j] + frac * grid[j + 1])
+    scales, coefs = _dickman_pieces()
+    k = int(x)
+    if k >= scales.size:
+        return 0.0
+    value = np.polynomial.polynomial.polyval(x - k - 0.5, coefs[k])
+    return math.exp(scales[k] + math.log(value))
 
 
 def ba_height_constant() -> float:
@@ -380,6 +398,12 @@ _HEIGHT_TAIL = 1e-12
 
 # cyclic products of at most this many coefficients run as np.convolve
 _DIRECT = 128
+
+# _series_exp sums the Taylor series of exp(a) when at most _TAYLOR_MAX_TERMS
+# terms leave a remainder below _TAYLOR_REMAINDER in l1 norm, i.e. for
+# sum |a_j| up to ~6e-3; the tail levels of the uniform height law sit there
+_TAYLOR_REMAINDER = 1e-16
+_TAYLOR_MAX_TERMS = 6
 
 
 def _spectrum(x: np.ndarray, n: int) -> np.ndarray:
@@ -416,14 +440,39 @@ def _series_inverse(g: np.ndarray, m_max: int, done) -> np.ndarray:
     return v
 
 
-def _series_exp(a: np.ndarray, m_max: int, done) -> np.ndarray:
-    """exp(a) for a[0] = 0, to m_max coefficients or until ``done``.
+def _taylor_terms(x: float) -> int:
+    """The least K >= 2 with x^K e^x / K! < _TAYLOR_REMAINDER, or
+    _TAYLOR_MAX_TERMS + 1 if no K up to _TAYLOR_MAX_TERMS qualifies."""
+    k, bound, limit = 2, 0.5 * x * x, _TAYLOR_REMAINDER * math.exp(-x)
+    while bound >= limit and k <= _TAYLOR_MAX_TERMS:
+        k += 1
+        bound *= x / k
+    return k
 
-    Newton on log: from f = exp(a) mod z^k, f <- f (1 + w) mod z^m with
-    w = a - log f = O(z^k).  So z w' = e / f, where e = z (a' f - f') vanishes
-    below degree k: e is a middle product of z a' and f, and z w' needs
-    h = 1/f only mod z^(m-k); h is carried one doubling behind.  The
+
+def _series_exp(a: np.ndarray, m_max: int, done) -> np.ndarray:
+    """exp(a) for a[0] = 0, to m_max coefficients or until ``done``, which is
+    asked of the doubling prefixes 1, 2, 4, ... of the result.
+
+    Small exponents take a Taylor branch.  With x = sum |a_j|, the terms
+    a^k / k! for k >= K have l1 norm at most sum_(k>=K) x^k / k! <=
+    x^K e^x / K!, so the least K with that bound below _TAYLOR_REMAINDER
+    (1e-16) moves no coefficient by more than it.  When K <= _TAYLOR_MAX_TERMS
+    the result is 1 + a + ... + a^(K-1) / (K-1)! mod z^m_max, from K - 2
+    products that reuse the transform of a.  Each runs at length 2 m_max - 1,
+    which holds the whole product of two series of m_max terms, so the wrap
+    of the cyclic product misses every coefficient kept.  One exponential of
+    the spectrum of a at length (K - 1) m_max would take no more time, but
+    its arrays would be (K - 1) / 2 times longer.
+
+    Otherwise Newton on log: from f = exp(a) mod z^k, f <- f (1 + w) mod z^m
+    with w = a - log f = O(z^k).  So z w' = e / f, where e = z (a' f - f')
+    vanishes below degree k: e is a middle product of z a' and f, and z w'
+    needs h = 1/f only mod z^(m-k); h is carried one doubling behind.  The
     transform of f serves both e and f w."""
+    terms = _taylor_terms(float(np.abs(a).sum()))
+    if terms <= _TAYLOR_MAX_TERMS:
+        return _taylor_exp(a[:m_max], m_max, terms, done)
     za, f, h = np.arange(a.size) * a, np.ones(1), np.ones(1)  # za = z a'
     while f.size < m_max and not done(f):
         k, m = f.size, min(2 * f.size, m_max)
@@ -436,6 +485,24 @@ def _series_exp(a: np.ndarray, m_max: int, done) -> np.ndarray:
         w /= np.arange(k, m)
         f = np.concatenate([f, _cyclic(ff, _spectrum(w, n), n)[: m - k]])
     return f
+
+
+def _taylor_exp(a: np.ndarray, m: int, terms: int, done) -> np.ndarray:
+    """sum_(k < terms) a^k / k! mod z^m for a[0] = 0 and a.size <= m, cut to
+    the first doubling prefix that is ``done``, as the Newton loop stops."""
+    f = np.zeros(m)
+    f[0] = 1.0
+    f[: a.size] += a
+    if terms > 2:
+        n = sp_fft.next_fast_len(2 * m - 1, real=True)
+        term, fa = a, _spectrum(a, n)
+        for k in range(2, terms):
+            term = _cyclic(fa if k == 2 else _spectrum(term, n), fa, n)[:m] / k
+            f += term
+    size = 1
+    while size < m and not done(f[:size]):
+        size = min(2 * size, m)
+    return f[:size]
 
 
 def _support(p: np.ndarray) -> int:
@@ -494,7 +561,11 @@ def rrt_height_cdf(n: int, h_max: int) -> np.ndarray:
     that cancel (those of g itself do: g' has coefficients k g_k ~ k), and
     summing the increments gives Q_h accurately where it is small.  A level
     stops once P_h drops below 1e-12, as P_h(k) is nonincreasing in k; the
-    cdf is accurate to ~1e-9 at n = 10^6.
+    cdf is accurate to ~1e-9 at n = 10^6.  The exponent has sum_j q_j close
+    to -log P_h(n + 1), so above the median of the height it is about the
+    tail mass 1 - P_h(n + 1).  Below ~6e-3 those tail levels take the Taylor
+    branch of ``_series_exp``: at most 4 products in place of the whole
+    Newton loop (17 of 47 levels at n = 10^5).
     """
     _check_height_args(n, h_max, 0)
     return _height_levels(_rrt_height_cdf(int(n)), int(h_max))

@@ -24,6 +24,9 @@ _SPECTRAL_N_CAP = 4096
 # G(n, d/n), n = 500..4096 (BENCH_9.json)
 _SPECTRAL_DENSE = 1e-3
 _PAIR_N_CAP = 3_037_000_499  # largest n with n(n+1) < 2^63
+# positions of the gap sequences stay below this: C(n, 2) < 2^62 up to
+# _PAIR_N_CAP, and triangle_counts caps reps * C(n, 2) there
+_POSITION_CAP = 1 << 62
 
 
 class _UpperPairs:
@@ -136,12 +139,22 @@ def _gap_positions(p: float, stop: int, rng: RngStream, last: int = -1) -> np.nd
     """Positions after ``last`` of a Geometric(p) gap sequence, in chunks up
     to the first chunk that reaches ``stop``: the first holds the expected
     count plus six deviations and 16, each later one half the one before
-    (at least 16)."""
+    (at least 16).
+
+    Every caller's stop lies below _POSITION_CAP.  Gaps are saturated at it
+    and a chunk ends at its first position >= _POSITION_CAP - 1, so no sum
+    wraps int64 at tiny p (numpy's gaps reach 2^63 - 1); the positions below
+    that, and the draws, are those of the unsaturated sequence."""
     mean = (stop - 1 - last) * p
     size, chunks = int(mean + 6 * math.sqrt(mean + 1) + 16), []
     while last < stop:
-        chunks.append(last + np.cumsum(rng.gen.geometric(p, size=size)))
-        last, size = int(chunks[-1][-1]), max(16, size // 2)
+        gaps = np.minimum(rng.gen.geometric(p, size=size), _POSITION_CAP)
+        positions = last + np.cumsum(gaps)
+        beyond = np.argmax(positions >= _POSITION_CAP - 1)
+        if positions[beyond] >= _POSITION_CAP - 1:
+            positions = positions[: beyond + 1]
+        chunks.append(positions)
+        last, size = int(positions[-1]), max(16, size // 2)
     return np.concatenate(chunks)
 
 
@@ -318,7 +331,7 @@ def triangle_counts(n: int, p: float, reps: int, rng: RngStream) -> np.ndarray:
     total = n * (n - 1) // 2
     if not 0.0 <= p <= 1.0 or min(n, reps) < 0:
         raise InvalidParameterError("need p in [0, 1] and n, reps >= 0")
-    if n > _PAIR_N_CAP or reps * total >= 1 << 62:
+    if n > _PAIR_N_CAP or reps * total >= _POSITION_CAP:
         raise ResourceLimitError("reps * C(n, 2) must stay below 2^62")
     counts = np.zeros(reps, dtype=np.int64)
     if p == 0.0 or n < 3:

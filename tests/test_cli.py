@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,14 @@ def test_cli_non_finite_parameters_are_usage_errors(params, capsys):
     args = [arg for value in values for arg in ("--param", value)]
     assert run_cli("run", "--experiment", name, *args) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_cli_dickman_far_out_is_quick(capsys):
+    exact._dickman_pieces.cache_clear()  # as a fresh process starts
+    start = time.perf_counter()
+    assert run_cli("run", "--experiment", "dickman", "--param", "x=60") == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert "rho_mean = 5.89802937" in capsys.readouterr().out
 
 
 def test_cli_json_report_with_a_ks_verdict(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, optimize
 
 from randstruct import exact
@@ -218,15 +219,19 @@ def test_fluid_curve_values():
 
 def test_dickman_values():
     assert exact.dickman_rho(0.7) == 1.0
-    assert abs(exact.dickman_rho(2.0) - (1.0 - math.log(2.0))) < 1e-6
+    # criterion 13's clause: rho(2) = 1 - log 2
+    assert exact.dickman_rho(2.0) == pytest.approx(1.0 - math.log(2.0), rel=1e-14)
     # independent quadrature: rho(3) = 1 - int_1^3 rho(t-1)/t dt with rho known
     # in closed form on [0, 2]
     part1, _ = integrate.quad(lambda t: 1.0 / t, 1.0, 2.0)
     part2, _ = integrate.quad(lambda t: (1.0 - math.log(t - 1.0)) / t, 2.0, 3.0,
                               points=[2.0])
     rho3 = 1.0 - part1 - part2
-    assert abs(exact.dickman_rho(3.0) - rho3) < 1e-5
-    assert rho3 == pytest.approx(0.0486084, abs=2e-7)
+    assert abs(exact.dickman_rho(3.0) - rho3) < 1e-12
+    assert exact.dickman_rho(3.0) == pytest.approx(0.0486083883, abs=1e-10)
+    # the tabulated values of rho
+    assert exact.dickman_rho(10.0) == pytest.approx(2.77017e-11, rel=1e-5)
+    assert exact.dickman_rho(20.0) == pytest.approx(2.46178e-29, rel=1e-5)
 
 
 def test_dickman_nonincreasing_and_integral_identity():
@@ -239,36 +244,26 @@ def test_dickman_nonincreasing_and_integral_identity():
         assert abs(y * exact.dickman_rho(y) - integral) < 1e-6
 
 
-def _dickman_grid_per_ceiling(x_max: int) -> np.ndarray:
-    """The tabulated Dickman function as one grid per integer ceiling, built
-    from rho = 1 on [0, 1] each time."""
-    k = 10_000
-    h = 1e-4
-    rho = np.empty(x_max * k + 1)
-    rho[: k + 1] = 1.0
-    integral = 1.0
-    for j in range(k, x_max * k):
-        rhs = integral + 0.5 * h * rho[j] - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-        rho[j + 1] = rhs / ((j + 1) * h - 0.5 * h)
-        integral = integral + 0.5 * h * (rho[j] + rho[j + 1]) \
-            - 0.5 * h * (rho[j - k] + rho[j + 1 - k])
-    return rho
+def test_dickman_relative_accuracy_far_out():
+    # the integral identity to relative accuracy where rho is tiny, and the
+    # bound rho(x) <= 1 / Gamma(x + 1); the pieces meet at the integers
+    for y in (12.5, 20.0, 33.3, 60.0):
+        integral, _ = integrate.quad(lambda v: exact.dickman_rho(y - v), 0.0, 1.0,
+                                     points=[y - math.floor(y)], epsabs=0.0,
+                                     epsrel=1e-13, limit=200)
+        assert y * exact.dickman_rho(y) == pytest.approx(integral, rel=1e-11)
+    for x in np.linspace(1.0, 60.0, 237):
+        assert 0.0 < exact.dickman_rho(float(x)) <= 1.0 / math.gamma(x + 1.0)
+    for k in range(2, 61):
+        below = exact.dickman_rho(float(np.nextafter(k, 0.0)))
+        assert below == pytest.approx(exact.dickman_rho(float(k)), rel=1e-12)
 
 
-def test_dickman_grid_extended_in_place_matches_per_ceiling_grids():
-    exact._DICKMAN_CACHE.clear()
-    refs = {c: _dickman_grid_per_ceiling(c) for c in (2, 3, 5, 7)}
-    for c in (2, 3, 5, 7, 5, 3, 2):  # rising, then falling ceilings
-        ref = refs[c]
-        assert np.array_equal(exact._dickman_grid(c), ref)
-        for x in np.concatenate([np.linspace(c - 1, c, 41), [c - 1e-9, c + 0.0]]):
-            if x <= 1.0:
-                continue
-            pos = x / 1e-4
-            j = min(int(pos), ref.size - 2)
-            frac = pos - j
-            assert exact.dickman_rho(float(x)) == \
-                float((1.0 - frac) * ref[j] + frac * ref[j + 1])
+def test_dickman_underflows_to_zero():
+    values = [exact.dickman_rho(x) for x in (100.0, 120.0, 200.0, 1e9, 1e300)]
+    assert 0.0 < values[0] < 1e-220
+    assert values[1] < values[0]
+    assert values[2:] == [0.0, 0.0, 0.0]
 
 
 def test_ba_height_constant():
@@ -346,23 +341,77 @@ def test_ba_slot_rule_matches_sampler():
             assert tree.parent[1:].tolist() == parents[row].tolist()
 
 
-@pytest.mark.parametrize("mass", [0.05, 0.1, 0.2, 5.0])
-@pytest.mark.parametrize("degree", [20, 299])
-def test_series_exp_matches_recurrence(mass, degree):
-    # the Newton iteration against the recurrence m g_m = sum_j j a_j g_(m-j)
-    # for g = exp(a), with small and large exponents, shorter than the output
-    # and as long as it
-    m = 300
-    rng = np.random.default_rng(7)
-    a = np.zeros(m)
-    a[1: degree + 1] = rng.uniform(-1.0, 1.0, degree) / np.arange(1, degree + 1)
-    a *= mass / np.abs(a).sum()
+def exp_by_recurrence(a, m):
+    """exp(a) mod z^m for a[0] = 0 by m g_m = sum_j j a_j g_(m-j)."""
+    a = np.pad(a, (0, max(0, m - a.size)))
     g = np.zeros(m)
     g[0] = 1.0
     for k in range(1, m):
         g[k] = np.dot(np.arange(1, k + 1) * a[1: k + 1], g[k - 1:: -1]) / k
-    got = exact._series_exp(a[: degree + 1], m, lambda s: False)
-    assert np.max(np.abs(got - g)) < 1e-12
+    return g
+
+
+def scaled_exponent(rng, degree, mass):
+    """a_0 = 0 and a_j uniform on +-1/j for j = 1..degree, scaled to
+    sum |a_j| = mass."""
+    a = np.zeros(degree + 1)
+    a[1:] = rng.uniform(-1.0, 1.0, degree) / np.arange(1, degree + 1)
+    return a * (mass / np.abs(a).sum())
+
+
+@pytest.mark.parametrize("mass", [0.0, 1e-9, 1e-4, 3e-3, 0.05, 0.1, 0.2, 5.0])
+@pytest.mark.parametrize("degree", [20, 299])
+def test_series_exp_matches_recurrence(mass, degree):
+    # the Taylor branch (mass <= 3e-3) and the Newton iteration against the
+    # recurrence, with small and large exponents, shorter than the output and
+    # as long as it
+    m = 300
+    a = scaled_exponent(np.random.default_rng(7), degree, mass)
+    got = exact._series_exp(a, m, lambda s: False)
+    assert got.size == m
+    assert np.max(np.abs(got - exp_by_recurrence(a, m))) < 1e-12
+
+
+def test_series_exp_branches_agree_at_the_crossover(monkeypatch):
+    # the largest exponent mass that still takes the Taylor branch, with its
+    # remainder bound just below 1e-16, against the Newton loop
+    lo, hi = 1e-3, 1e-1
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact._taylor_terms(mid) <= exact._TAYLOR_MAX_TERMS \
+            else (lo, mid)
+    assert exact._taylor_terms(lo) == exact._TAYLOR_MAX_TERMS
+    assert exact._taylor_terms(hi) == exact._TAYLOR_MAX_TERMS + 1
+    assert exact._taylor_terms(0.0) == 2
+    assert exact._taylor_terms(800.0) == exact._TAYLOR_MAX_TERMS + 1  # e^x overflows
+    for m, degree in ((300, 299), (5000, 4999), (5000, 40)):
+        a = scaled_exponent(np.random.default_rng(m + degree), degree, lo)
+        taylor = exact._series_exp(a, m, lambda s: False)
+        monkeypatch.setattr(exact, "_TAYLOR_MAX_TERMS", 1)  # Newton for every mass
+        newton = exact._series_exp(a, m, lambda s: False)
+        monkeypatch.undo()
+        assert taylor.size == newton.size == m
+        assert np.max(np.abs(taylor - newton)) < 1e-15
+
+
+def test_series_exp_taylor_branch_stops_at_the_newton_precisions():
+    # the branch returns the first doubling prefix that is done, as the loop
+    a = scaled_exponent(np.random.default_rng(3), 99, 1e-3)
+    for limit in (1, 2, 5, 64, 100):
+        got = exact._series_exp(a, 100, lambda s: s.size >= limit)
+        assert got.size == min(100, 1 << (limit - 1).bit_length())
+        assert np.array_equal(got, exact._series_exp(a, 100, lambda s: False)[: got.size])
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_mass=st.floats(math.log(1e-12), 0.0), degree=st.integers(1, 199),
+       m=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_series_exp_matches_recurrence_on_random_exponents(log_mass, degree, m, seed):
+    # sum |a_j| log-uniform on [1e-12, 1] covers both sides of the branch
+    a = scaled_exponent(np.random.default_rng(seed), degree, math.exp(log_mass))
+    got = exact._series_exp(a, m, lambda s: False)
+    assert got.size == m
+    assert np.max(np.abs(got - exp_by_recurrence(a, m))) < 1e-13
 
 
 @pytest.mark.parametrize("mass", [0.05, 0.1, 0.2, 0.9])

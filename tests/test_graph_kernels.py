@@ -168,6 +168,17 @@ def ref_spectral(g, k_max):
     return moments
 
 
+def ref_gap_positions(p, stop, rng, last=-1):
+    """The gap sequence before its gaps were saturated: it wraps int64 and
+    never ends once the gaps near 2^63 / 16, below p ~ 2e-18."""
+    mean = (stop - 1 - last) * p
+    size, chunks = int(mean + 6 * math.sqrt(mean + 1) + 16), []
+    while last < stop:
+        chunks.append(last + np.cumsum(rng.gen.geometric(p, size=size)))
+        last, size = int(chunks[-1][-1]), max(16, size // 2)
+    return np.concatenate(chunks)
+
+
 def ref_triangle_count(g):
     """Sparse-matmul count: the entry sum of (A A) * A is six per triangle."""
     a = g.adjacency_csr()
@@ -202,7 +213,8 @@ def assert_same_csr(g, indptr, indices):
 CASES = [(0, 0.5), (1, 0.5), (2, 0.0), (2, 1.0), (2, 0.05), (2, 0.5),
          (7, 1.0), (30, 0.0999), (30, 0.1), (40, 0.02), (50, 0.7),
          (301, 0.3), (3_000, 1.5 / 3_000), (2_000, 2.0 / 2_000),
-         (10_000, (math.log(10_000) - 1.0) / 10_000), (20_000, 2.0 / 20_000)]
+         (10_000, (math.log(10_000) - 1.0) / 10_000), (20_000, 2.0 / 20_000),
+         (10, 1e-17)]
 
 
 @pytest.mark.parametrize("n,p", CASES)
@@ -213,6 +225,30 @@ def test_sample_gnp_matches_reference(n, p):
         assert_same_csr(g, *ref_csr(n, ref_sample_gnp(n, p, ref_rng)))
         # the stream is left where the reference leaves it
         assert rng.gen.random() == ref_rng.gen.random()
+
+
+@pytest.mark.parametrize("n,p", [(10, 1e-17), (3_000, 2.0 / 3_000), (10_000, 2.0 / 10_000)])
+def test_gap_positions_match_the_unsaturated_sequence(n, p):
+    # same positions, carried past the stop too, and the same draws
+    total = n * (n - 1) // 2
+    for last, stop in ((-1, total), (total // 3, total), (-1, 5 * total)):
+        rng, ref_rng = make_stream(34, n), make_stream(34, n)
+        got = graphs._gap_positions(p, stop, rng, last)
+        want = ref_gap_positions(p, stop, ref_rng, last)
+        assert np.array_equal(got, want)
+        assert rng.gen.random() == ref_rng.gen.random()
+
+
+def test_tiny_p_ends_at_once():
+    # the gaps near 10^18 and, below p ~ 1e-19, numpy's cap of 2^63 - 1 used
+    # to wrap the position sums and keep the gap loop drawing forever
+    for p in (1e-18, 1e-300, 5e-324):
+        g = graphs.sample_gnp(10, p, make_stream(1, 0))
+        assert g.m == 0 and g.indptr.tolist() == [0] * 11
+        assert graphs.triangle_counts(50, p, 10, make_stream(1, 2)).tolist() == [0] * 10
+    # the saturated positions end beyond every stop, near the largest one
+    positions = graphs._gap_positions(1e-300, 10 ** 18, make_stream(1, 3))
+    assert positions.size == 1 and positions[0] >= graphs._POSITION_CAP - 1
 
 
 def test_dense_sampler_across_blocks(monkeypatch):
