@@ -249,6 +249,11 @@ def test_tiny_p_ends_at_once():
     # the saturated positions end beyond every stop, near the largest one
     positions = graphs._gap_positions(1e-300, 10 ** 18, make_stream(1, 3))
     assert positions.size == 1 and positions[0] >= graphs._POSITION_CAP - 1
+    # a gap of 2^63 - 1 from just below the cap would wrap unsaturated
+    near = graphs._POSITION_CAP - 10
+    positions = graphs._gap_positions(1e-300, graphs._POSITION_CAP - 1,
+                                      make_stream(1, 4), near)
+    assert positions.tolist() == [near + graphs._POSITION_CAP]
 
 
 def test_dense_sampler_across_blocks(monkeypatch):
