@@ -135,11 +135,10 @@ def longest_cycle_stats(n: int, reps: int, rng: RngStream) -> np.ndarray:
 
 
 def small_cycle_counts(n: int, i_max: int, reps: int, rng: RngStream) -> np.ndarray:
-    """Matrix of counts of cycles of each length 1..i_max per replicate."""
-    if not 1 <= i_max <= 6:
-        raise InvalidParameterError("i_max must be in 1..6")
-    if n < 100 * i_max:
-        raise InvalidParameterError("need n >= 100 * i_max")
+    """Matrix of counts of cycles of each length 1..i_max per replicate;
+    i_max = n gives whole cycle types."""
+    if not 1 <= i_max <= n:
+        raise InvalidParameterError("i_max must be in 1..n")
     blocks = feller_spacings(n, reps, rng)
     out = np.zeros((reps, i_max), dtype=np.int64)
     for rows, lengths in blocks:

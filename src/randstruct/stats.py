@@ -1,7 +1,9 @@
 """Statistical test harness: chi-square, Kolmogorov-Smirnov, confidence intervals.
 
-KS is reserved for continuous laws; discrete data must go through the
-chi-square tests (the KS critical values assume a continuous cdf).
+``chi_square_gof`` is goodness of fit of integer samples to a pmf array,
+pmf[k] = P(X = k), 0 past its end; ``chi_square_counts`` tests categorical
+counts.  KS is reserved for continuous laws; discrete data must go through
+the chi-square tests (the KS critical values assume a continuous cdf).
 """
 
 from __future__ import annotations
@@ -26,20 +28,6 @@ class TestReport:
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-@dataclass(frozen=True)
-class EmpiricalDist:
-    """Counts over an integer (or binned) support."""
-
-    values: np.ndarray
-    counts: np.ndarray
-    total: int
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDist":
-        values, counts = np.unique(np.asarray(samples), return_counts=True)
-        return cls(values, counts, int(counts.sum()))
 
 
 def _merge_right_tail(observed, expected):
@@ -81,54 +69,43 @@ def _pearson_report(obs, exp, alpha_level, total) -> TestReport:
     return TestReport(statistic, threshold, df, statistic <= threshold, total)
 
 
-def chi_square_gof(emp: EmpiricalDist, pmf, alpha_level: float = 0.01) -> TestReport:
-    """Pearson goodness-of-fit of ``emp`` against ``pmf`` over the same support.
+def chi_square_gof(samples, pmf, alpha_level: float = 0.01) -> TestReport:
+    """Pearson goodness of fit of integer samples to a pmf array,
+    pmf[k] = P(X = k), 0 past its end.
 
-    ``pmf`` maps a support value to its probability and must return 0 off its
-    support.  For integer supports the cells cover every integer of the
-    observed range (holes count as zero observations).  The pmf mass the
-    cells leave out is split in two: for a sample of integers >= 0, the mass
-    of 0..lo-1 below the observed minimum lo forms one cell at the left end,
-    and the rest one cell at the right end.  The left mass is summed down
-    from lo-1 until a term expects less than 1e-12 or the sum reaches the
-    mass left out, so the pmf is taken to have no gap below lo.  Cells are
-    then merged right-to-left until every cell expects at least 5; a left-end
-    cell expecting less joins its right neighbour.
+    The cells cover every integer of the observed range lo..hi (holes count
+    as zero observations).  The mass below lo, pmf[:lo].sum(), forms one cell
+    at the left end, and the mass the other cells leave out one cell at the
+    right end.  Cells are then merged right-to-left until every cell expects
+    at least 5; a left-end cell expecting less joins its right neighbour.
     """
-    if emp.total <= 0:
-        raise InvalidTestError("empty empirical distribution")
-    values = emp.values
-    if np.issubdtype(values.dtype, np.integer):
-        lo, hi = int(values.min()), int(values.max())
-        grid = np.arange(lo, hi + 1)
-        observed = np.zeros(grid.size, dtype=float)
-        observed[values - lo] = emp.counts
-    else:
-        lo, grid = 0, values  # no left-end cell
-        observed = emp.counts.astype(float)
-    probs = np.array([float(pmf(v)) for v in grid])
-    if np.any(probs < 0.0):
-        raise InvalidParameterError("pmf returned a negative probability")
+    x = np.asarray(samples).ravel()
+    if x.size == 0:
+        raise InvalidTestError("empty sample")
+    if not np.issubdtype(x.dtype, np.integer) or x.min() < 0:
+        raise InvalidParameterError("samples must be integers >= 0")
+    pmf = np.asarray(pmf, dtype=float)
+    if np.any(pmf < 0.0):
+        raise InvalidParameterError("pmf has a negative probability")
+    total = x.size
+    lo, hi = int(x.min()), int(x.max())
+    observed = np.bincount(x - lo).astype(float)
+    probs = np.zeros(hi - lo + 1)
+    grid = pmf[lo:hi + 1]
+    probs[:grid.size] = grid
     if np.any((probs == 0.0) & (observed > 0)):
-        return _impossible(probs, alpha_level, emp.total)
-    expected = emp.total * probs
+        return _impossible(probs, alpha_level, total)
+    expected = total * probs
     outside = max(0.0, 1.0 - probs.sum())
-    left = 0.0
-    for k in range(lo - 1, -1, -1):
-        term = float(pmf(k))
-        if term < 0.0:
-            raise InvalidParameterError("pmf returned a negative probability")
-        left += term
-        if emp.total * term < 1e-12 or left >= outside:
-            break
-    if emp.total * left > 1e-9:
+    left = float(pmf[:lo].sum())
+    if total * left > 1e-9:
         observed = np.insert(observed, 0, 0.0)
-        expected = np.insert(expected, 0, emp.total * left)
-    if emp.total * (outside - left) > 1e-9:
+        expected = np.insert(expected, 0, total * left)
+    if total * (outside - left) > 1e-9:
         observed = np.append(observed, 0.0)
-        expected = np.append(expected, emp.total * (outside - left))
+        expected = np.append(expected, total * (outside - left))
     obs, exp = _merge_right_tail(observed, expected)
-    return _pearson_report(obs, exp, alpha_level, emp.total)
+    return _pearson_report(obs, exp, alpha_level, total)
 
 
 def chi_square_counts(observed, probs, alpha_level: float = 0.01) -> TestReport:

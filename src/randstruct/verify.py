@@ -19,8 +19,7 @@ from . import exact, graphs, growth, permutations, trees, walks
 from .exact import OffspringLaw
 from .experiments import ExperimentConfig, run_experiment
 from .rng import make_stream
-from .stats import (EmpiricalDist, chi_square_counts, chi_square_gof, ks_test,
-                    mean_ci)
+from .stats import chi_square_counts, chi_square_gof, ks_test
 
 MASTER_SEED = 20260810
 
@@ -54,6 +53,12 @@ class _Check:
     def within(self, label: str, value: float, target: float, tol: float):
         self.add(label, abs(value - target) <= tol,
                  f" ({value:.6g} vs {target:.6g} tol {tol:.3g})")
+
+    def mean(self, label: str, samples, target: float):
+        """The sample mean within 3 sample standard errors of ``target``."""
+        x = np.asarray(samples, dtype=float)
+        self.within(label, float(x.mean()), target,
+                    3.0 * float(x.std(ddof=1)) / math.sqrt(x.size))
 
     def result(self) -> tuple[bool, str]:
         passed = all(ok for _, ok in self.clauses)
@@ -224,9 +229,8 @@ def criterion_04_borel_tanner(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 4)
     sizes = trees.bgw_total_sizes(OffspringLaw.poisson(0.8), reps, rng, cap=4096)
     chk.add("no censoring", int(sizes.max()) < 4096)
-    emp = EmpiricalDist.from_samples(sizes)
-    report = chi_square_gof(emp, lambda k: exact.borel_tanner_pmf(0.8, int(k))
-                            if k >= 1 else 0.0, alpha_level=0.01)
+    pmf = [0.0] + [exact.borel_tanner_pmf(0.8, k) for k in range(1, sizes.max() + 1)]
+    report = chi_square_gof(sizes, pmf, alpha_level=0.01)
     chk.test("chi-square vs total-progeny law", report)
     return chk.result()
 
@@ -313,8 +317,7 @@ def criterion_10_triangles(scale: str, seed: int) -> tuple[bool, str]:
     reps = 10_000 if scale == "full" else 1_000
     lam = c ** 3 / 6.0
     counts = graphs.triangle_counts(n, c / n, reps, make_stream(seed, 10))
-    emp = EmpiricalDist.from_samples(counts)
-    report = chi_square_gof(emp, lambda k: sps.poisson.pmf(int(k), lam),
+    report = chi_square_gof(counts, sps.poisson.pmf(np.arange(counts.max() + 1), lam),
                             alpha_level=0.01)
     chk.test("chi-square vs Poisson(c^3/6)", report)
     return chk.result()
@@ -342,13 +345,8 @@ def criterion_11_spectral(scale: str, seed: int) -> tuple[bool, str]:
     rows = np.array([graphs.spectral_moments(
         graphs.sample_gnp(n, p, make_stream(seed, 1100 + r)), 3).moments
         for r in range(reps)])
-    m2_mean, m2_hw = mean_ci(rows[:, 1])
-    m3_mean, m3_hw = mean_ci(rows[:, 2])
-    sigma2 = 3 * np.std(rows[:, 1], ddof=1) / math.sqrt(reps)
-    sigma3 = 3 * np.std(rows[:, 2], ddof=1) / math.sqrt(reps)
-    m3_target = (n - 1) * (n - 2) * p ** 3
-    chk.within("m2 vs 2", m2_mean, 2.0, max(sigma2, 1e-6))
-    chk.within("m3 vs (n-1)(n-2)p^3", m3_mean, m3_target, max(sigma3, 1e-9))
+    chk.mean("m2 vs 2", rows[:, 1], 2.0)
+    chk.mean("m3 vs (n-1)(n-2)p^3", rows[:, 2], (n - 1) * (n - 2) * p ** 3)
     return chk.result()
 
 
@@ -359,13 +357,6 @@ def _partition_keys(n: int) -> list[tuple[int, ...]]:
         if sum(i * m for i, m in enumerate(multiplicities, start=1)) == n:
             keys.append(multiplicities)
     return keys
-
-
-def _feller_type_counts(n: int, reps: int, rng) -> np.ndarray:
-    out = np.zeros((reps, n), dtype=np.int64)
-    for rows, lengths in permutations.feller_spacings(n, reps, rng):
-        np.add.at(out, (rows, lengths - 1), 1)
-    return out
 
 
 def _perm_rows(n: int, reps: int, rng) -> np.ndarray:
@@ -392,7 +383,7 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
     keys = _partition_keys(n)
     probs = [float(exact.cauchy_cycle_type_pmf(key)) for key in keys]
     rng = make_stream(seed, 12)
-    counts_f = _cycle_type_cells(_feller_type_counts(n, reps, rng), keys)
+    counts_f = _cycle_type_cells(permutations.small_cycle_counts(n, n, reps, rng), keys)
     rng = make_stream(seed, 121)
     counts_d = _cycle_type_cells(
         permutations.cycle_type_batch(_perm_rows(n, reps, rng)), keys)
@@ -408,11 +399,8 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 123)
     ereps = 100_000 if scale == "full" else 20_000
     n20 = 20
-    cycles = _feller_type_counts(n20, ereps, rng).sum(axis=1)
-    doubling = np.exp2(cycles.astype(float))
-    mean, hw = mean_ci(doubling, level=0.99)
-    sigma = 3 * np.std(doubling, ddof=1) / math.sqrt(ereps)
-    chk.within("E[2^cycles] = n+1 at n=20", mean, 21.0, sigma)
+    cycles = permutations.small_cycle_counts(n20, n20, ereps, rng).sum(axis=1)
+    chk.mean("E[2^cycles] = n+1 at n=20", np.exp2(cycles.astype(float)), 21.0)
     return chk.result()
 
 
@@ -481,10 +469,8 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     depth = np.zeros((hreps, 9), dtype=np.int64)
     for j in range(1, 9):
         depth[:, j] = depth[np.arange(hreps), picks[:, j - 1]] + 1
-    emp = EmpiricalDist.from_samples(depth[:, 8])
-    pmf = exact.cycles_count_pmf(8)
-    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1])
-                            if 1 <= k <= 8 else 0.0, alpha_level=0.01)
+    report = chi_square_gof(depth[:, 8], [0.0, *exact.cycles_count_pmf(8)],
+                            alpha_level=0.01)
     chk.test("vertex-8 height vs cycle-count law", report)
     # the 6 shapes (parent[2], parent[3]) at n = 3 are equally likely
     creps = 300_000 if scale == "full" else 50_000
@@ -551,9 +537,7 @@ def _height_clauses(chk: _Check, label: str, heights: np.ndarray,
     frac = float(np.mean((ratios >= lo) & (ratios <= hi)))
     p_band = float(pmf[(levels / norm >= lo) & (levels / norm <= hi)].sum())
     if reps >= 20:
-        report = chi_square_gof(EmpiricalDist.from_samples(heights),
-                                lambda k: pmf[k] if k < pmf.size else 0.0,
-                                alpha_level=0.01)
+        report = chi_square_gof(heights, pmf, alpha_level=0.01)
         chk.test(f"{label} chi-square vs exact law", report)
         chk.within(f"{label} fraction in [{lo},{hi}]", frac, p_band,
                    _sigma_bound(p_band, reps))
@@ -611,8 +595,7 @@ def _pills_clause(chk: _Check, leftovers: np.ndarray, n: int):
     from the limit in sup-norm (0.094 at n = 10^5), far above the KS
     resolution of any large sample."""
     pmf = exact.pills_pmf(n)
-    report = chi_square_gof(EmpiricalDist.from_samples(leftovers),
-                            lambda k: pmf[k], alpha_level=0.01)
+    report = chi_square_gof(leftovers, pmf, alpha_level=0.01)
     chk.test(f"pills chi-square vs exact law (n={n})", report)
     ks = ks_test(leftovers / math.log(n), lambda x: -np.expm1(-x))
     chk.note(f"pills D vs Exp(1) {ks.statistic:.4f} (exact law "
@@ -626,9 +609,8 @@ def criterion_17_yule_classics(scale: str, seed: int) -> tuple[bool, str]:
     rng = make_stream(seed, 17)
     counts = 1 + growth.yule_simulate(2, reps, rng, t=2.0).n_jumps
     q = math.exp(-2.0)
-    emp = EmpiricalDist.from_samples(counts)
-    report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
-                            if k >= 1 else 0.0, alpha_level=0.01)
+    pmf = [0.0] + [q * (1 - q) ** (k - 1) for k in range(1, counts.max() + 1)]
+    report = chi_square_gof(counts, pmf, alpha_level=0.01)
     chk.test("splitting count geometric at t=2", report)
     # coupon collector Gumbel limit
     creps = 10_000 if scale == "full" else 2_000
@@ -650,9 +632,7 @@ def criterion_17_yule_classics(scale: str, seed: int) -> tuple[bool, str]:
     survivors = growth.ok_corral_batch(on, oreps, rng)
     scaled = survivors / on ** 0.75
     target = (8.0 / 3.0) ** 0.25 * 2.0 ** 0.25 * math.gamma(0.75) / math.sqrt(math.pi)
-    mean, _ = mean_ci(scaled)
-    sigma = 3 * float(np.std(scaled, ddof=1)) / math.sqrt(oreps)
-    chk.within("duel survivors mean", mean, target, sigma)
+    chk.mean("duel survivors mean", scaled, target)
     return chk.result()
 
 
@@ -664,10 +644,8 @@ def criterion_18_many_to_one(scale: str, seed: int) -> tuple[bool, str]:
         rng = make_stream(seed, 18 * 10 + i)
         population, _ = growth.many_to_one_samples(k, 3.0, functionals, reps, rng)
         for f in functionals:
-            sums = population[f]
-            chk.within(f"k={k} {f[0]}({f[1]}) population mean", float(sums.mean()),
-                       growth.line_mean(k, 3.0, *f),
-                       3.0 * float(sums.std(ddof=1)) / math.sqrt(reps))
+            chk.mean(f"k={k} {f[0]}({f[1]}) population mean", population[f],
+                     growth.line_mean(k, 3.0, *f))
     return chk.result()
 
 

@@ -45,10 +45,6 @@ class LatticePath:
             self._prefix = np.cumsum(self.increments)
         return self._prefix
 
-    @property
-    def total(self) -> int:
-        return int(self.increments.sum())
-
     def __eq__(self, other):
         return isinstance(other, LatticePath) and \
             np.array_equal(self.increments, other.increments)
@@ -65,13 +61,12 @@ def sample_path(law: OffspringLaw, n: int, rng: RngStream) -> LatticePath:
     return LatticePath(law.sample(rng, size=n) - 1)
 
 
-def good_shift_count(paths):
+def good_shift_count(paths) -> np.ndarray:
     """Number of cyclic shifts of a walk with total -k (k >= 1) whose hitting
     time of -k is exactly the walk length; always k (counting shifts with
-    multiplicity).  ``paths`` is one ``LatticePath``, counted to an int, or a
-    2-D array of increments with one walk per row, counted row by row."""
-    single = isinstance(paths, LatticePath)
-    batch = paths.increments[None, :] if single else np.asarray(paths)
+    multiplicity).  ``paths`` is a 2-D array of increments with one walk per
+    row, counted row by row."""
+    batch = np.asarray(paths)
     m, n = batch.shape
     k = -batch.sum(axis=1)
     if m and k.min() < 1:
@@ -85,8 +80,7 @@ def good_shift_count(paths):
     good = windows[:, :, -1] == -k[:, None]
     if n > 1:
         good &= windows[:, :, :-1].min(axis=2) > -k[:, None]
-    counts = good.sum(axis=1)
-    return int(counts[0]) if single else counts
+    return good.sum(axis=1)
 
 
 def kemperman_check(law: OffspringLaw, n: int, k: int):

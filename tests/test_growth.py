@@ -11,8 +11,7 @@ from randstruct import exact, growth
 from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
-from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              ks_test, mean_ci)
+from randstruct.stats import chi_square_counts, chi_square_gof, ks_test, mean_ci
 
 
 def test_growing_tree_validation():
@@ -105,9 +104,8 @@ def test_yule_geometric_law():
     rng = make_stream(4, 12)
     counts = _yule_counts(2, 2.0, 50_000, rng)
     q = math.exp(-2.0)
-    emp = EmpiricalDist.from_samples(counts)
-    report = chi_square_gof(emp, lambda k: q * (1 - q) ** (int(k) - 1)
-                            if k >= 1 else 0.0, alpha_level=0.01)
+    report = chi_square_gof(counts, sps.geom.pmf(np.arange(counts.max() + 1), q),
+                            alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -190,9 +188,7 @@ def test_yule_root_degree_law():
     rng = make_stream(4, 20)
     parent = growth.yule_to_rrt(growth.yule_simulate(2, reps, rng, n_particles=n + 1), n)
     degrees = (parent[:, 1:] == 0).sum(axis=1)
-    pmf = exact.cycles_count_pmf(n)
-    emp = EmpiricalDist.from_samples(degrees)
-    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
+    report = chi_square_gof(degrees, [0.0, *exact.cycles_count_pmf(n)],
                             alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
@@ -472,9 +468,7 @@ def test_rrt_vertex_height_law():
     depth = np.zeros((reps, n + 1), dtype=np.int64)
     for j in range(1, n + 1):
         depth[:, j] = depth[np.arange(reps), picks[:, j - 1]] + 1
-    pmf = exact.cycles_count_pmf(n)
-    emp = EmpiricalDist.from_samples(depth[:, n])
-    report = chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
+    report = chi_square_gof(depth[:, n], [0.0, *exact.cycles_count_pmf(n)],
                             alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 

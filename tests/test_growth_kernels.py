@@ -16,7 +16,7 @@ from randstruct import growth, rng as rng_module
 from randstruct.errors import InvalidParameterError
 from randstruct.growth import GrowingTree
 from randstruct.rng import make_stream
-from randstruct.stats import EmpiricalDist, chi_square_gof
+from randstruct.stats import chi_square_gof
 
 # ---------------------------------------------------------------------------
 # Reference implementations
@@ -164,8 +164,8 @@ def test_pills_batch_matches_step_loop_in_law():
 def test_pills_batch_matches_exact_chain_law(n):
     law = _pills_law_fraction(n)
     leftovers = growth.pills_batch(n, 50_000, make_stream(5, n))
-    report = chi_square_gof(EmpiricalDist.from_samples(leftovers),
-                            lambda k: float(law.get(int(k), 0)), alpha_level=0.01)
+    report = chi_square_gof(leftovers, [float(law.get(k, 0)) for k in range(n + 1)],
+                            alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 

@@ -9,8 +9,7 @@ from randstruct import exact, permutations as perms, rng as rng_module
 from randstruct.errors import FormatError, InvalidParameterError
 from randstruct.permutations import Permutation
 from randstruct.rng import make_stream
-from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              ks_test, mean_ci)
+from randstruct.stats import chi_square_counts, chi_square_gof, ks_test, mean_ci
 
 
 def test_sample_identity_for_n_one():
@@ -98,19 +97,16 @@ def test_feller_first_cycle_uniform():
     rows, lengths = _spacings(n, reps, make_stream(3, 5))
     firsts = lengths[np.concatenate([[True], np.diff(rows) != 0])]
     assert firsts.size == reps
-    emp = EmpiricalDist.from_samples(firsts)
-    assert chi_square_gof(emp, lambda k: 1 / n if 1 <= k <= n else 0.0,
-                          alpha_level=0.01).passed
+    assert chi_square_gof(firsts, [0.0] + [1 / n] * n, alpha_level=0.01).passed
 
 
 def test_feller_joint_law_matches_cauchy():
     n = 6
     reps = 1_000_000
     rng = make_stream(3, 6)
-    from randstruct.verify import (_cycle_type_cells, _feller_type_counts,
-                                   _partition_keys)
+    from randstruct.verify import _cycle_type_cells, _partition_keys
     keys = _partition_keys(n)
-    observed = _cycle_type_cells(_feller_type_counts(n, reps, rng), keys)
+    observed = _cycle_type_cells(perms.small_cycle_counts(n, n, reps, rng), keys)
     probs = [float(exact.cauchy_cycle_type_pmf(key)) for key in keys]
     report = chi_square_counts(observed, probs, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
@@ -134,10 +130,8 @@ def test_feller_matches_direct_cycle_counts_small():
     n = 5
     reps = 200_000
     rows, _ = _spacings(n, reps, make_stream(3, 7))
-    emp = EmpiricalDist.from_samples(np.bincount(rows, minlength=reps))
-    pmf = exact.cycles_count_pmf(n)
-    assert chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
-                          alpha_level=0.01).passed
+    assert chi_square_gof(np.bincount(rows, minlength=reps),
+                          [0.0, *exact.cycles_count_pmf(n)], alpha_level=0.01).passed
 
 
 def test_number_of_cycles_law_n8():
@@ -146,9 +140,7 @@ def test_number_of_cycles_law_n8():
     rng = make_stream(3, 8)
     successes = rng.gen.random((reps, n)) < 1.0 / np.arange(n, 0, -1)
     cycle_counts = successes.sum(axis=1)
-    emp = EmpiricalDist.from_samples(cycle_counts)
-    pmf = exact.cycles_count_pmf(n)
-    assert chi_square_gof(emp, lambda k: float(pmf[int(k) - 1]) if k >= 1 else 0.0,
+    assert chi_square_gof(cycle_counts, [0.0, *exact.cycles_count_pmf(n)],
                           alpha_level=0.01).passed
 
 
@@ -208,9 +200,9 @@ def test_small_cycle_counts_poisson_limit():
     p_derange = float(np.mean(counts[:, 0] == 0))
     target = math.exp(-1.0)
     assert abs(p_derange - target) < 3 * math.sqrt(target * (1 - target) / reps)
-    emp = EmpiricalDist.from_samples(counts[:, 1])
     from scipy import stats as sps
-    assert chi_square_gof(emp, lambda k: sps.poisson.pmf(int(k), 0.5),
+    twos = counts[:, 1]
+    assert chi_square_gof(twos, sps.poisson.pmf(np.arange(twos.max() + 1), 0.5),
                           alpha_level=0.01).passed
     corr = np.corrcoef(counts[:, 0], counts[:, 1])[0, 1]
     assert abs(corr) < 3 / math.sqrt(reps) + 0.01
@@ -231,11 +223,9 @@ def test_randomized_length_poisson_counts():
         np.add.at(n1, reps_n[rows[lengths == 1]], 1)
         np.add.at(n2, reps_n[rows[lengths == 2]], 1)
     from scipy import stats as sps
-    emp1 = EmpiricalDist.from_samples(n1)
-    assert chi_square_gof(emp1, lambda k: sps.poisson.pmf(int(k), x),
+    assert chi_square_gof(n1, sps.poisson.pmf(np.arange(n1.max() + 1), x),
                           alpha_level=0.01).passed
-    emp2 = EmpiricalDist.from_samples(n2)
-    assert chi_square_gof(emp2, lambda k: sps.poisson.pmf(int(k), x * x / 2),
+    assert chi_square_gof(n2, sps.poisson.pmf(np.arange(n2.max() + 1), x * x / 2),
                           alpha_level=0.01).passed
 
 

@@ -20,7 +20,7 @@ from randstruct import (exact, experiments, growth, permutations as perms,
 from randstruct.exact import OffspringLaw
 from randstruct.permutations import CycleStructure
 from randstruct.rng import make_stream
-from randstruct.stats import EmpiricalDist, chi_square_counts, chi_square_gof, ks_test
+from randstruct.stats import chi_square_counts, chi_square_gof, ks_test
 from randstruct.walks import LatticePath
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def ref_good_shift_counts(batch, k):
 
 
 def ref_good_shift_count(path):
-    return int(ref_good_shift_counts(path.increments[None, :], -path.total)[0])
+    return int(ref_good_shift_counts(path.increments[None, :], -path.increments.sum())[0])
 
 
 def ref_yule_simulate(k, rng, t=None, n_particles=None):
@@ -304,7 +304,7 @@ def test_longest_cycle_stats_matches_spacing_rows(seed, n, reps):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n,i_max,reps", [(100, 1, 7), (2_000, 3, 3000),
-                                          (100_000, 6, 210)])
+                                          (100_000, 6, 210), (8, 8, 500)])
 def test_small_cycle_counts_matches_spacing_rows(seed, n, i_max, reps):
     want, got, same_next = _same_draws(
         lambda r: ref_small_cycle_counts(n, i_max, reps, r),
@@ -385,7 +385,7 @@ def test_good_shift_count_matches_wrapper(seed, n, k):
     assert np.array_equal(got, ref_good_shift_counts(rows, k))
     for row in rows[:20]:
         path = LatticePath(row)
-        assert walks.good_shift_count(path) == ref_good_shift_count(path)
+        assert walks.good_shift_count(path.increments[None])[0] == ref_good_shift_count(path)
     # rows with different totals are counted in one call
     mixed = np.array([[-1, 0, 0], [-1, -1, 1], [-1, -1, -1]])
     assert walks.good_shift_count(mixed).tolist() == [1, 1, 3]
@@ -567,8 +567,8 @@ def test_yule_jump_count_is_negative_binomial(k, t):
     # the count of jumps by t is NegBin(1/(k-1), e^{-(k-1)t}) (Kendall 1966)
     jumps = growth.yule_simulate(k, 20_000, make_stream(7, 20 + k), t=t).n_jumps
     r, p = 1.0 / (k - 1), math.exp(-(k - 1) * t)
-    report = chi_square_gof(EmpiricalDist.from_samples(jumps),
-                            lambda j: float(sps.nbinom.pmf(j, r, p)), alpha_level=0.01)
+    report = chi_square_gof(jumps, sps.nbinom.pmf(np.arange(jumps.max() + 1), r, p),
+                            alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 

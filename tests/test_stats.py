@@ -2,33 +2,32 @@ import math
 
 import numpy as np
 import pytest
-from stats_helpers import chi_square_two_sample
+from hypothesis import given, settings, strategies as st
+from scipy import stats as sps
+from stats_helpers import chi_square_two_sample, pmf_callback, ref_chi_square_gof
 
 from randstruct import rng as R, stats as stats_module
 from randstruct.errors import InvalidParameterError, InvalidTestError
 from randstruct.exact import OffspringLaw
-from randstruct.stats import (EmpiricalDist, chi_square_counts, chi_square_gof,
-                              ks_test, mean_ci)
+from randstruct.stats import chi_square_counts, chi_square_gof, ks_test, mean_ci
 
 
 def test_chi_square_exact_multiples_pass():
-    pmf = {0: 0.5, 1: 0.3, 2: 0.2}
-    emp = EmpiricalDist(np.arange(3), np.array([500, 300, 200]), 1000)
-    report = chi_square_gof(emp, lambda v: pmf[int(v)])
+    report = chi_square_gof(np.repeat(np.arange(3), [500, 300, 200]), [0.5, 0.3, 0.2])
     assert report.passed and report.statistic < 1e-9
 
 
+DIE = [0.0] + [1 / 6] * 6
+
+
 def test_chi_square_fair_die_zero_statistic():
-    emp = EmpiricalDist(np.arange(1, 7), np.full(6, 1000), 6000)
-    report = chi_square_gof(emp, lambda v: 1 / 6 if 1 <= v <= 6 else 0.0)
+    report = chi_square_gof(np.repeat(np.arange(1, 7), 1000), DIE)
     assert report.statistic == 0.0 and report.passed
 
 
 def test_chi_square_loaded_die_statistic_1500():
-    emp = EmpiricalDist(np.arange(1, 7),
-                        np.array([2000, 1000, 1000, 1000, 500, 500]), 6000)
-    report = chi_square_gof(emp, lambda v: 1 / 6 if 1 <= v <= 6 else 0.0,
-                            alpha_level=1e-6)
+    samples = np.repeat(np.arange(1, 7), [2000, 1000, 1000, 1000, 500, 500])
+    report = chi_square_gof(samples, DIE, alpha_level=1e-6)
     assert report.statistic == pytest.approx(1500.0)
     assert not report.passed
 
@@ -37,88 +36,61 @@ def test_chi_square_merges_right_tail():
     # geometric-ish tail cells with tiny expectation must be pooled
     rng = R.make_stream(11, 0)
     x = OffspringLaw.poisson(2.0).sample(rng, size=20_000)
-    emp = EmpiricalDist.from_samples(x)
-    report = chi_square_gof(
-        emp, lambda k: math.exp(-2.0 + k * math.log(2.0) - math.lgamma(k + 1)))
+    pmf = [math.exp(-2.0 + k * math.log(2.0) - math.lgamma(k + 1))
+           for k in range(x.max() + 1)]
+    report = chi_square_gof(x, pmf)
     assert report.passed
-    assert report.df < emp.values.size  # merging happened
+    assert report.df < np.unique(x).size  # merging happened
 
 
 def test_chi_square_pools_mass_below_the_sample_minimum_on_the_left():
     # the sample misses 0 and 4: the mass of 0 joins cell 1 and that of 4
     # joins cell 3, each expecting 3, so every cell matches exactly
-    pmf = {0: 0.003, 1: 0.297, 2: 0.4, 3: 0.297, 4: 0.003}
-    emp = EmpiricalDist(np.arange(1, 4), np.array([300, 400, 300]), 1000)
-    report = chi_square_gof(emp, lambda k: pmf.get(int(k), 0.0))
+    samples = np.repeat(np.arange(1, 4), [300, 400, 300])
+    report = chi_square_gof(samples, [0.003, 0.297, 0.4, 0.297, 0.003])
     assert report.df == 2 and report.statistic < 1e-12
     # a missed minimum expecting >= 5 is a cell of its own with 0 observed
-    pmf = {0: 0.01, 1: 0.29, 2: 0.4, 3: 0.3}
-    report = chi_square_gof(emp, lambda k: pmf.get(int(k), 0.0))
+    report = chi_square_gof(samples, [0.01, 0.29, 0.4, 0.3])
     assert report.df == 3
     assert report.statistic == pytest.approx(10.0 + 10.0 ** 2 / 290.0)
 
 
-def test_chi_square_far_from_zero_sums_only_the_near_lower_tail():
-    # Poisson(10^7) counts: the left-end cell must not cost a pmf call per
-    # integer below the sample minimum
-    lam = 1e7
+def test_chi_square_puts_the_mass_under_a_gap_in_the_left_end_cell():
+    # pmf[1] = 0 below the sample minimum 2: the mass of 0 still forms the
+    # left-end cell, expecting 4, which joins cell 2 (508 + 4 = 512 observed)
+    samples = np.repeat([2, 3], [512, 512])
+    report = chi_square_gof(samples, [1 / 256, 0.0, 127 / 256, 1 / 2])
+    assert (report.statistic, report.df, report.sample_size) == (0.0, 1, 1024)
+
+
+def test_chi_square_far_from_zero_takes_the_whole_lower_tail(monkeypatch):
+    # Poisson(10^4) counts against the full array: the left-end cell is the
+    # whole mass below the sample minimum, P(X <= lo - 1)
+    lam = 1e4
     x = np.random.default_rng(3).poisson(lam, size=2_000)
-    calls = []
+    cells = []
 
-    def pmf(k):
-        calls.append(k)
-        return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+    def spy(observed, expected):
+        cells.append(expected[0] / x.size)
+        return merge(observed, expected)
 
-    report = chi_square_gof(EmpiricalDist.from_samples(x), pmf)
+    merge = stats_module._merge_right_tail
+    monkeypatch.setattr(stats_module, "_merge_right_tail", spy)
+    report = chi_square_gof(x, sps.poisson.pmf(np.arange(x.max() + 1), lam))
     assert report.passed
-    below = sum(1 for k in calls if k < x.min())
-    assert below <= 10 * math.sqrt(lam)  # the tail is negligible ~7 sd down
-
-
-def ref_chi_square_gof(emp, pmf, alpha_level=0.01):
-    """chi_square_gof before the left-end cell: all mass outside the observed
-    range went into one cell at the right end."""
-    values = emp.values
-    if np.issubdtype(values.dtype, np.integer):
-        lo, hi = int(values.min()), int(values.max())
-        grid = np.arange(lo, hi + 1)
-        observed = np.zeros(grid.size, dtype=float)
-        observed[values - lo] = emp.counts
-    else:
-        grid = values
-        observed = emp.counts.astype(float)
-    probs = np.array([float(pmf(v)) for v in grid])
-    expected = emp.total * probs
-    residual = emp.total * max(0.0, 1.0 - probs.sum())
-    if residual > 1e-9:
-        observed = np.append(observed, 0.0)
-        expected = np.append(expected, residual)
-    obs, exp = stats_module._merge_right_tail(observed, expected)
-    return stats_module._pearson_report(obs, exp, alpha_level, emp.total)
+    assert cells == [pytest.approx(sps.poisson.cdf(x.min() - 1, lam), rel=1e-9)]
 
 
 def test_chi_square_callers_keep_their_statistics(monkeypatch):
-    # criteria 04, 10, 14 and 17 observe their support minimum, so the
-    # left-end cell leaves them unchanged; the height clauses pass only the
-    # observed heights, and the left-end cell gives them the statistic of the
-    # full grid of levels they passed before, up to rounding
+    # every chi-square call of criteria 04, 10, 14 and 17, and the height
+    # clauses on samples that miss the bottom of the support, give the report
+    # of the one-value callback reference
     from randstruct import exact, verify
     calls = []
 
-    def both(emp, pmf, alpha_level=0.01):
-        got = chi_square_gof(emp, pmf, alpha_level)
-        assert got == ref_chi_square_gof(emp, pmf, alpha_level)
-        calls.append(got)
-        return got
-
-    def as_full_grid(emp, pmf, alpha_level=0.01):
-        got = chi_square_gof(emp, pmf, alpha_level)
-        counts = np.bincount(np.repeat(emp.values, emp.counts), minlength=40)
-        grid = chi_square_gof(EmpiricalDist(np.arange(40), counts, emp.total), pmf,
-                              alpha_level)
-        assert counts.size == 40 and emp.values.min() > 0
-        assert (got.df, got.threshold, got.passed) == (grid.df, grid.threshold, grid.passed)
-        assert got.statistic == pytest.approx(grid.statistic, rel=1e-12)
+    def both(samples, pmf, alpha_level=0.01):
+        got = chi_square_gof(samples, pmf, alpha_level)
+        assert got == ref_chi_square_gof(samples, pmf_callback(pmf), alpha_level)
         calls.append(got)
         return got
 
@@ -126,20 +98,63 @@ def test_chi_square_callers_keep_their_statistics(monkeypatch):
     for criterion in (verify.criterion_04_borel_tanner, verify.criterion_10_triangles,
                       verify.criterion_14_rrt, verify.criterion_17_yule_classics):
         criterion("fast", verify.MASTER_SEED)
-    monkeypatch.setattr(verify, "chi_square_gof", as_full_grid)
+    assert len(calls) == 5
     n = 2_000
     for cdf in (exact.rrt_height_cdf(n, 40), exact.ba_height_cdf(n, 40)):
         heights = np.random.default_rng(5).choice(
             cdf.size, size=300, p=np.diff(cdf, prepend=0.0))
+        assert heights.min() > 0
         verify._height_clauses(verify._Check(), "height", heights, cdf,
                                math.log(n), (0.5, 5.0))
     assert len(calls) == 7
 
 
-def test_chi_square_single_cell_invalid():
-    emp = EmpiricalDist(np.array([0]), np.array([100]), 100)
+@st.composite
+def _pmf_and_samples(draw):
+    """A sample drawn from a pmf array, which its floor may lift off the
+    bottom of the support, and that array with mass left past its end and
+    cells at or above the sample minimum zeroed, so no zero mass lies below
+    the minimum."""
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=30))
+    pmf = np.array(weights) / sum(weights)
+    lo = draw(st.integers(0, pmf.size - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    samples = np.maximum(rng.choice(pmf.size, size=draw(st.integers(20, 3000)), p=pmf), lo)
+    zeros = [i for i in draw(st.lists(st.integers(0, pmf.size - 1), max_size=3))
+             if i >= samples.min()]
+    pmf[zeros] = 0.0
+    return pmf * draw(st.sampled_from([1.0, 0.97])), samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pmf_and_samples(), st.sampled_from([0.01, 0.05]))
+def test_chi_square_gof_matches_the_callback_reference(case, alpha_level):
+    pmf, samples = case
+    try:
+        want = ref_chi_square_gof(samples, pmf_callback(pmf), alpha_level)
+    except InvalidTestError:
+        with pytest.raises(InvalidTestError):
+            chi_square_gof(samples, pmf, alpha_level)
+        return
+    got = chi_square_gof(samples, pmf, alpha_level)
+    assert (got.df, got.threshold, got.passed, got.sample_size) == \
+        (want.df, want.threshold, want.passed, want.sample_size)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-9)
+
+
+def test_chi_square_gof_rejects_bad_samples_and_pmfs():
+    for samples in ([0.0, 1.0, 2.0], [1, -1, 2], np.array([0.5])):
+        with pytest.raises(InvalidParameterError):
+            chi_square_gof(samples, [0.5, 0.5])
+    with pytest.raises(InvalidParameterError):
+        chi_square_gof([0, 1, 1], [0.6, 0.6, -0.2])
     with pytest.raises(InvalidTestError):
-        chi_square_gof(emp, lambda v: 1.0)
+        chi_square_gof(np.array([], dtype=np.int64), [0.5, 0.5])
+
+
+def test_chi_square_single_cell_invalid():
+    with pytest.raises(InvalidTestError):
+        chi_square_gof(np.zeros(100, dtype=np.int64), [1.0])
 
 
 def test_chi_square_two_sample_same_law_passes():
@@ -179,14 +194,13 @@ def test_chi_square_counts_rejects_an_impossible_cell():
 
 
 def test_chi_square_gof_rejects_an_impossible_cell():
-    def pmf(k):
-        return 0.5 if k < 2 else 0.0
+    # a sample past the pmf's end, or in a cell of probability 0
     for counts in ([100, 100, 60], [100, 100, 1]):
-        emp = EmpiricalDist(np.array([0, 1, 2]), np.array(counts), sum(counts))
-        report = chi_square_gof(emp, pmf)
+        report = chi_square_gof(np.repeat(np.arange(3), counts), [0.5, 0.5])
         assert not report.passed and report.statistic == np.inf
-    emp = EmpiricalDist(np.array([0, 1]), np.array([100, 100]), 200)
-    assert chi_square_gof(emp, pmf).passed
+    report = chi_square_gof(np.repeat([0, 1, 2], [100, 1, 100]), [0.5, 0.0, 0.5])
+    assert not report.passed and report.statistic == np.inf
+    assert chi_square_gof(np.repeat(np.arange(2), 100), [0.5, 0.5]).passed
 
 
 def test_ks_quantile_samples_pass():

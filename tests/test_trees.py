@@ -9,7 +9,7 @@ from randstruct import exact, rng as rng_module, trees
 from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
 from randstruct.exact import OffspringLaw
 from randstruct.rng import make_stream
-from randstruct.stats import EmpiricalDist, chi_square_counts, chi_square_gof, ks_test
+from randstruct.stats import chi_square_counts, chi_square_gof, ks_test
 from randstruct.verify import _plane_tree_sequences
 
 
@@ -113,10 +113,9 @@ def test_bgw_size_law_matches_one_over_n_convolution():
         target[n] = Fraction(1, n) * dist.get(-1, Fraction(0))
     rng = make_stream(0, 3)
     sizes = trees.bgw_total_sizes(law, 100_000, rng, cap=4096)
-    emp = EmpiricalDist.from_samples(sizes[sizes <= 12])
     total_mass = float(sum(target.values()))
-    report = chi_square_gof(emp, lambda n: float(target.get(int(n), 0)) / total_mass,
-                            alpha_level=0.01)
+    pmf = [0.0] + [float(target[n]) / total_mass for n in range(1, 13)]
+    report = chi_square_gof(sizes[sizes <= 12], pmf, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -138,11 +137,8 @@ def test_bgw_sizes_below_cap_64_follow_the_capped_law(cap):
     rng = make_stream(0, 5)
     sizes = trees.bgw_total_sizes(OffspringLaw.poisson(0.8), 50_000, rng, cap=cap)
     assert sizes.min() == 1 and sizes.max() == cap
-    below = {n: exact.borel_tanner_pmf(0.8, n) for n in range(1, cap)}
-    tail = 1.0 - sum(below.values())
-    report = chi_square_gof(EmpiricalDist.from_samples(sizes),
-                            lambda n: below.get(int(n), tail if n >= cap else 0.0),
-                            alpha_level=0.01)
+    below = [0.0] + [exact.borel_tanner_pmf(0.8, n) for n in range(1, cap)]
+    report = chi_square_gof(sizes, below + [1.0 - sum(below)], alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -196,10 +192,9 @@ def test_cayley_distance_law():
     dists = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         dists[r] = tree_distance(trees.sample_cayley(n, rng), 1, int(picks[r]))
-    emp = EmpiricalDist.from_samples(dists + 1)  # law indexed by k = distance+1
-    report = chi_square_gof(
-        emp, lambda k: float(cayley_distance_pmf(n, int(k))) if k >= 1 else 0.0,
-        alpha_level=0.01)
+    # law indexed by k = distance+1
+    pmf = [0.0] + [float(cayley_distance_pmf(n, k)) for k in range(1, n + 1)]
+    report = chi_square_gof(dists + 1, pmf, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -386,9 +381,9 @@ def test_uniform_vertex_height_matches_exact_law():
     rng = make_stream(0, 12)
     batch = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5),
                                                n + 1, 20_000, rng)
-    emp = EmpiricalDist.from_samples(uniform_vertex_heights(batch, rng))
-    report = chi_square_gof(emp, lambda h: float(plane_height_pmf(n, int(h))),
-                            alpha_level=0.01)
+    heights = uniform_vertex_heights(batch, rng)
+    pmf = [float(plane_height_pmf(n, h)) for h in range(heights.max() + 1)]
+    report = chi_square_gof(heights, pmf, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 

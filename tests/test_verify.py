@@ -74,7 +74,7 @@ def test_criterion_12_rows_are_sample_perm_draws(seed):
 def test_cycle_type_cells_match_key_loop(n):
     # the per-row tuple lookup that criterion 12 used before its table code
     keys = verify._partition_keys(n)
-    matrix = verify._feller_type_counts(n, 5000, make_stream(6, n))
+    matrix = permutations.small_cycle_counts(n, n, 5000, make_stream(6, n))
     key_index = {key: i for i, key in enumerate(keys)}
     want = np.zeros(len(keys), dtype=np.int64)
     for row in matrix:

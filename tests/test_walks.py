@@ -11,7 +11,7 @@ from parking_helpers import parking_simulate
 from randstruct import exact, walks
 from randstruct.errors import InvalidParameterError
 from randstruct.rng import make_stream
-from randstruct.stats import EmpiricalDist, chi_square_gof, ks_test
+from randstruct.stats import chi_square_gof, ks_test
 from randstruct.exact import OffspringLaw
 from randstruct.walks import LatticePath
 
@@ -49,14 +49,14 @@ def test_sample_path_poisson_mean():
 
 
 def test_good_shift_examples():
-    assert walks.good_shift_count(LatticePath([1, -1, -1])) == 1
-    assert walks.good_shift_count(LatticePath([-1, -1])) == 2
-    assert walks.good_shift_count(LatticePath([1, -1, 1, -1, -1, -1])) == 2
+    assert walks.good_shift_count(LatticePath([1, -1, -1]).increments[None])[0] == 1
+    assert walks.good_shift_count(LatticePath([-1, -1]).increments[None])[0] == 2
+    assert walks.good_shift_count(LatticePath([1, -1, 1, -1, -1, -1]).increments[None])[0] == 2
 
 
 def test_good_shift_requires_negative_total():
     with pytest.raises(InvalidParameterError):
-        walks.good_shift_count(LatticePath([1, -1]))
+        walks.good_shift_count(LatticePath([1, -1]).increments[None])
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,7 +65,7 @@ def test_good_shift_count_always_k(increments):
     total = sum(increments)
     if total >= 0:
         return
-    assert walks.good_shift_count(LatticePath(increments)) == -total
+    assert walks.good_shift_count(LatticePath(increments).increments[None])[0] == -total
 
 
 def test_kemperman_examples():
@@ -203,9 +203,8 @@ def test_poisson_hitting_matches_borel_tanner():
     rng = make_stream(1, 6)
     hits = bgw_total_sizes(OffspringLaw.poisson(0.8), 30_000, rng, cap=4096)
     assert hits.max() < 4096
-    emp = EmpiricalDist.from_samples(hits)
-    report = chi_square_gof(emp, lambda n: exact.borel_tanner_pmf(0.8, int(n))
-                            if n >= 1 else 0.0, alpha_level=0.01)
+    pmf = [0.0] + [exact.borel_tanner_pmf(0.8, n) for n in range(1, hits.max() + 1)]
+    report = chi_square_gof(hits, pmf, alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
 
 
@@ -235,9 +234,6 @@ def test_pm1_hitting_matches_catalan_form():
     assert np.all((hits % 2 == 1) | (hits == cap))
     ns = (hits + 1) // 2
     cap_n = (cap + 1) // 2
-    tail = 1.0 - sum(float(simple_walk_hitting_pmf(v)) for v in range(1, cap_n))
-    emp = EmpiricalDist.from_samples(ns)
-    report = chi_square_gof(
-        emp, lambda n: float(simple_walk_hitting_pmf(int(n)))
-        if 1 <= n < cap_n else tail if n >= cap_n else 0.0, alpha_level=0.01)
+    pmf = [0.0] + [float(simple_walk_hitting_pmf(v)) for v in range(1, cap_n)]
+    report = chi_square_gof(ns, pmf + [1.0 - sum(pmf)], alpha_level=0.01)
     assert report.passed, (report.statistic, report.threshold)
