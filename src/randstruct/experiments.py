@@ -217,6 +217,13 @@ _register(Experiment(
 ))
 
 
+def _gnp_c(params, stream) -> graphs.Graph:
+    """One G(n, c/n), n >= 1: the registry's copy of graphs._gnp_c."""
+    if params["n"] < 1:
+        raise InvalidParameterError("n must be >= 1")
+    return graphs.sample_gnp(params["n"], params["c"] / params["n"], stream)
+
+
 def _triangle_summary(params, matrix):
     lam = params["c"] ** 3 / 6.0
     summary, _ = _mean_summary(("triangles",))(params, matrix)
@@ -237,16 +244,14 @@ def _triangle_summary(params, matrix):
 
 _register(Experiment(
     "triangles", {"n": int, "c": float}, ("triangles",),
-    lambda p, s: (float(graphs.triangle_count(
-        graphs.sample_gnp(p["n"], p["c"] / p["n"], s))),),
+    lambda p, s: (float(graphs.triangle_count(_gnp_c(p, s))),),
     _triangle_summary,
 ))
 
 _register(Experiment(
     "spectral-moments", {"n": int, "c": float, "k_max": int},
     tuple(f"m{k}" for k in range(1, 13)),
-    lambda p, s: tuple(graphs.spectral_moments(
-        graphs.sample_gnp(p["n"], p["c"] / p["n"], s), p["k_max"]).moments) +
+    lambda p, s: tuple(graphs.spectral_moments(_gnp_c(p, s), p["k_max"]).moments) +
     (0.0,) * (12 - p["k_max"]),
     _mean_summary(tuple(f"m{k}" for k in range(1, 13))),
     defaults={"k_max": 3},

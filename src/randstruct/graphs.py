@@ -1,16 +1,15 @@
-"""Erdos-Renyi samplers, component statistics, the minimal-label exploration
+"""Erdos-Renyi samplers, component statistics, the breadth-first exploration
 walk and its fluid limit, threshold replicates, triangles and spectral
 moments."""
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .exact import fluid_curve
@@ -212,56 +211,52 @@ class ExplorationTrace:
 
 
 def explore_luka(g: Graph) -> ExplorationTrace:
-    """Reveal the graph one vertex per step, always popping the minimal-label
-    stack vertex; the walk increment is (#untouched neighbors found) - 1 and
-    each excursion above the running minimum explores one component.  Every
-    vertex enters the heap once, so the heap is the stack."""
-    n = g.n
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    touched = bytearray(n)
-    heap: list[int] = []
-    push, pop = heapq.heappush, heapq.heappop
-    increments = [0] * n
-    stack_sizes = [0] * n
-    next_fresh = 0
-    comp_sizes = []
-    comp_len = 0
-    for k in range(n):
-        if not heap:
-            while touched[next_fresh]:
-                next_fresh += 1
-            touched[next_fresh] = 1
-            heap.append(next_fresh)
-            if comp_len:
-                comp_sizes.append(comp_len)
-            comp_len = 0
-        stack_sizes[k] = len(heap)
-        x = pop(heap)
-        comp_len += 1
-        step = -1
-        for y in indices[indptr[x]:indptr[x + 1]]:
-            if not touched[y]:
-                touched[y] = 1
-                push(heap, y)
-                step += 1
-        increments[k] = step
-    comp_sizes.append(comp_len)
-    return ExplorationTrace(LatticePath(np.array(increments, dtype=np.int64)),
-                            np.array(comp_sizes, dtype=np.int64),
-                            np.array(stack_sizes, dtype=np.int64))
+    """Reveal the graph one vertex per step, first-in first-out within each
+    component, the components in order of their least vertex; the increment
+    is (#untouched neighbors found) - 1, and each excursion above the running
+    minimum explores one component.  By deferred decisions the walk law is
+    that of any rule exploring a touched vertex: increment + 1 is
+    Binomial(#untouched, p) whichever goes next, as its edges to the untouched
+    set are not yet revealed.  One C breadth-first search from a virtual
+    vertex n, whose row lists the roots in increasing order, explores every
+    component.  A vertex's queue place relative to its component depends only
+    on its parent's place and the adjacency order, so a stable sort by
+    component gives each its own first-in first-out order."""
+    n, size = g.n, g.indices.size
+    ones = np.ones(size + n, dtype=np.int8)
+    count, labels = connected_components(sparse.csr_matrix(
+        (ones[:size], g.indices, g.indptr), shape=(n, n)), directed=False)
+    roots = np.full(count, n)
+    np.minimum.at(roots, labels, np.arange(n))
+    ranks = np.argsort(np.argsort(roots))[labels]  # components by least vertex
+    augmented = sparse.csr_matrix(
+        (ones[:size + count], np.append(g.indices, np.sort(roots)),
+         np.append(g.indptr, size + count)), shape=(n + 1, n + 1))
+    order, parents = breadth_first_order(augmented, n, directed=True,
+                                         return_predecessors=True)
+    order = order[1:][np.argsort(ranks[order[1:]], kind="stable")]
+    # the roots are the children of n, which no step explores
+    increments = np.bincount(parents[:n])[order] - 1
+    prefix = np.cumsum(increments) - increments
+    return ExplorationTrace(LatticePath(increments), np.bincount(ranks),
+                            prefix - np.minimum.accumulate(prefix) + 1)
 
 
 # ---------------------------------------------------------------------------
 # Threshold replicates (run through experiments.run_experiment)
 
 
+def _gnp_c(n: int, c: float, stream: RngStream) -> Graph:
+    """One G(n, c/n), which needs n >= 1."""
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    return sample_gnp(n, c / n, stream)
+
+
 def giant_rep(n: int, c: float, stream: RngStream) -> tuple[int, int]:
     """Sizes of the two largest components of one G(n, c/n)."""
-    sizes = components(sample_gnp(n, c / n, stream))
-    largest = int(sizes[0]) if sizes.size else 0
-    second = int(sizes[1]) if sizes.size > 1 else 0
-    return largest, second
+    sizes = np.append(components(_gnp_c(n, c, stream)), 0)  # n >= 1: one component at least
+    return int(sizes[0]), int(sizes[1])
 
 
 def connectivity_rep(n: int, c: float, stream: RngStream) -> tuple[bool, bool]:
@@ -407,8 +402,8 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
 def fluid_sup_distance(n: int, c: float, stream: RngStream) -> float:
     """sup over t in [0, 1] of |S_(nt)/n - f_c(t)| for the component
     exploration walk of one G(n, c/n) sample; f_c is the piecewise limit with
-    the parabolic tail, which the minimal-label exploration follows."""
-    trace = explore_luka(sample_gnp(n, c / n, stream))
+    the parabolic tail, which the breadth-first exploration follows."""
+    trace = explore_luka(_gnp_c(n, c, stream))
     s = np.concatenate([[0], trace.walk.prefix_sums()])
     t = np.arange(n + 1) / n
     return float(np.max(np.abs(s / n - fluid_curve(c, t))))

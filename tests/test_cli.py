@@ -162,6 +162,17 @@ def test_cli_usage_error_exit_code(capsys):
     assert run_cli("run", "--experiment", "giant", "--param", "oops") == 2
 
 
+@pytest.mark.parametrize("name", ["giant", "fluid-curve", "spectral-moments",
+                                  "triangles"])
+def test_cli_c_over_n_experiments_need_a_vertex(name, capsys):
+    # G(n, c/n) at n = 0 is a usage error, not a division by zero
+    assert run_cli("run", "--experiment", name, "--param", "n=0",
+                   "--param", "c=1", "--reps", "2") == cli.EXIT_USAGE
+    assert "n must be >= 1" in capsys.readouterr().err
+    assert run_cli("run", "--experiment", name, "--param", "n=1",
+                   "--param", "c=1", "--reps", "2") == 0
+
+
 def test_cli_test_without_data_is_a_usage_error(monkeypatch, capsys):
     def no_cells(cfg):
         raise InvalidTestError("chi-square needs at least two cells")

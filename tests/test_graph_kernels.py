@@ -2,11 +2,13 @@
 they replaced, kept here as references.  Every kernel makes the same draws in
 the same order, so on the same stream it must give bit-identical output."""
 
-import heapq
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from randstruct import graphs, rng as rng_module
 from randstruct.errors import InvalidParameterError, ResourceLimitError
@@ -111,44 +113,30 @@ def ref_connected(g):
 
 
 def ref_explore(g):
-    """Min-label heap with lazy deletion and boolean masks, one numpy call
-    per vertex.  Returns (increments, component sizes, stack sizes)."""
-    n = g.n
-    untouched = np.ones(n, dtype=bool)
-    in_stack = np.zeros(n, dtype=bool)
-    heap = []
-    increments = np.empty(n, dtype=np.int64)
-    stack_sizes = np.empty(n, dtype=np.int64)
-    next_fresh = stack_count = comp_len = 0
-    comp_sizes = []
-    for k in range(n):
-        if stack_count == 0:
-            while next_fresh < n and not untouched[next_fresh]:
-                next_fresh += 1
-            untouched[next_fresh] = False
-            in_stack[next_fresh] = True
-            heapq.heappush(heap, next_fresh)
-            stack_count = 1
-            if comp_len:
-                comp_sizes.append(comp_len)
-            comp_len = 0
-        stack_sizes[k] = stack_count
-        x = heapq.heappop(heap)
-        while not in_stack[x]:
-            x = heapq.heappop(heap)
-        in_stack[x] = False
-        stack_count -= 1
-        comp_len += 1
-        nbrs = g.indices[g.indptr[x]:g.indptr[x + 1]]
-        fresh = nbrs[untouched[nbrs]]
-        untouched[fresh] = False
-        in_stack[fresh] = True
-        for y in fresh:
-            heapq.heappush(heap, int(y))
-        stack_count += fresh.size
-        increments[k] = fresh.size - 1
-    comp_sizes.append(comp_len)
-    return increments, np.array(comp_sizes, dtype=np.int64), stack_sizes
+    """Per-component first-in first-out loop: roots in increasing order, each
+    vertex touched when first seen.  Returns (increments, component sizes,
+    stack sizes)."""
+    touched = np.zeros(g.n, dtype=bool)
+    increments, comp_sizes, stack_sizes = [], [], []
+    for root in range(g.n):
+        if touched[root]:
+            continue
+        touched[root] = True
+        queue, size = deque([root]), 0
+        while queue:
+            stack_sizes.append(len(queue))
+            x = queue.popleft()
+            size += 1
+            fresh = 0
+            for y in g.indices[g.indptr[x]:g.indptr[x + 1]].tolist():
+                if not touched[y]:
+                    touched[y] = True
+                    queue.append(y)
+                    fresh += 1
+            increments.append(fresh - 1)
+        comp_sizes.append(size)
+    return tuple(np.array(v, dtype=np.int64)
+                 for v in (increments, comp_sizes, stack_sizes))
 
 
 def ref_spectral(g, k_max):
@@ -377,15 +365,55 @@ def test_components_and_connected_match_reference():
         assert (sizes.size <= 1) == ref_connected(g)
 
 
+def explore_as_reference(g):
+    """explore_luka(g), checked bit for bit against ref_explore."""
+    trace = graphs.explore_luka(g)
+    for got, want in zip((trace.walk.increments, trace.component_sizes,
+                          trace.stack_sizes), ref_explore(g)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    return trace
+
+
 def test_explore_matches_reference():
     for g in list(small_graphs()) + list(criterion_graphs()):
-        trace = graphs.explore_luka(g)
-        increments, comp_sizes, stack_sizes = ref_explore(g)
-        for got, want in ((trace.walk.increments, increments),
-                          (trace.component_sizes, comp_sizes),
-                          (trace.stack_sizes, stack_sizes)):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
+        explore_as_reference(g)
+
+
+def test_explore_does_not_rely_on_scipy_label_order(monkeypatch):
+    # the components go in order of their least vertex, whatever order
+    # scipy numbers them in
+    def reversed_labels(*args, **kwargs):
+        count, labels = connected_components(*args, **kwargs)
+        return count, count - 1 - labels
+    monkeypatch.setattr(graphs, "connected_components", reversed_labels)
+    for g in small_graphs():
+        explore_as_reference(g)
+
+
+@st.composite
+def graphs_up_to_60(draw):
+    """Graphs on 0..60 vertices: edgeless, complete, a drawn edge set or a
+    G(n, p) sample at a drawn p and stream."""
+    n = draw(st.integers(0, 60))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kind = draw(st.sampled_from(["edgeless", "complete", "edges", "gnp"]))
+    if kind == "gnp":
+        return graphs.sample_gnp(n, draw(st.floats(0.0, 1.0)),
+                                 make_stream(draw(st.integers(0, 2**32)), 0))
+    if kind == "edges" and pairs:
+        return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True,
+                                      max_size=2 * n)))
+    return Graph(n, pairs if kind == "complete" else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_up_to_60())
+def test_explore_matches_fifo_loop_and_scipy_components(g):
+    trace = explore_as_reference(g)
+    labels = connected_components(g.adjacency_csr(), directed=False)[1]
+    assert np.array_equal(np.sort(trace.component_sizes), np.sort(np.bincount(labels)))
+    assert trace.walk.increments.sum() == -trace.component_sizes.size
 
 
 def test_spectral_moments_match_reference():

@@ -100,6 +100,14 @@ def test_explore_empty_graph():
     assert trace.component_sizes.tolist() == [1, 1, 1]
 
 
+def test_explore_graph_without_vertices():
+    # no phantom component: every array is empty, so the walk ends at 0
+    # because there is no component to explore
+    trace = graphs.explore_luka(Graph(0, []))
+    for values in (trace.walk.increments, trace.component_sizes, trace.stack_sizes):
+        assert values.dtype == np.int64 and values.size == 0
+
+
 def test_explore_triangle():
     trace = graphs.explore_luka(Graph(3, [[0, 1], [0, 2], [1, 2]]))
     assert trace.walk.increments.tolist() == [1, -1, -1]
