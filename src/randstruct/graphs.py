@@ -255,7 +255,7 @@ def _gnp_c(n: int, c: float, stream: RngStream) -> Graph:
 
 def giant_rep(n: int, c: float, stream: RngStream) -> tuple[int, int]:
     """Sizes of the two largest components of one G(n, c/n)."""
-    sizes = np.append(components(_gnp_c(n, c, stream)), 0)  # n >= 1: one component at least
+    sizes = np.append(components(_gnp_c(n, c, stream)), 0)  # second is 0 for one component
     return int(sizes[0]), int(sizes[1])
 
 

@@ -101,8 +101,7 @@ def test_explore_empty_graph():
 
 
 def test_explore_graph_without_vertices():
-    # no phantom component: every array is empty, so the walk ends at 0
-    # because there is no component to explore
+    # no phantom component of size 0: there is nothing to explore
     trace = graphs.explore_luka(Graph(0, []))
     for values in (trace.walk.increments, trace.component_sizes, trace.stack_sizes):
         assert values.dtype == np.int64 and values.size == 0
