@@ -118,6 +118,8 @@ def _cmd_verify(args) -> int:
 def _cmd_dump(args) -> int:
     from . import graphs, growth, permutations, trees
     from .exact import OffspringLaw
+    if args.count < 0:
+        raise InvalidParameterError("--count must be >= 0")
     lines: list[str] = []
     for rep in range(args.count):
         stream = make_stream(args.seed, rep)
@@ -135,7 +137,7 @@ def _cmd_dump(args) -> int:
             builder = growth.rrt_chain if args.chain == "rrt" else growth.ba_chain
             lines.append(growth.growing_tree_to_line(builder(args.n, stream)))
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     print(f"wrote {args.count} {args.kind} samples to {args.out}")
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 """Exact combinatorial counts and numeric evaluators used as ground truth.
 
 Counts are arbitrary-precision integers, probabilities exact rationals.
-Fixed points are found by monotone iteration from 0 refined by bisection,
-matching the construction that identifies the smallest fixed point.  Laws
+Roots of one-variable equations (the survival probability of a Poisson
+branching tree, the preferential-attachment height constant) are found by
+bisection on a bracket where the equation changes sign once.  Laws
 whose exact rationals are out of reach at sampling scale (tree heights at
 10^6 vertices, the pill leftovers) are evaluated in float64 from their exact
 recurrences or integral representations.
@@ -70,30 +71,6 @@ class OffspringLaw:
         if d < 0 or not 0.0 <= p <= 1.0:
             raise InvalidParameterError("bad binomial parameters")
         return cls("binomial", (int(d), float(p)))
-
-    @property
-    def mean(self) -> float:
-        if self.kind == "pmf":
-            return float(sum(k * p for k, p in self.pmf_pairs))
-        if self.kind == "poisson":
-            return self.params[0]
-        if self.kind == "geometric":
-            p = self.params[0]
-            return (1.0 - p) / p
-        d, p = self.params
-        return d * p
-
-    def pgf(self, z: float) -> float:
-        """Generating function E[z^X] for z in [0, 1]."""
-        if self.kind == "pmf":
-            return float(sum(float(p) * z ** k for k, p in self.pmf_pairs))
-        if self.kind == "poisson":
-            return math.exp(self.params[0] * (z - 1.0))
-        if self.kind == "geometric":
-            p = self.params[0]
-            return p / (1.0 - (1.0 - p) * z)
-        d, p = self.params
-        return (1.0 - p + p * z) ** d
 
     def probability(self, k):
         """Mass at k: a float for an int, an array of masses for an int array."""
@@ -259,42 +236,21 @@ def _bisect(f, lo: float, hi: float, atol: float = _ATOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def bgw_extinction(law: OffspringLaw) -> float:
-    """Extinction probability: smallest fixed point of the offspring pgf in [0, 1].
-
-    The fixed point is the increasing limit of u <- pgf(u) from u = 0 and
-    equals 1 exactly when the mean is at most 1.
-    """
-    if law.mean <= 1.0:
-        return 1.0
-    u = 0.0
-    for _ in range(200):
-        nxt = law.pgf(u)
-        if nxt - u < _ATOL:
-            break
-        u = nxt
-    # refine: pgf(x) - x is positive on [0, alpha), negative on (alpha, 1)
-    hi = 1.0
-    while law.pgf(hi) - hi >= 0.0 and hi > u:
-        hi = u + 0.9 * (hi - u)
-    if hi <= u:
-        return u
-    return _bisect(lambda x: law.pgf(x) - x, u, hi)
-
-
-@lru_cache(maxsize=256)
-def _poisson_extinction(c: float) -> float:
-    return bgw_extinction(OffspringLaw.poisson(c))
-
-
 def giant_fraction(c: float) -> float:
-    """Asymptotic density 1 - alpha(c) of the largest component of G(n, c/n),
-    where alpha(c) is the smallest root of alpha = exp(-c (1 - alpha))."""
-    if c <= 0.0:
-        raise InvalidParameterError("c must be > 0")
+    """Asymptotic density of the largest component of G(n, c/n): the survival
+    probability s of a Poisson(c) branching tree, the root of s = 1 - e^(-c s)
+    in (0, 1] for c > 1, and 0 for c <= 1.
+
+    q(s) = (1 - e^(-c s)) / s - 1 decreases in s, from about c - 1 > 0 at
+    lo = (c - 1) / c^2, below the root, to -e^(-c) at s = 1, so one bisection
+    on [lo, 1] to a tolerance relative to lo finds s."""
+    if not 0.0 < c < math.inf:
+        raise InvalidParameterError("c must be finite and > 0")
     if c <= 1.0:
         return 0.0
-    return 1.0 - _poisson_extinction(float(c))
+    lo = (c - 1.0) / c / c
+    return _bisect(lambda s: -math.expm1(-c * s) / s - 1.0, lo, 1.0,
+                   atol=1e-13 * lo)
 
 
 def fluid_curve(c: float, t):

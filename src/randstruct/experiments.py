@@ -293,7 +293,7 @@ _register(Experiment(
 
 _register(Experiment(
     "ballot", {"a": int, "b": int}, ("always_ahead",),
-    lambda p, s: (walks.ballot_mc(p["a"], p["b"], 1, s),),
+    lambda p, s: (float(walks.ballot_ahead(p["a"], p["b"], s)),),
     _mean_summary(("always_ahead",), extra=lambda p: {
         "exact_probability": float(walks.ballot_prob(p["a"], p["b"]))}),
 ))

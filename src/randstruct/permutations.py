@@ -147,7 +147,7 @@ def small_cycle_counts(n: int, i_max: int, reps: int, rng: RngStream) -> np.ndar
     return out
 
 
-def cycle_type_batch(images_batch: np.ndarray, i_max: int | None = None) -> np.ndarray:
+def cycle_type_batch(images_batch: np.ndarray) -> np.ndarray:
     """Cycle-length count vectors for a batch of one-line permutations.
 
     Uses fixed-point counts of iterated powers, so the cost is n * n per row
@@ -156,17 +156,16 @@ def cycle_type_batch(images_batch: np.ndarray, i_max: int | None = None) -> np.n
     memory beyond the output stays within one draw budget.
     """
     reps, n = images_batch.shape
-    i_max = n if i_max is None else i_max
-    counts = np.empty((reps, i_max), dtype=np.int64)
+    counts = np.empty((reps, n), dtype=np.int64)
     done = 0
     while done < reps:
         b = _block_rows(8 * n, reps - done)
-        counts[done:done + b] = _cycle_types(images_batch[done:done + b], i_max)
+        counts[done:done + b] = _cycle_types(images_batch[done:done + b])
         done += b
     return counts
 
 
-def _cycle_types(images_batch: np.ndarray, i_max: int) -> np.ndarray:
+def _cycle_types(images_batch: np.ndarray) -> np.ndarray:
     reps, n = images_batch.shape
     zero_based = images_batch - 1
     fixed = np.empty((n, reps), dtype=np.int64)
@@ -177,7 +176,6 @@ def _cycle_types(images_batch: np.ndarray, i_max: int) -> np.ndarray:
     for j in range(1, n):
         power = zero_based[rows, power]
         fixed[j] = np.sum(power == idx, axis=1)
-    counts = np.zeros((reps, i_max), dtype=np.int64)
     weighted = np.zeros((n + 1, reps), dtype=np.int64)  # weighted[d] = d * N_d
     for j in range(1, n + 1):
         acc = np.zeros(reps, dtype=np.int64)
@@ -185,9 +183,7 @@ def _cycle_types(images_batch: np.ndarray, i_max: int) -> np.ndarray:
             if j % d == 0:
                 acc += weighted[d]
         weighted[j] = fixed[j - 1] - acc
-        if j <= i_max:
-            counts[:, j - 1] = weighted[j] // j
-    return counts
+    return (weighted[1:] // np.arange(1, n + 1)[:, None]).T
 
 
 def perm_to_line(perm: Permutation) -> str:

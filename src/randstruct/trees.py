@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import FormatError, InvalidParameterError, ResourceLimitError
 from .exact import OffspringLaw
-from .growth import GrowingTree
 from .rng import RngStream, _block_rows
 
 # histogram draws allowed per conditioned tree before the sampler gives up
@@ -54,18 +53,6 @@ class PlaneTree:
     @property
     def n_vertices(self) -> int:
         return int(self.child_counts.size)
-
-    def _parents(self) -> np.ndarray:
-        """Parent of each vertex in breadth-first order; -1 for the root."""
-        counts = self.child_counts
-        return np.concatenate(([-1], np.repeat(np.arange(counts.size), counts)))
-
-    def depths(self) -> np.ndarray:
-        """Depth of each vertex in breadth-first order."""
-        return GrowingTree._grown(self._parents()).depths()
-
-    def height(self) -> int:
-        return int(self.depths().max())
 
     def __eq__(self, other):
         return isinstance(other, PlaneTree) and \

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import exact, graphs, growth, permutations, trees, walks
+from .errors import InvalidParameterError
 from .exact import OffspringLaw
 from .experiments import ExperimentConfig, run_experiment
 from .rng import make_stream
@@ -696,6 +697,9 @@ def run_suite(scale: str = "fast", seed: int = MASTER_SEED,
               names: list[str] | None = None) -> list[CriterionResult]:
     if scale not in ("fast", "full"):
         raise ValueError("scale must be fast or full")
+    for token in names or ():
+        if not any(token in name for name, _ in CRITERIA):
+            raise InvalidParameterError(f"no criterion name contains {token!r}")
     results = []
     for name, fn in CRITERIA:
         if names and not any(token in name for token in names):

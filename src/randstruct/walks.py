@@ -1,6 +1,6 @@
 """Skip-free walks and the identities built on them: the good-shift count of
-the cycle lemma, the first-passage identity by enumeration, ballot
-estimates, argmax times, and the parking sampler."""
+the cycle lemma, the first-passage identity by enumeration, the ballot
+count, argmax times, and the parking sampler."""
 
 from __future__ import annotations
 
@@ -18,13 +18,9 @@ _ENUMERATION_CAP = 10_000_000
 
 
 class LatticePath:
-    """Integer path stored by its increments; skip-free (all increments >= -1).
+    """Integer path stored by its increments; skip-free (all increments >= -1)."""
 
-    Prefix sums exclude the starting 0 and are computed lazily and cached,
-    so cyclic shifts stay O(n) array surgery.
-    """
-
-    __slots__ = ("increments", "_prefix")
+    __slots__ = ("increments",)
 
     def __init__(self, increments):
         inc = np.asarray(increments, dtype=np.int64)
@@ -33,17 +29,10 @@ class LatticePath:
         if inc.size and inc.min() < -1:
             raise InvalidParameterError("skip-free walks have no jump below -1")
         self.increments = inc
-        self._prefix = None
-
-    @property
-    def n(self) -> int:
-        return int(self.increments.size)
 
     def prefix_sums(self) -> np.ndarray:
         """S_1, ..., S_n (the walk starts at S_0 = 0, not stored)."""
-        if self._prefix is None:
-            self._prefix = np.cumsum(self.increments)
-        return self._prefix
+        return np.cumsum(self.increments)
 
     def __eq__(self, other):
         return isinstance(other, LatticePath) and \
@@ -119,19 +108,12 @@ def ballot_prob(a: int, b: int) -> Fraction:
     return Fraction(a - b, a + b)
 
 
-def ballot_mc(a: int, b: int, reps: int, rng: RngStream) -> float:
-    """Monte Carlo frequency of the always-strictly-ahead event."""
+def ballot_ahead(a: int, b: int, rng: RngStream) -> bool:
+    """Whether the winner leads throughout one count of a + b shuffled votes."""
     if not a > b >= 0:
         raise InvalidParameterError("need a > b >= 0")
-    if reps < 1:
-        raise InvalidParameterError("reps must be >= 1")
     votes = np.concatenate([np.ones(a, dtype=np.int64), -np.ones(b, dtype=np.int64)])
-    wins = 0
-    for _ in range(reps):
-        order = rng.gen.permutation(votes)
-        if np.cumsum(order).min() > 0:
-            wins += 1
-    return wins / reps
+    return bool(np.cumsum(rng.gen.permutation(votes)).min() > 0)
 
 
 def parking_success_batch(n: int, m: int, reps: int, rng: RngStream) -> np.ndarray:

@@ -6,6 +6,7 @@ list, the ``_register(...)`` calls of the experiment registry, re-exports).
 Reach follows the names a reached body mentions:
 - a bare name resolves to a definition of its module or to an imported one;
 - ``module.name`` and ``Class.name`` resolve to that definition;
+- ``self.name`` inside a method resolves to the enclosing class's ``name``;
 - ``obj.name`` on anything else reaches every method called ``name``;
 - reaching a class reaches its class-level statements and dunder methods.
 
@@ -31,6 +32,8 @@ ALLOWLIST = {
                            "perfbench's conditioned-trees workload times",
     "trees.LabeledTree": "the tree `sample_cayley` returns",
     "trees.LabeledTree.from_edges": "the constructor `sample_cayley` calls",
+    "trees.PlaneTree.n_vertices": "the vertex count perfbench's tracer reads of "
+                                  "each `sample_bgw_conditioned` tree",
 }
 
 
@@ -56,19 +59,21 @@ def _census():
                for p in sorted(SRC.glob("*.py"))}
     defs: dict[str, tuple[_Module, ast.AST]] = {}  # qualname -> (module, node)
     methods: dict[str, list[str]] = {}              # method name -> qualnames
-    roots: list[tuple[_Module, ast.AST]] = []
+    owner: dict[str, str] = {}                      # method qualname -> class
+    roots: list[tuple[_Module, ast.AST, str | None]] = []
     for mod in modules.values():
         for node in mod.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{mod.name}.{node.name}"] = (mod, node)
             else:
-                roots.append((mod, node))
+                roots.append((mod, node, None))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         qual = f"{mod.name}.{node.name}.{item.name}"
                         defs[qual] = (mod, item)
                         methods.setdefault(item.name, []).append(qual)
+                        owner[qual] = f"{mod.name}.{node.name}"
     reached: set[str] = set()
     todo = list(roots)
 
@@ -78,12 +83,12 @@ def _census():
         reached.add(qual)
         mod, node = defs[qual]
         if not isinstance(node, ast.ClassDef):
-            todo.append((mod, node))
+            todo.append((mod, node, owner.get(qual)))
             return
-        todo.extend((mod, expr) for expr in node.bases + node.decorator_list)
+        todo.extend((mod, expr, None) for expr in node.bases + node.decorator_list)
         for item in node.body:
             if not isinstance(item, ast.FunctionDef):
-                todo.append((mod, item))
+                todo.append((mod, item, None))
             elif item.name.startswith("__"):
                 reach(f"{qual}.{item.name}")
 
@@ -106,12 +111,15 @@ def _census():
         return None
 
     while todo:
-        mod, node = todo.pop()
+        mod, node, cls = todo.pop()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 qual = resolve(mod, sub)
                 if qual is not None:
                     reach(qual)
+            elif (isinstance(sub, ast.Attribute) and cls is not None
+                  and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                reach(f"{cls}.{sub.attr}")
             elif isinstance(sub, ast.Attribute):
                 qual = resolve(mod, sub)
                 if qual is not None and qual in defs:

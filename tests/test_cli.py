@@ -390,11 +390,45 @@ def test_dump_of_fewer_samples_is_a_prefix(tmp_path, kind):
     assert len(_read_dump(kind, short)) == 2 and len(_read_dump(kind, long)) == 4
 
 
+def test_cli_dump_count_below_zero_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "none.txt"
+    assert run_cli("dump", "--kind", "permutation", "--count", "-1",
+                   "--out", str(out)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+def test_cli_dump_of_no_samples_is_an_empty_file(tmp_path):
+    # not one empty line, which a reader would parse as a malformed sample
+    out = tmp_path / "empty.txt"
+    assert run_cli("dump", "--kind", "permutation", "--count", "0",
+                   "--out", str(out)) == cli.EXIT_OK
+    assert out.read_bytes() == b""
+
+
 def test_cli_verify_fast_subset(capsys):
     code = run_cli("verify", "--suite", "fast", "--only", "03")
     out = capsys.readouterr().out
     assert "03 first-passage identity" in out
     assert code == 0
+
+
+def test_cli_verify_only_a_token_no_criterion_has(capsys):
+    assert run_cli("verify", "--only", "03", "--only", "zzz") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "usage error: no criterion name contains 'zzz'"]
+
+
+def test_cli_fluid_curve_just_above_criticality(capsys):
+    # giant_fraction(1.00001) never returned from the old extinction solver
+    assert run_cli("run", "--experiment", "fluid-curve", "--param", "n=200",
+                   "--param", "c=1.00001", "--reps", "1") == cli.EXIT_OK
+    for c in ("nan", "inf"):
+        assert run_cli("run", "--experiment", "fluid-curve", "--param", "n=200",
+                       "--param", f"c={c}", "--reps", "1") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.count("usage error:") == 2
 
 
 def test_console_entry_point():

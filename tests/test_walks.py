@@ -38,13 +38,13 @@ def test_sample_path_delta_minus_one():
 def test_sample_path_pm_one_mean():
     path = walks.sample_path(PM_ONE, 1_000_000, make_stream(0, 1))
     mean = path.increments.mean()
-    assert abs(mean) < 4 / math.sqrt(path.n)
+    assert abs(mean) < 4 / math.sqrt(path.increments.size)
 
 
 def test_sample_path_poisson_mean():
     law = OffspringLaw.poisson(2.0)
     path = walks.sample_path(law, 100_000, make_stream(0, 2))
-    se = path.increments.std() / math.sqrt(path.n)
+    se = path.increments.std() / math.sqrt(path.increments.size)
     assert abs(path.increments.mean() - 1.0) < 4 * se
 
 
@@ -108,13 +108,15 @@ def test_ballot_enumeration_four_two():
     assert Fraction(wins, len(orders)) == Fraction(1, 3)
 
 
-def test_ballot_mc_needs_a_replicate():
-    with pytest.raises(InvalidParameterError):
-        walks.ballot_mc(4, 2, 0, make_stream(1, 0))
+def test_ballot_mc_needs_a_leader():
+    for a, b in ((2, 2), (1, 3), (2, -1)):
+        with pytest.raises(InvalidParameterError):
+            walks.ballot_ahead(a, b, make_stream(1, 0))
 
 
 def test_ballot_mc():
-    est = walks.ballot_mc(4, 2, 100_000, make_stream(1, 0))
+    rng = make_stream(1, 0)
+    est = sum(walks.ballot_ahead(4, 2, rng) for _ in range(100_000)) / 100_000
     p = 1 / 3
     assert abs(est - p) < 3 * math.sqrt(p * (1 - p) / 100_000)
 
