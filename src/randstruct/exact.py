@@ -241,9 +241,10 @@ def giant_fraction(c: float) -> float:
     probability s of a Poisson(c) branching tree, the root of s = 1 - e^(-c s)
     in (0, 1] for c > 1, and 0 for c <= 1.
 
-    q(s) = (1 - e^(-c s)) / s - 1 decreases in s, from about c - 1 > 0 at
-    lo = (c - 1) / c^2, below the root, to -e^(-c) at s = 1, so one bisection
-    on [lo, 1] to a tolerance relative to lo finds s."""
+    q(s) = (1 - e^(-c s)) / s - 1 decreases in s, from a positive value at
+    lo = (c - 1) / c^2 (about (c - 1) / 2 near c = 1), below the root, to
+    -e^(-c) at s = 1, so one bisection on [lo, 1] to a tolerance relative to
+    lo finds s."""
     if not 0.0 < c < math.inf:
         raise InvalidParameterError("c must be finite and > 0")
     if c <= 1.0:

@@ -422,7 +422,7 @@ def test_cli_verify_only_a_token_no_criterion_has(capsys):
 
 
 def test_cli_fluid_curve_just_above_criticality(capsys):
-    # giant_fraction(1.00001) never returned from the old extinction solver
+    # within 1e-5 of criticality the giant-fraction solve must still return
     assert run_cli("run", "--experiment", "fluid-curve", "--param", "n=200",
                    "--param", "c=1.00001", "--reps", "1") == cli.EXIT_OK
     for c in ("nan", "inf"):

@@ -436,7 +436,8 @@ def test_percolation_critical_rarely_reaches_cap():
 def test_percolation_supercritical_matches_fixed_point():
     rng = make_stream(0, 17)
     freq = percolation_survival(0.75, 2_000, rng, cap=10_000)
-    # the cluster dies with the smallest root of z = (1/4 + 3z/4)^2, 1/9
+    # the cluster survives with chance 8/9: it dies with the smallest root
+    # of z = (1/4 + 3z/4)^2, which is 1/9
     assert abs(freq - 8 / 9) < 0.02
 
 
