@@ -108,7 +108,7 @@ def test_ballot_enumeration_four_two():
     assert Fraction(wins, len(orders)) == Fraction(1, 3)
 
 
-def test_ballot_mc_needs_a_leader():
+def test_ballot_ahead_needs_a_leader():
     for a, b in ((2, 2), (1, 3), (2, -1)):
         with pytest.raises(InvalidParameterError):
             walks.ballot_ahead(a, b, make_stream(1, 0))
