@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft, integrate, special, stats as sps
+from scipy import fft as sp_fft, special
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .rng import RngStream
@@ -73,17 +73,33 @@ class OffspringLaw:
         return cls("binomial", (int(d), float(p)))
 
     def probability(self, k):
-        """Mass at k: a float for an int, an array of masses for an int array."""
+        """Mass at k: a float for an int, an array of masses for an int array.
+
+        The Poisson and geometric masses are the formulas scipy.stats's
+        poisson.pmf and geom.pmf evaluate, so they agree to the bit; the
+        binomial is summed in log space."""
         if self.kind == "pmf":
             table = dict(self.pmf_pairs)
             mass = np.vectorize(lambda j: float(table.get(j, 0)), otypes=[float])(k)
-        elif self.kind == "poisson":
-            mass = sps.poisson.pmf(k, self.params[0])
+            return float(mass) if np.ndim(mass) == 0 else mass
+        k = np.asarray(k)
+        j = np.maximum(k, 0)  # keeps the formulas finite where the mask drops them
+        inside = k >= 0
+        if self.kind == "poisson":
+            (mu,) = self.params
+            mass = np.exp(special.xlogy(j, mu) - special.gammaln(j + 1) - mu)
         elif self.kind == "geometric":
-            mass = sps.geom.pmf(np.add(k, 1), self.params[0])
+            (p,) = self.params
+            mass = np.power(1.0 - p, j) * p
         else:
-            mass = sps.binom.pmf(k, *self.params)
-        return float(mass) if np.ndim(mass) == 0 else mass
+            d, p = self.params
+            j = np.minimum(j, d)
+            inside = inside & (k <= d)
+            mass = np.exp(special.gammaln(d + 1) - special.gammaln(j + 1)
+                          - special.gammaln(d - j + 1) + special.xlogy(j, p)
+                          + special.xlog1py(d - j, -p))
+        mass = np.where(inside, mass, 0.0)
+        return float(mass) if mass.ndim == 0 else mass
 
     def sample(self, rng: RngStream, size=None):
         g = rng.gen
@@ -601,6 +617,8 @@ def _pills_pmf(n: int) -> np.ndarray:
         else:  # m so small that no pill can be eaten yet
             log_f = np.where(rest > 0, -np.inf, log_f)
         return np.exp(log_f)
+
+    from scipy import integrate  # at first use: importing it slows every start
 
     # the mass sits near m = log n + log log n; beyond log n + 60 it is e^-60
     peak = math.log(n) + math.log(max(math.log(n), 1.0))

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import __version__, exact, graphs, growth, permutations, trees, walks
 from .errors import InvalidParameterError, InvalidTestError
@@ -232,9 +231,9 @@ def _triangle_summary(params, matrix):
     if matrix.shape[0] >= 100:
         counts = matrix[:, 0].astype(np.int64)
         try:
-            report = chi_square_gof(
-                counts, sps.poisson.pmf(np.arange(counts.max() + 1), lam),
-                alpha_level=0.01)
+            pmf = exact.OffspringLaw.poisson(lam).probability(
+                np.arange(counts.max() + 1))
+            report = chi_square_gof(counts, pmf, alpha_level=0.01)
         except InvalidTestError:  # at small c nearly every count is 0: one cell
             summary["poisson_chi_square"] = "not computable"
         else:

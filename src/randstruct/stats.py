@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats as sps
+from scipy import special
 
 from .errors import InvalidParameterError, InvalidTestError
 
@@ -49,12 +49,17 @@ def _merge_right_tail(observed, expected):
     return np.array([o for o, _ in merged]), np.array([e for _, e in merged])
 
 
+def _chi2_threshold(alpha_level: float, df: int) -> float:
+    """The upper alpha_level quantile of chi-square with df degrees of freedom;
+    scipy.stats.chi2.ppf(1 - alpha_level, df) makes this same call."""
+    return float(2.0 * special.gammaincinv(df / 2.0, 1.0 - alpha_level))
+
+
 def _impossible(probs, alpha_level, total) -> TestReport:
     """The failed verdict, at statistic inf, of observations in a cell of
     probability 0: no pooling may hide them."""
     df = max(1, int(np.count_nonzero(probs)) - 1)
-    return TestReport(np.inf, float(sps.chi2.ppf(1.0 - alpha_level, df)), df,
-                      False, int(total))
+    return TestReport(np.inf, _chi2_threshold(alpha_level, df), df, False, int(total))
 
 
 def _pearson_report(obs, exp, alpha_level, total) -> TestReport:
@@ -65,7 +70,7 @@ def _pearson_report(obs, exp, alpha_level, total) -> TestReport:
             "expected count below %g in a non-tail cell" % MIN_EXPECTED)
     statistic = float(np.sum((obs - exp) ** 2 / exp))
     df = len(obs) - 1
-    threshold = float(sps.chi2.ppf(1.0 - alpha_level, df))
+    threshold = _chi2_threshold(alpha_level, df)
     return TestReport(statistic, threshold, df, statistic <= threshold, total)
 
 
@@ -127,9 +132,10 @@ def chi_square_counts(observed, probs, alpha_level: float = 0.01) -> TestReport:
     if pool_e > 0.0:
         obs.append(pool_o)
         exp.append(pool_e)
-    if len(exp) >= 2 and exp[-1] < MIN_EXPECTED:
-        exp[-2] += exp.pop()
-        obs[-2] += obs.pop()
+    if len(exp) >= 2 and exp[-1] < MIN_EXPECTED:  # the pool joins the last big cell
+        e, o = exp.pop(), obs.pop()
+        exp[-1] += e
+        obs[-1] += o
     return _pearson_report(np.array(obs), np.array(exp), alpha_level, int(total))
 
 
@@ -157,5 +163,5 @@ def mean_ci(samples, level: float = 0.95) -> tuple[float, float]:
         raise InvalidTestError("mean_ci needs at least 2 samples")
     if not 0.0 < level < 1.0:
         raise InvalidParameterError("confidence level must be in (0, 1)")
-    z = float(sps.norm.ppf(0.5 + level / 2.0))
+    z = float(special.ndtri(0.5 + level / 2.0))  # scipy.stats.norm.ppf
     return float(x.mean()), z * float(x.std(ddof=1)) / float(np.sqrt(x.size))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats as sps
 
 from . import exact, graphs, growth, permutations, trees, walks
 from .errors import InvalidParameterError
@@ -318,8 +317,8 @@ def criterion_10_triangles(scale: str, seed: int) -> tuple[bool, str]:
     reps = 10_000 if scale == "full" else 1_000
     lam = c ** 3 / 6.0
     counts = graphs.triangle_counts(n, c / n, reps, make_stream(seed, 10))
-    report = chi_square_gof(counts, sps.poisson.pmf(np.arange(counts.max() + 1), lam),
-                            alpha_level=0.01)
+    pmf = OffspringLaw.poisson(lam).probability(np.arange(counts.max() + 1))
+    report = chi_square_gof(counts, pmf, alpha_level=0.01)
     chk.test("chi-square vs Poisson(c^3/6)", report)
     return chk.result()
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats as sps
 
 from randstruct import exact
 from randstruct.errors import InvalidParameterError
@@ -594,3 +594,41 @@ def test_offspring_probability():
     assert geom.probability(2) == pytest.approx(1 / 8)
     binom = OffspringLaw.binomial(2, 0.75)
     assert binom.probability(1) == pytest.approx(2 * 0.75 * 0.25)
+
+
+# scipy.stats is the reference here only: the package never imports it
+K = np.arange(-3, 400)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300, 1e-8, 0.5, 1.0, 2.25, 10.0, 1e3, 1e6])
+def test_poisson_probability_is_scipys_pmf(mu):
+    law = OffspringLaw.poisson(mu)
+    assert np.array_equal(law.probability(K), sps.poisson.pmf(K, mu))
+    assert np.array_equal(law.probability(K[:, None] + K[:3]),
+                          sps.poisson.pmf(K[:, None] + K[:3], mu))
+    for k in (-2, -1, 0, 3):
+        assert law.probability(k) == float(sps.poisson.pmf(k, mu))
+    assert np.all(law.probability(K[K < 0]) == 0.0)
+    if mu == 0.0:
+        assert law.probability(0) == 1.0 and law.probability(1) == 0.0
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.1, 0.5, 0.75, 1.0])
+def test_geometric_probability_is_scipys_pmf(p):
+    law = OffspringLaw.geometric(p)
+    assert np.array_equal(law.probability(K), sps.geom.pmf(K + 1, p))
+    for k in (-2, -1, 0, 3):
+        assert law.probability(k) == float(sps.geom.pmf(k + 1, p))
+    assert np.all(law.probability(K[K < 0]) == 0.0)
+    if p == 1.0:
+        assert law.probability(0) == 1.0 and law.probability(1) == 0.0
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 8, 30, 100, 350])
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.4, 0.5, 0.75, 1.0])
+def test_binomial_probability_matches_scipys_pmf(d, p):
+    law = OffspringLaw.binomial(d, p)
+    got = law.probability(K)
+    np.testing.assert_allclose(got, sps.binom.pmf(K, d, p), rtol=1e-10, atol=0.0)
+    assert np.all(got[(K < 0) | (K > d)] == 0.0)
+    assert law.probability(d + 1) == 0.0 and law.probability(-1) == 0.0

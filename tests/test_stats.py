@@ -180,6 +180,82 @@ def test_chi_square_counts_pools_sparse_cells():
     assert report.passed
 
 
+def test_chi_square_counts_merges_the_pool_into_the_last_big_cell():
+    # [1/6] * 6 sums to 1 - 1.1e-16: the residual cell of ~1e-11 must join
+    # the sixth cell, not overwrite the fifth with it
+    observed = [100, 120, 90, 110, 95, 105]
+    report = chi_square_counts(observed, [1 / 6] * 6)
+    assert report.statistic == pytest.approx(5.645, abs=1e-3)
+    assert report.statistic == pytest.approx(sps.chisquare(observed).statistic, rel=1e-9)
+    assert report.df == 5
+    # a bias in the second-to-last cell stays visible
+    observed = [10_000] * 4 + [10_300, 10_000]
+    report = chi_square_counts(observed, [1 / 6] * 6)
+    assert report.statistic == pytest.approx(7.46, abs=5e-3)
+    assert report.statistic == pytest.approx(sps.chisquare(observed).statistic, rel=1e-9)
+
+
+def _ref_chi_square_counts(observed, probs, alpha_level):
+    """chi_square_counts written apart: each cell is labelled with the cell it
+    lands in, and scipy.stats.chisquare tests the label sums."""
+    observed, probs = np.asarray(observed, float), np.asarray(probs, float)
+    total = observed.sum()
+    expected = total * probs
+    residual = total * max(0.0, 1.0 - probs.sum())
+    big = expected >= 5.0
+    labels = np.where(big, np.cumsum(big) - 1, big.sum())  # the pool comes last
+    pool_e = expected[~big].sum() + residual
+    cells = big.sum() + (pool_e > 0.0)
+    if cells >= 2 and pool_e < 5.0 and pool_e > 0.0:
+        labels[~big] = big.sum() - 1
+        cells -= 1
+    obs = np.bincount(labels, weights=observed, minlength=cells)[:cells]
+    exp = np.bincount(labels, weights=expected, minlength=cells)[:cells]
+    exp[-1] += residual
+    if cells < 2 or np.any(exp < 5.0):
+        raise InvalidTestError("no valid pooling")
+    statistic = float(sps.chisquare(obs, exp).statistic)
+    return statistic, cells - 1, float(sps.chi2.ppf(1.0 - alpha_level, cells - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300), st.floats(1e-4, 1.0)),
+                min_size=1, max_size=12),
+       st.sampled_from([1.0, 0.999, 0.97]), st.sampled_from([0.01, 0.05]))
+def test_chi_square_counts_matches_pooling_then_scipy(cells, scale, alpha_level):
+    observed = [o for o, _ in cells]
+    weights = np.array([w for _, w in cells])
+    probs = weights / weights.sum() * scale
+    if sum(observed) == 0:
+        return
+    try:
+        statistic, df, threshold = _ref_chi_square_counts(observed, probs, alpha_level)
+    except InvalidTestError:
+        with pytest.raises(InvalidTestError):
+            chi_square_counts(observed, probs, alpha_level)
+        return
+    got = chi_square_counts(observed, probs, alpha_level)
+    assert (got.df, got.threshold, got.sample_size) == (df, threshold, sum(observed))
+    assert got.statistic == pytest.approx(statistic, rel=1e-9, abs=1e-12)
+    assert got.passed == (got.statistic <= threshold)
+
+
+def test_chi_square_threshold_is_scipys_chi2_ppf():
+    df = np.arange(1, 400)
+    for alpha_level in (1e-6, 1e-3, 0.01, 0.05, 0.1):
+        got = [stats_module._chi2_threshold(alpha_level, int(d)) for d in df]
+        assert np.array_equal(got, sps.chi2.ppf(1.0 - alpha_level, df))
+
+
+def test_mean_ci_z_is_scipys_norm_ppf():
+    x = np.array([0.25, 1.5, 2.0, 7.75, 3.0])
+    s, root = float(x.std(ddof=1)), float(np.sqrt(x.size))
+    levels = [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-9]
+    got = [mean_ci(x, level)[1] for level in levels]
+    want = [float(sps.norm.ppf(0.5 + level / 2.0)) * s / root for level in levels]
+    assert np.array_equal(got, want)
+
+
 def test_chi_square_counts_rejects_an_impossible_cell():
     # more observed cells than probabilities: the extra cells have probability 0
     report = chi_square_counts([100, 100, 60], [0.5, 0.5])
