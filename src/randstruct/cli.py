@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource error.
-The default master seed comes from RANDSTRUCT_SEED when set.
+The default master seed of ``run`` and ``dump`` comes from RANDSTRUCT_SEED
+when set.
 """
 
 from __future__ import annotations
@@ -20,8 +21,16 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("RANDSTRUCT_SEED", "0"))
+def _seed(args) -> int:
+    """The --seed given, else RANDSTRUCT_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("RANDSTRUCT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameterError(
+            f"RANDSTRUCT_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_value(text: str):
@@ -46,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--experiment", required=True)
     run.add_argument("--param", action="append", default=[],
                      metavar="KEY=VALUE", help="experiment parameter (repeatable)")
-    run.add_argument("--seed", type=int, default=_default_seed())
+    run.add_argument("--seed", type=int, default=None)
     run.add_argument("--reps", type=int, default=1)
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--out", default=None)
@@ -67,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--n", type=int, default=8)
     dump.add_argument("--p", type=float, default=0.5)
     dump.add_argument("--chain", choices=("rrt", "ba"), default="rrt")
-    dump.add_argument("--seed", type=int, default=_default_seed())
+    dump.add_argument("--seed", type=int, default=None)
     dump.add_argument("--out", required=True)
     return parser
 
@@ -86,7 +95,7 @@ def _cmd_run(args) -> int:
         if not sep:
             raise InvalidParameterError(f"--param needs KEY=VALUE, got {item!r}")
         params[key] = _parse_value(value)
-    cfg = ExperimentConfig(args.experiment, params, master_seed=args.seed,
+    cfg = ExperimentConfig(args.experiment, params, master_seed=_seed(args),
                            reps=args.reps, workers=args.workers, out=args.out,
                            fmt=args.format, per_rep=args.per_rep)
     report = run_experiment(cfg)
@@ -120,9 +129,10 @@ def _cmd_dump(args) -> int:
     from .exact import OffspringLaw
     if args.count < 0:
         raise InvalidParameterError("--count must be >= 0")
+    seed = _seed(args)
     lines: list[str] = []
     for rep in range(args.count):
-        stream = make_stream(args.seed, rep)
+        stream = make_stream(seed, rep)
         if args.kind == "plane-tree":
             tree = trees.sample_bgw_conditioned(OffspringLaw.geometric(0.5),
                                                 args.n, stream)

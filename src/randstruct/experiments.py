@@ -59,8 +59,12 @@ class Experiment:
     schema: dict
     columns: tuple
     rep_fn: object          # (params, stream) -> tuple of row values
-    summarize: object       # (params, rows ndarray) -> (summary dict, verdicts)
+    summarize: object = None  # (params, rows ndarray) -> (summary dict, verdicts)
     defaults: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.summarize is None:  # each column's mean and half-width
+            object.__setattr__(self, "summarize", _mean_summary(self.columns))
 
 
 REGISTRY: dict[str, Experiment] = {}
@@ -190,7 +194,6 @@ def _mean_summary(columns, level=0.95, extra=None):
 _register(Experiment(
     "giant", {"n": int, "c": float}, ("largest_frac", "second_frac"),
     lambda p, s: tuple(x / p["n"] for x in graphs.giant_rep(p["n"], p["c"], s)),
-    _mean_summary(("largest_frac", "second_frac")),
 ))
 
 
@@ -212,7 +215,6 @@ _register(Experiment(
 _register(Experiment(
     "fluid-curve", {"n": int, "c": float}, ("sup_distance",),
     lambda p, s: (graphs.fluid_sup_distance(p["n"], p["c"], s),),
-    _mean_summary(("sup_distance",)),
 ))
 
 
@@ -252,7 +254,6 @@ _register(Experiment(
     tuple(f"m{k}" for k in range(1, 13)),
     lambda p, s: tuple(graphs.spectral_moments(_gnp_c(p, s), p["k_max"]).moments) +
     (0.0,) * (12 - p["k_max"]),
-    _mean_summary(tuple(f"m{k}" for k in range(1, 13))),
     defaults={"k_max": 3},
 ))
 
@@ -269,7 +270,6 @@ def _bgw_law(params) -> exact.OffspringLaw:
 _register(Experiment(
     "bgw-size", {"law": str, "param": float, "cap": int}, ("size",),
     lambda p, s: (float(trees.bgw_total_sizes(_bgw_law(p), 1, s, cap=p["cap"])[0]),),
-    _mean_summary(("size",)),
     defaults={"cap": 4096},
 ))
 
@@ -299,7 +299,7 @@ _register(Experiment(
 
 _register(Experiment(
     "cycles", {"n": int}, ("n_cycles",),
-    lambda p, s: (float(permutations.feller_cycles(p["n"], s).n_cycles),),
+    lambda p, s: (float(next(permutations.feller_spacings(p["n"], 1, s))[1].size),),
     _mean_summary(("n_cycles",), extra=lambda p: {
         "harmonic_mean": exact.pills_mean(p["n"])}),  # H_n by digamma
 ))
@@ -321,7 +321,6 @@ _register(Experiment(
 _register(Experiment(
     "dickman", {"x": float}, ("rho",),
     lambda p, s: (exact.dickman_rho(p["x"]),),  # deterministic: draws nothing
-    _mean_summary(("rho",)),
 ))
 
 
@@ -336,13 +335,11 @@ def _growth_rep(chain):
 _register(Experiment(
     "rrt", {"n": int}, ("max_out_degree", "height", "root_degree"),
     _growth_rep("rrt"),
-    _mean_summary(("max_out_degree", "height", "root_degree")),
 ))
 
 _register(Experiment(
     "ba", {"n": int}, ("max_out_degree", "height", "root_degree"),
     _growth_rep("ba"),
-    _mean_summary(("max_out_degree", "height", "root_degree")),
 ))
 
 
@@ -361,13 +358,11 @@ _register(Experiment(
 _register(Experiment(
     "coupon", {"n": int}, ("draws",),
     lambda p, s: (float(growth.coupon_collector_batch(p["n"], 1, s)[0]),),
-    _mean_summary(("draws",)),
 ))
 
 _register(Experiment(
     "bins", {"n": int}, ("max_load",),
     lambda p, s: (float(growth.balls_in_bins(p["n"], s)),),
-    _mean_summary(("max_load",)),
 ))
 
 
@@ -381,7 +376,6 @@ _register(Experiment(
 _register(Experiment(
     "corral", {"n": int}, ("survivors",),
     lambda p, s: (float(growth.ok_corral_batch(p["n"], 1, s)[0]),),
-    _mean_summary(("survivors",)),
 ))
 
 

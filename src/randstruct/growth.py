@@ -1,6 +1,7 @@
 """Growing random trees (uniform attachment and preferential attachment),
-continuous-time splitting trees with their contractions to the discrete
-chains, the biased-line check of the sum-over-particles identity, and the
+each drawn as a batch of parent rows with a one-chain view; continuous-time
+splitting trees with their contractions to the discrete chains; the
+biased-line check of the sum-over-particles identity; and the
 embedded-chain classics (coupon collector, balls in bins, pills,
 last-man-standing duel)."""
 
@@ -86,14 +87,24 @@ def growing_tree_from_line(line: str) -> GrowingTree:
 
 def rrt_chain(n: int, rng: RngStream) -> GrowingTree:
     """Uniform attachment: vertex i joins a uniform vertex of the current tree;
-    uniform over the n! increasing trees on vertices 0..n."""
+    uniform over the n! increasing trees on vertices 0..n.  The one-chain view
+    of ``rrt_chain_batch``."""
+    return GrowingTree._grown(rrt_chain_batch(n, 1, rng)[0])
+
+
+def rrt_chain_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
+    """Parent arrays of ``reps`` uniform-attachment chains on vertices 0..n,
+    one row each: vertex i >= 1 picks parent[i] uniform on 0..i-1.  All picks
+    come from one ``integers`` call with the bounds 1..n broadcast over the
+    rows, the same draws as one call per chain."""
     if n < 0:
         raise InvalidParameterError("n must be >= 0")
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    if n:
-        parent[1:] = rng.gen.integers(0, np.arange(1, n + 1))
-    return GrowingTree._grown(parent)
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    parent = np.empty((reps, n + 1), dtype=np.int64)
+    parent[:, 0] = -1
+    parent[:, 1:] = rng.gen.integers(0, np.arange(1, n + 1), size=(reps, n))
+    return parent
 
 
 def ba_chain(n: int, rng: RngStream) -> GrowingTree:

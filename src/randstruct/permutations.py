@@ -1,7 +1,7 @@
-"""Uniform permutations and their cycle structure: direct sampling, the
-Feller coupling for the cycle lengths (its spacings drawn by integer stick
-breaking), batched cycle types, and Monte Carlo helpers for long- and
-short-cycle laws."""
+"""Uniform permutations and their cycle structure: direct sampling as a
+batch of one-line rows with a one-row view, the Feller coupling for the
+cycle lengths (its spacings drawn by integer stick breaking), batched cycle
+types, and Monte Carlo helpers for long- and short-cycle laws."""
 
 from __future__ import annotations
 
@@ -34,29 +34,21 @@ class Permutation:
         return self
 
 
-@dataclass(frozen=True)
-class CycleStructure:
-    """Cycle lengths ranked by the cycles' minimal elements."""
-
-    lengths: tuple
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self.lengths)
-
-
 def sample_perm(n: int, rng: RngStream) -> Permutation:
-    """Uniform permutation of {1..n}."""
+    """Uniform permutation of {1..n}.  The one-row view of
+    ``sample_perm_batch``."""
+    return Permutation(sample_perm_batch(n, 1, rng)[0])
+
+
+def sample_perm_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
+    """``reps`` uniform permutations of {1..n} in one-line notation, one row
+    each, from one ``permuted`` call over the rows 1..n: the same draws as
+    one ``permutation(n)`` call per row."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    return Permutation(rng.gen.permutation(n) + 1)
-
-
-def feller_cycles(n: int, rng: RngStream) -> CycleStructure:
-    """Cycle lengths of one uniform permutation of {1..n} in min-ranked order,
-    drawn through the Feller coupling (one row of ``feller_spacings``)."""
-    _, lengths = next(feller_spacings(n, 1, rng))
-    return CycleStructure(tuple(lengths.tolist()))
+    if reps < 0:
+        raise InvalidParameterError("reps must be >= 0")
+    return rng.gen.permuted(np.tile(np.arange(1, n + 1), (reps, 1)), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -359,11 +359,6 @@ def _partition_keys(n: int) -> list[tuple[int, ...]]:
     return keys
 
 
-def _perm_rows(n: int, reps: int, rng) -> np.ndarray:
-    """``reps`` rows, the same draws as ``permutations.sample_perm(n)`` calls."""
-    return rng.gen.permuted(np.tile(np.arange(1, n + 1), (reps, 1)), axis=1)
-
-
 def _cycle_type_cells(matrix: np.ndarray, keys) -> np.ndarray:
     """How many rows of a cycle-type count matrix fall on each of ``keys``:
     count i of a row lies in 0..n // i, so the rows' mixed-radix codes index
@@ -384,9 +379,8 @@ def criterion_12_cycles(scale: str, seed: int) -> tuple[bool, str]:
     probs = [float(exact.cauchy_cycle_type_pmf(key)) for key in keys]
     rng = make_stream(seed, 12)
     counts_f = _cycle_type_cells(permutations.small_cycle_counts(n, n, reps, rng), keys)
-    rng = make_stream(seed, 121)
-    counts_d = _cycle_type_cells(
-        permutations.cycle_type_batch(_perm_rows(n, reps, rng)), keys)
+    rows = permutations.sample_perm_batch(n, reps, make_stream(seed, 121))
+    counts_d = _cycle_type_cells(permutations.cycle_type_batch(rows), keys)
     for label, counts in (("spacing", counts_f), ("direct", counts_d)):
         report = chi_square_counts(counts, probs, alpha_level=0.01)
         chk.test(f"{label} sampler vs Cauchy cycle-type law (n=6)", report)
@@ -422,9 +416,13 @@ def criterion_13_dickman(scale: str, seed: int) -> tuple[bool, str]:
     return chk.result()
 
 
-def _rrt_parent_rows(n: int, reps: int, rng) -> np.ndarray:
-    """``reps`` rows, the same draws as ``growth.rrt_chain(n).parent[1:]``."""
-    return rng.gen.integers(0, np.tile(np.arange(1, n + 1), (reps, 1)))
+def _out_degree_fractions(parent: np.ndarray) -> np.ndarray:
+    """Shares of out-degrees 0..6 among all vertices of the chains whose
+    parent arrays are the rows of ``parent``."""
+    reps, size = parent.shape
+    children = parent[:, 1:] + np.arange(0, reps * size, size)[:, None]
+    out = np.bincount(children.reshape(-1), minlength=reps * size)
+    return np.bincount(out, minlength=7)[:7] / out.size
 
 
 def _shape_clause(chk: _Check, label: str, keys: np.ndarray, probs: np.ndarray):
@@ -453,29 +451,23 @@ def _ba_shape_law() -> dict[int, Fraction]:
 def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     n = 100_000 if scale == "full" else 20_000
-    rng = make_stream(seed, 14)
-    pooled = np.zeros(7, dtype=np.int64)
-    total = 0
-    for _ in range(5):
-        out = growth.rrt_chain(n, rng).out_degrees()
-        pooled += np.bincount(out, minlength=7)[:7]
-        total += out.size
-    fractions = pooled / total
+    parent = growth.rrt_chain_batch(n, 5, make_stream(seed, 14))
+    fractions = _out_degree_fractions(parent)
     ok = all(abs(fractions[k] - 2.0 ** (-k - 1)) < 0.005 for k in range(6))
     chk.add("out-degree fractions vs 2^-k-1", ok)
     hreps = 200_000 if scale == "full" else 50_000
     rng = make_stream(seed, 141)
-    picks = _rrt_parent_rows(8, hreps, rng)
+    parent = growth.rrt_chain_batch(8, hreps, rng)
     depth = np.zeros((hreps, 9), dtype=np.int64)
     for j in range(1, 9):
-        depth[:, j] = depth[np.arange(hreps), picks[:, j - 1]] + 1
+        depth[:, j] = depth[np.arange(hreps), parent[:, j]] + 1
     report = chi_square_gof(depth[:, 8], [0.0, *exact.cycles_count_pmf(8)],
                             alpha_level=0.01)
     chk.test("vertex-8 height vs cycle-count law", report)
     # the 6 shapes (parent[2], parent[3]) at n = 3 are equally likely
     creps = 300_000 if scale == "full" else 50_000
     rng = make_stream(seed, 142)
-    direct = _rrt_parent_rows(3, creps, rng)[:, 1:]
+    direct = growth.rrt_chain_batch(3, creps, rng)[:, 2:]
     rng = make_stream(seed, 143)
     forest = growth.yule_simulate(2, creps // 3, rng, n_particles=4)
     contracted = growth.yule_to_rrt(forest, 3)[:, 2:]
@@ -488,16 +480,8 @@ def criterion_14_rrt(scale: str, seed: int) -> tuple[bool, str]:
 def criterion_15_ba(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     n = 100_000 if scale == "full" else 20_000
-    rng = make_stream(seed, 15)
-    pooled = np.zeros(7, dtype=np.float64)
-    total = 0
-    for _ in range(5):
-        tree = growth.ba_chain(n, rng)
-        assert int(tree.degrees().sum()) == 2 * n
-        out = tree.out_degrees()
-        pooled += np.bincount(out, minlength=7)[:7]
-        total += out.size
-    fractions = pooled / total
+    parent = growth.ba_chain_batch(n, 5, make_stream(seed, 15))
+    fractions = _out_degree_fractions(parent)
     ok = all(abs(fractions[k] - 4.0 / ((k + 1) * (k + 2) * (k + 3))) < 0.005
              for k in range(1, 6))
     chk.add("out-degree fractions vs 4/((k+1)(k+2)(k+3))", ok)

@@ -288,6 +288,24 @@ def test_cli_env_seed(tmp_path, monkeypatch, capsys):
     assert "seed=123" in capsys.readouterr().out
 
 
+def test_cli_non_integer_env_seed(tmp_path, monkeypatch, capsys):
+    # only run and dump read the variable, and a bad value is a usage error
+    monkeypatch.setenv("RANDSTRUCT_SEED", "abc")
+    assert run_cli("list") == cli.EXIT_OK
+    assert run_cli("verify", "--only", "03") == cli.EXIT_OK
+    assert run_cli("run", "--experiment", "cycles", "--param", "n=5",
+                   "--seed", "4") == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "corpus.txt"
+    for argv in (("run", "--experiment", "cycles", "--param", "n=5"),
+                 ("dump", "--kind", "permutation", "--out", str(out))):
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "RANDSTRUCT_SEED" in err
+    assert not out.exists()
+
+
 def test_cli_dump_plane_trees(tmp_path):
     out = tmp_path / "corpus.txt"
     assert run_cli("dump", "--kind", "plane-tree", "--count", "5", "--n", "6",

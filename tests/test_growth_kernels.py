@@ -131,6 +131,15 @@ def test_ba_chain_batch_argument_checks():
         growth.ba_chain_batch(4, -1, make_stream(5, 0))
 
 
+def test_rrt_chain_batch_argument_checks():
+    with pytest.raises(InvalidParameterError):
+        growth.rrt_chain_batch(-1, 3, make_stream(5, 0))
+    with pytest.raises(InvalidParameterError):
+        growth.rrt_chain_batch(4, -1, make_stream(5, 0))
+    with pytest.raises(InvalidParameterError):
+        growth.rrt_chain(-1, make_stream(5, 0))
+
+
 @pytest.mark.parametrize("chain", [growth.rrt_chain, growth.ba_chain])
 @pytest.mark.parametrize("n", [1, 2, 50, 100_000])
 def test_depths_match_loop(chain, n):

@@ -67,7 +67,8 @@ def test_cycle_type_batch_matches_cycles_of_across_row_blocks():
 
 
 def test_feller_single_point():
-    assert perms.feller_cycles(1, make_stream(3, 4)).lengths == (1,)
+    _, lengths = next(perms.feller_spacings(1, 1, make_stream(3, 4)))
+    assert tuple(lengths.tolist()) == (1,)
 
 
 def _spacings(n, reps, rng):
@@ -188,7 +189,16 @@ def test_feller_spacings_validate_n_and_reps():
     with pytest.raises(InvalidParameterError):
         perms.longest_cycle_stats(10, -1, rng)
     with pytest.raises(InvalidParameterError):
-        perms.feller_cycles(0, rng)
+        perms.feller_spacings(0, 1, rng)
+
+
+def test_sample_perm_batch_argument_checks():
+    with pytest.raises(InvalidParameterError):
+        perms.sample_perm_batch(0, 3, make_stream(3, 0))
+    with pytest.raises(InvalidParameterError):
+        perms.sample_perm_batch(4, -1, make_stream(3, 0))
+    with pytest.raises(InvalidParameterError):
+        perms.sample_perm(0, make_stream(3, 0))
 
 
 def test_small_cycle_counts_poisson_limit():

@@ -18,7 +18,6 @@ from stats_helpers import chi_square_two_sample
 from randstruct import (exact, experiments, growth, permutations as perms,
                         rng as rng_module, trees, walks)
 from randstruct.exact import OffspringLaw
-from randstruct.permutations import CycleStructure
 from randstruct.rng import make_stream
 from randstruct.stats import chi_square_counts, chi_square_gof, ks_test
 from randstruct.walks import LatticePath
@@ -28,13 +27,14 @@ from randstruct.walks import LatticePath
 
 
 def ref_feller_cycles(n, rng):
-    """Integer stick breaking, one scalar draw per cycle."""
+    """Integer stick breaking, one scalar draw per cycle: the cycle lengths in
+    min-ranked order."""
     lengths, left = [], n
     while left:
         gap = int(rng.gen.integers(1, left + 1))
         lengths.append(gap)
         left -= gap
-    return CycleStructure(tuple(lengths))
+    return tuple(lengths)
 
 
 def ref_spacing_rows(n, reps, rng):
@@ -270,8 +270,11 @@ def test_feller_cycles_matches_scalar_sampler(seed, n):
 
     def many(fn):
         return lambda r: [fn(n, r) for _ in range(calls)]
-    want, got, same_next = _same_draws(many(ref_feller_cycles),
-                                       many(perms.feller_cycles), seed, n)
+
+    def one_row(n, r):
+        return tuple(next(perms.feller_spacings(n, 1, r))[1].tolist())
+    want, got, same_next = _same_draws(many(ref_feller_cycles), many(one_row),
+                                       seed, n)
     assert got == want
     assert same_next
 
@@ -682,7 +685,7 @@ REGISTRY_REFERENCES = {
     "bins": ({"n": 500}, lambda r: float(ref_max_load(500, r))),
     "corral": ({"n": 40}, lambda r: float(ref_ok_corral(40, r))),
     "coupon": ({"n": 30}, lambda r: float(ref_coupon_collector(30, r))),
-    "cycles": ({"n": 200}, lambda r: float(ref_feller_cycles(200, r).n_cycles)),
+    "cycles": ({"n": 200}, lambda r: float(len(ref_feller_cycles(200, r)))),
     "parking": ({"n": 10, "m": 10},
                 lambda r: float(ref_parking_simulate(10, 10, r).success)),
     "pills": ({"n": 25}, lambda r: float(ref_pills(25, r))),

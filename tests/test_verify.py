@@ -1,7 +1,8 @@
 """The exact-law clauses of criteria 16 and 17 accept samples of the law they
-test and reject samples of a neighbouring one; the vectorised draws of the
-criteria are the draws of the samplers they stand for; and the suite reaches
-the sampler modules through their public names only."""
+test and reject samples of a neighbouring one; the batch samplers the
+criteria call draw what one call per row drew before them; and the suite
+reaches the sampler modules through their public names only, and draws only
+through them."""
 
 import ast
 import itertools
@@ -59,15 +60,37 @@ def _same_draws(batch, sequential, seed, index):
     return want, got, r1.gen.random() == r2.gen.random()
 
 
+def ref_perm_rows(n, reps, rng):
+    """One ``permutation(n)`` call per row, as ``sample_perm`` drew before
+    its batch form."""
+    return np.array([rng.gen.permutation(n) + 1 for _ in range(reps)],
+                    dtype=np.int64).reshape(reps, n)
+
+
+def ref_rrt_rows(n, reps, rng):
+    """One ``integers`` call per chain, as ``rrt_chain`` drew before its batch
+    form."""
+    parent = np.full((reps, n + 1), -1, dtype=np.int64)
+    for row in parent:
+        if n:
+            row[1:] = rng.gen.integers(0, np.arange(1, n + 1))
+    return parent
+
+
 @pytest.mark.parametrize("seed", [0, 20260810])
-def test_criterion_12_rows_are_sample_perm_draws(seed):
-    reps = 500
-    want, got, same_next = _same_draws(
-        lambda r: verify._perm_rows(6, reps, r),
-        lambda r: np.stack([permutations.sample_perm(6, r).images
-                            for _ in range(reps)]), seed, 121)
-    assert np.array_equal(want, got)
-    assert same_next
+@pytest.mark.parametrize("n,reps", [(1, 0), (1, 5), (2, 500), (6, 0), (6, 500),
+                                    (9, 500), (100_000, 3)])
+def test_criterion_12_rows_are_sample_perm_draws(seed, n, reps):
+    # criterion 12 draws its direct rows at n = 6 from stream 121
+    for batch in (lambda r: permutations.sample_perm_batch(n, reps, r),
+                  lambda r: np.array([permutations.sample_perm(n, r).images
+                                      for _ in range(reps)],
+                                     dtype=np.int64).reshape(reps, n)):
+        want, got, same_next = _same_draws(
+            batch, lambda r: ref_perm_rows(n, reps, r), seed, 121)
+        assert got.dtype == np.int64
+        assert np.array_equal(want, got)
+        assert same_next
 
 
 @pytest.mark.parametrize("n", [1, 4, 6, 9])
@@ -83,15 +106,37 @@ def test_cycle_type_cells_match_key_loop(n):
 
 
 @pytest.mark.parametrize("seed", [0, 20260810])
-@pytest.mark.parametrize("n,index", [(8, 141), (3, 142)])
-def test_criterion_14_rows_are_rrt_chain_draws(seed, n, index):
-    reps = 500
-    want, got, same_next = _same_draws(
-        lambda r: verify._rrt_parent_rows(n, reps, r),
-        lambda r: np.stack([growth.rrt_chain(n, r).parent[1:]
-                            for _ in range(reps)]), seed, index)
-    assert np.array_equal(want, got)
-    assert same_next
+@pytest.mark.parametrize("n,reps,index", [(0, 0, 14), (0, 4, 14), (1, 5, 14),
+                                          (2, 500, 14), (9, 0, 14), (9, 500, 14),
+                                          (100_000, 3, 14), (8, 500, 141),
+                                          (3, 500, 142)])
+def test_criterion_14_rows_are_rrt_chain_draws(seed, n, reps, index):
+    # criterion 14 draws n = 8 rows from stream 141 and n = 3 rows from 142
+    for batch in (lambda r: growth.rrt_chain_batch(n, reps, r),
+                  lambda r: np.array([growth.rrt_chain(n, r).parent
+                                      for _ in range(reps)],
+                                     dtype=np.int64).reshape(reps, n + 1)):
+        want, got, same_next = _same_draws(
+            batch, lambda r: ref_rrt_rows(n, reps, r), seed, index)
+        assert got.dtype == np.int64
+        assert np.array_equal(want, got)
+        assert same_next
+
+
+@pytest.mark.parametrize("chain,batch", [(growth.rrt_chain, growth.rrt_chain_batch),
+                                         (growth.ba_chain, growth.ba_chain_batch)],
+                         ids=["rrt", "ba"])
+def test_out_degree_fractions_pool_the_chains(chain, batch):
+    # criteria 14 and 15 pooled the chains' out-degree counts one chain at a time
+    n, reps = 20_000, 5
+    pooled, total = np.zeros(7, dtype=np.int64), 0
+    rng = make_stream(20260810, 14)
+    for _ in range(reps):
+        out = chain(n, rng).out_degrees()
+        pooled += np.bincount(out, minlength=7)[:7]
+        total += out.size
+    got = verify._out_degree_fractions(batch(n, reps, make_stream(20260810, 14)))
+    assert np.array_equal(got, pooled / total)
 
 
 def test_verify_imports_no_private_sampler_names():
@@ -107,6 +152,24 @@ def test_verify_imports_no_private_sampler_names():
               and isinstance(node.value, ast.Name) and node.value.id in modules):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+# Functions of verify.py and experiments.py that may draw from a stream
+# themselves; every other draw goes through a sampler module.
+DRAW_ALLOWLIST = {
+    "criterion_11_spectral": "draws the size and density of each brute-force graph",
+}
+
+
+def test_verify_draws_only_through_the_samplers():
+    drawing = set()
+    for module in (verify, experiments):
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "gen"
+                   for sub in ast.walk(node)):
+                drawing.add(getattr(node, "name", f"{module.__name__}:{node.lineno}"))
+    # an allowlisted function must still draw, so the list cannot go stale
+    assert drawing == set(DRAW_ALLOWLIST)
 
 
 def test_ba_shape_law_at_n4():
