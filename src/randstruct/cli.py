@@ -1,6 +1,9 @@
 """Command-line experiment runner.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource error.
+Each ``--param`` value is parsed once, by its schema type (``list`` shows it),
+as argparse parses the options: an int takes what ``int()`` takes, so
+``n=2.5``, ``n=1e3`` and ``--reps 5.0`` are usage errors, not truncated.
 The default master seed of ``run`` and ``dump`` comes from RANDSTRUCT_SEED
 when set.
 """
@@ -31,15 +34,6 @@ def _seed(args) -> int:
     except ValueError:
         raise InvalidParameterError(
             f"RANDSTRUCT_SEED must be an integer, got {text!r}") from None
-
-
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +88,7 @@ def _cmd_run(args) -> int:
         key, sep, value = item.partition("=")
         if not sep:
             raise InvalidParameterError(f"--param needs KEY=VALUE, got {item!r}")
-        params[key] = _parse_value(value)
+        params[key] = value
     cfg = ExperimentConfig(args.experiment, params, master_seed=_seed(args),
                            reps=args.reps, workers=args.workers, out=args.out,
                            fmt=args.format, per_rep=args.per_rep)

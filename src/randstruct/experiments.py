@@ -81,13 +81,19 @@ def list_experiments() -> dict[str, dict]:
 
 
 def _coerce_params(exp: Experiment, raw: dict) -> dict:
+    """Each value parsed from its text by its schema type, CLI text and API
+    values alike: an int takes what ``int()`` takes, so 2.5 is refused."""
     params = dict(exp.defaults)
     for key, value in raw.items():
         if key not in exp.schema:
             raise InvalidParameterError(
                 f"unknown parameter {key!r} for {exp.name}; "
                 f"expected {sorted(exp.schema)}")
-        params[key] = exp.schema[key](value)
+        try:
+            params[key] = exp.schema[key](str(value))
+        except ValueError:
+            raise InvalidParameterError(f"{exp.name}: parameter {key} must be "
+                                        f"{exp.schema[key].__name__}, got {value!r}") from None
     missing = [k for k in exp.schema if k not in params]
     if missing:
         raise InvalidParameterError(f"{exp.name} needs parameters {missing}")

@@ -119,9 +119,9 @@ def ba_chain_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
     Brandes, PRE 71, 2005).  Vertex i >= 2 picks slot r < 2(i-1): odd slot
     2j-1 holds vertex j and even slot 2j-2 holds parent[j], j < i.  All picks
     come from one ``integers`` call, row by row, the same draws as one call
-    per chain.  The copies are resolved by synchronous pointer jumping over
-    the flattened rows; a pending vertex stores minus the flat index of the
-    vertex whose parent it copies."""
+    per chain, drawn straight into the rows.  The copies are resolved in
+    place by synchronous pointer jumping over the flattened rows; a pending
+    vertex stores minus the flat index of the vertex whose parent it copies."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     if reps < 0:
@@ -130,15 +130,14 @@ def ba_chain_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
     parent[:, 0] = -1
     parent[:, 1] = 0
     if n > 1 and reps:
-        picks = rng.gen.integers(0, np.tile(np.arange(2, 2 * n, 2), (reps, 1)))
-        target = picks // 2 + 1
-        copied = target + np.arange(0, reps * (n + 1), n + 1)[:, None]
-        np.negative(copied, out=copied)
-        parent[:, 2:] = np.where(picks & 1, target, copied)
-        del picks, target, copied
+        picks = parent[:, 2:]
+        picks[...] = rng.gen.integers(0, np.arange(2, 2 * n, 2), size=(reps, n - 1))
+        todo = np.flatnonzero((picks & 1) == 0)  # even slots copy a parent
+        picks >>= 1
+        picks += 1  # the vertex each slot names
+        todo += 2 * (todo // (n - 1) + 1)  # index in picks -> index in parent
         flat = parent.reshape(-1)
-        rows, cols = (parent[:, 2:] < 0).nonzero()
-        todo = rows * (n + 1) + cols + 2
+        flat[todo] = -(flat[todo] + todo - todo % (n + 1))
         while todo.size:
             jumped = flat[-flat[todo]]
             flat[todo] = jumped

@@ -48,7 +48,8 @@ def sample_perm_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
         raise InvalidParameterError("n must be >= 1")
     if reps < 0:
         raise InvalidParameterError("reps must be >= 0")
-    return rng.gen.permuted(np.tile(np.arange(1, n + 1), (reps, 1)), axis=1)
+    rows = np.tile(np.arange(1, n + 1), (reps, 1))
+    return rng.gen.permuted(rows, axis=1, out=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import exact, graphs, growth, permutations, trees, walks
 from .errors import InvalidParameterError
 from .exact import OffspringLaw
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, _per_rep_path, run_experiment
 from .rng import make_stream
 from .stats import chi_square_counts, chi_square_gof, ks_test
 
@@ -646,8 +646,7 @@ def criterion_19_determinism(scale: str, seed: int) -> tuple[bool, str]:
                                    master_seed=seed, reps=12, workers=workers,
                                    out=str(out), fmt="csv", per_rep=True)
             run_experiment(cfg)
-            outputs.append((out.read_bytes(),
-                            Path(str(out).replace(".csv", "-reps.csv")).read_bytes()))
+            outputs.append((out.read_bytes(), Path(_per_rep_path(str(out))).read_bytes()))
     chk.add("rerun identical", outputs[0] == outputs[1])
     chk.add("workers=3 identical to workers=1", outputs[0] == outputs[2])
     return chk.result()

@@ -49,6 +49,49 @@ def test_missing_parameter_rejected():
         run_experiment(ExperimentConfig("giant", {"n": 100}))
 
 
+def _params_of_type(cast):
+    return [(name, key) for name, schema in list_experiments().items()
+            for key, typ in schema.items() if typ is cast]
+
+
+@pytest.mark.parametrize("text", ["2.5", "abc", "inf", "nan", "1e400", "1e3", "5.0"])
+@pytest.mark.parametrize("name,key", _params_of_type(int))
+def test_cli_int_parameter_takes_only_int_text(name, key, text, capsys):
+    # the rule of --reps and --seed: what int() accepts, nothing truncated
+    assert run_cli("run", "--experiment", name, "--param", f"{key}={text}") \
+        == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+    assert f"{name}: parameter {key} " in lines[0] and repr(text) in lines[0]
+
+
+@pytest.mark.parametrize("text", ["2", "1e3"])
+@pytest.mark.parametrize("name,key", _params_of_type(float))
+def test_float_parameter_takes_int_and_exponent_text(name, key, text):
+    exp = experiments.REGISTRY[name]
+    raw = {k: {int: "3", float: "0.5", str: "geometric"}[typ]
+           for k, typ in exp.schema.items()}
+    params = experiments._coerce_params(exp, {**raw, key: text})
+    assert type(params[key]) is float and params[key] == float(text)
+
+
+@pytest.mark.parametrize("n", [2.5, 1000.0])
+def test_api_int_parameter_refuses_floats(n):
+    with pytest.raises(InvalidParameterError, match="giant: parameter n "):
+        run_experiment(ExperimentConfig("giant", {"n": n, "c": 1.0}))
+
+
+def test_api_int_parameter_takes_numpy_ints():
+    report = run_experiment(ExperimentConfig("giant", {"n": np.int64(50), "c": 1.0}))
+    assert type(report.params["n"]) is int and report.params["n"] == 50
+
+
+def test_int_parameter_keeps_every_digit():
+    params = experiments._coerce_params(experiments.REGISTRY["pills"],
+                                        {"n": "4611686018427387904"})
+    assert params["n"] == 2 ** 62
+
+
 def test_run_reports_summary():
     report = run_experiment(ExperimentConfig(
         "parking", {"n": 10, "m": 5}, master_seed=5, reps=200))

@@ -340,9 +340,9 @@ class _FixedIntegers:
         self.gen = self
         self._draws = np.asarray(draws, dtype=np.int64)
 
-    def integers(self, low, high):
+    def integers(self, low, high, size=None):
         assert np.all(self._draws < high)
-        return self._draws
+        return self._draws if size is None else self._draws.reshape(size)
 
 
 def test_ba_slot_rule_matches_sampler():

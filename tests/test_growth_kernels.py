@@ -40,6 +40,27 @@ def ref_ba_chain(n, rng):
     return parent
 
 
+def ref_ba_chain_batch_tiled(n, reps, rng):
+    """The picks from tiled bounds, the copies resolved through separate
+    target and copy arrays."""
+    parent = np.empty((reps, n + 1), dtype=np.int64)
+    parent[:, 0] = -1
+    parent[:, 1] = 0
+    if n > 1 and reps:
+        picks = rng.gen.integers(0, np.tile(np.arange(2, 2 * n, 2), (reps, 1)))
+        target = picks // 2 + 1
+        copied = -(target + np.arange(0, reps * (n + 1), n + 1)[:, None])
+        parent[:, 2:] = np.where(picks & 1, target, copied)
+        flat = parent.reshape(-1)
+        rows, cols = (parent[:, 2:] < 0).nonzero()
+        todo = rows * (n + 1) + cols + 2
+        while todo.size:
+            jumped = flat[-flat[todo]]
+            flat[todo] = jumped
+            todo = todo[jumped < 0]
+    return parent
+
+
 def ref_depths(parent):
     par = parent.tolist()
     depth = [0] * len(par)
@@ -122,6 +143,30 @@ def test_ba_chain_batch_matches_looped_chain(n, reps):
     assert got.dtype == np.int64
     assert np.array_equal(want, got)
     assert same_next
+
+
+@pytest.mark.parametrize("n,reps", [(1, 3), (2, 0), (2, 3), (2, 5), (9, 0), (9, 4),
+                                    (1000, 3), (1000, 30), (100_000, 8),
+                                    (100_000, 50), (6, 1_000_000)])
+def test_ba_chain_batch_matches_tiled_bounds(n, reps):
+    want, got, same_next = _same_draws(
+        lambda r: ref_ba_chain_batch_tiled(n, reps, r),
+        lambda r: growth.ba_chain_batch(n, reps, r), seed=n, index=reps)
+    assert np.array_equal(want, got)
+    assert same_next
+
+
+def test_ba_chain_batch_memory_is_bounded_by_its_output():
+    # the tiled bounds, the target and copy arrays and the np.where result
+    # each took one more output's worth
+    n, reps = 100_000, 8
+    tracemalloc.start()
+    try:
+        out = growth.ba_chain_batch(n, reps, make_stream(3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes, peak / out.nbytes
 
 
 def test_ba_chain_batch_argument_checks():

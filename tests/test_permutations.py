@@ -192,6 +192,26 @@ def test_feller_spacings_validate_n_and_reps():
         perms.feller_spacings(0, 1, rng)
 
 
+@pytest.mark.parametrize("n,reps", [(1, 0), (1, 3), (2, 3), (2, 5), (9, 4),
+                                    (1000, 3), (1000, 30), (100_000, 8),
+                                    (6, 1_000_000)])
+def test_sample_perm_batch_matches_tiled_rows(n, reps):
+    r1, r2 = make_stream(n, reps), make_stream(n, reps)
+    want = r1.gen.permuted(np.tile(np.arange(1, n + 1), (reps, 1)), axis=1)
+    assert np.array_equal(perms.sample_perm_batch(n, reps, r2), want)
+    assert r1.gen.random() == r2.gen.random()
+
+
+def test_sample_perm_batch_shuffles_in_its_output():
+    tracemalloc.start()
+    try:
+        out = perms.sample_perm_batch(6, 100_000, make_stream(3, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes, peak / out.nbytes
+
+
 def test_sample_perm_batch_argument_checks():
     with pytest.raises(InvalidParameterError):
         perms.sample_perm_batch(0, 3, make_stream(3, 0))
