@@ -162,9 +162,7 @@ def plane_forest_count(f: int, n: int) -> int:
     """Ordered forests of f plane trees with n edges total: f/(2n+f) C(2n+f, n)."""
     if f < 1 or n < 0:
         raise InvalidParameterError("need f >= 1 and n >= 0")
-    value = Fraction(f, 2 * n + f) * math.comb(2 * n + f, n)
-    assert value.denominator == 1
-    return value.numerator
+    return f * math.comb(2 * n + f, n) // (2 * n + f)
 
 
 # ---------------------------------------------------------------------------

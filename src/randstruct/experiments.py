@@ -422,8 +422,14 @@ def _arcsine_summary(params, matrix):
     return ({"argmax_frac_mean": mean, "argmax_frac_hw": hw}, verdicts)
 
 
+def _arcsine_rep(params, stream):
+    """The first argmax time of one +-1 walk of n >= 1 steps, over n."""
+    n = params["n"]
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    return (walks.argmax_time(walks.sample_path(_PM_ONE, n, stream)) / n,)
+
+
 _register(Experiment(
-    "arcsine", {"n": int}, ("argmax_frac",),
-    lambda p, s: (walks.argmax_time(walks.sample_path(_PM_ONE, p["n"], s)) / p["n"],),
-    _arcsine_summary,
+    "arcsine", {"n": int}, ("argmax_frac",), _arcsine_rep, _arcsine_summary,
 ))

@@ -207,7 +207,6 @@ def components(g: Graph) -> np.ndarray:
 class ExplorationTrace:
     walk: LatticePath
     component_sizes: np.ndarray  # excursion lengths, in exploration order
-    stack_sizes: np.ndarray      # stack size before each step
 
 
 def explore_luka(g: Graph) -> ExplorationTrace:
@@ -237,9 +236,7 @@ def explore_luka(g: Graph) -> ExplorationTrace:
     order = order[1:][np.argsort(ranks[order[1:]], kind="stable")]
     # the roots are the children of n, which no step explores
     increments = np.bincount(parents[:n])[order] - 1
-    prefix = np.cumsum(increments) - increments
-    return ExplorationTrace(LatticePath(increments), np.bincount(ranks),
-                            prefix - np.minimum.accumulate(prefix) + 1)
+    return ExplorationTrace(LatticePath(increments), np.bincount(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +355,6 @@ def _spectral_dense(n: int, m: int, k_max: int) -> bool:
 
 @dataclass(frozen=True)
 class SpectralMoments:
-    k_max: int
     moments: np.ndarray  # moments[k-1] = Tr(A^k) / n
 
 
@@ -392,7 +388,7 @@ def spectral_moments(g: Graph, k_max: int) -> SpectralMoments:
     for k in range(2, k_max + 1):
         x, y = powers[k // 2], powers[k - k // 2]
         moments[k - 1] = int(np.vdot(x, y) if dense else x.multiply(y).sum()) / n
-    return SpectralMoments(k_max, moments)
+    return SpectralMoments(moments)
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,6 @@ class GrowingTree:
         return np.bincount(self.parent[1:], minlength=self.n_vertices) \
             if self.n_vertices > 1 else np.zeros(1, dtype=np.int64)
 
-    def degrees(self) -> np.ndarray:
-        deg = self.out_degrees().copy()
-        deg[1:] += 1
-        return deg
-
     def depths(self) -> np.ndarray:
         """Depth of every vertex by pointer doubling: depth[i] is the distance
         from i to anc[i], and each pass doubles it until anc[i] is the root."""

@@ -5,39 +5,16 @@ types, and Monte Carlo helpers for long- and short-cycle laws."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
 from .rng import RngStream, _block_rows
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """One-line notation: images[i] = sigma(i + 1), values in 1..n."""
-
-    images: np.ndarray
-
-    def __post_init__(self):
-        imgs = np.asarray(self.images, dtype=np.int64)
-        object.__setattr__(self, "images", imgs)
-
-    @property
-    def n(self) -> int:
-        return int(self.images.size)
-
-    def validate(self) -> "Permutation":
-        if self.n == 0 or not np.array_equal(np.sort(self.images),
-                                             np.arange(1, self.n + 1)):
-            raise FormatError("not a bijection of {1..n}")
-        return self
-
-
-def sample_perm(n: int, rng: RngStream) -> Permutation:
-    """Uniform permutation of {1..n}.  The one-row view of
-    ``sample_perm_batch``."""
-    return Permutation(sample_perm_batch(n, 1, rng)[0])
+def sample_perm(n: int, rng: RngStream) -> np.ndarray:
+    """Uniform permutation of {1..n} as its int64 one-line row, images[i] =
+    sigma(i + 1).  The one-row view of ``sample_perm_batch``."""
+    return sample_perm_batch(n, 1, rng)[0]
 
 
 def sample_perm_batch(n: int, reps: int, rng: RngStream) -> np.ndarray:
@@ -179,14 +156,19 @@ def _cycle_types(images_batch: np.ndarray) -> np.ndarray:
     return (weighted[1:] // np.arange(1, n + 1)[:, None]).T
 
 
-def perm_to_line(perm: Permutation) -> str:
+def perm_to_line(images: np.ndarray) -> str:
     """One-line dump: space-separated 1-based images."""
-    return " ".join(map(str, perm.images.tolist()))
+    return " ".join(map(str, images.tolist()))
 
 
-def perm_from_line(line: str) -> Permutation:
+def perm_from_line(line: str) -> np.ndarray:
+    """The int64 one-line row of a dumped permutation, checked to be a
+    bijection of {1..n}, n >= 1."""
     try:
-        images = [int(tok) for tok in line.split()]
-    except ValueError as exc:
+        images = np.array([int(tok) for tok in line.split()], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"bad permutation line: {line!r}") from exc
-    return Permutation(np.array(images, dtype=np.int64)).validate()
+    if images.size == 0 or not np.array_equal(np.sort(images),
+                                              np.arange(1, images.size + 1)):
+        raise FormatError("not a bijection of {1..n}")
+    return images

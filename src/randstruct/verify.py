@@ -103,33 +103,20 @@ def _plane_tree_sequences(n_edges: int) -> list[tuple[int, ...]]:
 
 
 def _forest_counts_by_roots(n: int) -> dict[int, int]:
-    """count[k] = acyclic edge subsets of K_n with n - k edges keeping the
-    vertices 1..k pairwise disconnected (i.e. rooted spanning forests)."""
-    all_edges = list(itertools.combinations(range(n), 2))
-    counts = {k: 0 for k in range(1, n + 1)}
+    """count[k] = spanning forests of K_n with k trees rooted at 0..k-1, by
+    brute force over parent maps: every map of the non-roots k..n-1 into
+    0..n-1, the roots mapped to themselves, kept when repeated parent steps
+    bring every vertex below k.  Pointer doubling takes 2^j >= n - k steps,
+    the longest path to a root."""
+    counts = {}
     for k in range(1, n + 1):
-        size = n - k
-        for subset in itertools.combinations(all_edges, size):
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            acyclic = True
-            for u, v in subset:
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-            if not acyclic:
-                continue
-            roots = {find(r) for r in range(k)}
-            if len(roots) == k:
-                counts[k] += 1
+        size = n ** (n - k)
+        anc = np.concatenate([
+            np.broadcast_to(np.arange(k, dtype=np.int8)[:, None], (k, size)),
+            np.indices((n,) * (n - k), dtype=np.int8).reshape(n - k, size)])
+        for _ in range((n - k).bit_length()):
+            anc = np.take_along_axis(anc, anc, axis=0)
+        counts[k] = int(np.count_nonzero((anc < k).all(axis=0)))
     return counts
 
 
@@ -327,9 +314,10 @@ def criterion_11_spectral(scale: str, seed: int) -> tuple[bool, str]:
     chk = _Check()
     rng = make_stream(seed, 11)
     ok = True
-    for _ in range(200 if scale == "full" else 50):
-        n = int(rng.gen.integers(2, 8))
-        g = graphs.sample_gnp(n, float(rng.gen.random()), rng)
+    # a fixed grid of sizes 2..7 and densities 0, 1/4, .., 1: 30 pairs
+    for i in range(200 if scale == "full" else 50):
+        n = 2 + i % 6
+        g = graphs.sample_gnp(n, (i % 5) / 4, rng)
         got = graphs.spectral_moments(g, 8).moments
         dense = np.zeros((n, n), dtype=np.int64)
         for u, v in g.edge_array():

@@ -13,6 +13,8 @@ Reach follows the names a reached body mentions:
 The allowlist holds public names the package itself never calls, each with
 the reason it stays.  An allowlisted name must be unreached, so the list
 cannot go stale.
+
+The package also holds no ``assert`` statement, which ``python -O`` strips.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ ALLOWLIST = {
     "growth.growing_tree_from_line": "reader of the `dump --kind growth-tree` format",
     "permutations.perm_from_line": "reader of the `dump --kind permutation` format",
     "trees.plane_tree_from_line": "reader of the `dump --kind plane-tree` format",
-    "permutations.Permutation.validate": "the check `perm_from_line` makes",
     "trees.sample_cayley": "the one-tree view of `sample_cayley_batch`, which "
                            "perfbench's conditioned-trees workload times",
     "trees.LabeledTree": "the tree `sample_cayley` returns",
@@ -148,3 +149,11 @@ def test_allowlist_names_only_unreached_public_names():
         assert qual in public, f"{qual} is not a public name of the package"
         assert qual not in reached, f"{qual} is reached; drop it from the allowlist"
 
+
+
+def test_package_holds_no_assert_statement():
+    # `python -O` strips an assert, so a check the package relies on must raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {', '.join(found)}"

@@ -65,13 +65,30 @@ def test_cli_int_parameter_takes_only_int_text(name, key, text, capsys):
     assert f"{name}: parameter {key} " in lines[0] and repr(text) in lines[0]
 
 
+def _plain_params(exp):
+    """Small valid text for every parameter: the default where there is one."""
+    return {k: str(exp.defaults.get(k, {int: 3, float: 0.5, str: "geometric"}[typ]))
+            for k, typ in exp.schema.items()}
+
+
+@pytest.mark.parametrize("text", ["0", "-1"])
+@pytest.mark.parametrize("name,key", _params_of_type(int))
+def test_cli_int_parameter_at_zero_and_below_runs_or_is_refused(name, key, text, capsys):
+    # a size too small to sample is a usage error, never a traceback
+    raw = {**_plain_params(experiments.REGISTRY[name]), key: text}
+    code = run_cli("run", "--experiment", name,
+                   *(arg for k, v in raw.items() for arg in ("--param", f"{k}={v}")))
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE)
+    if code == cli.EXIT_USAGE:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
 @pytest.mark.parametrize("text", ["2", "1e3"])
 @pytest.mark.parametrize("name,key", _params_of_type(float))
 def test_float_parameter_takes_int_and_exponent_text(name, key, text):
     exp = experiments.REGISTRY[name]
-    raw = {k: {int: "3", float: "0.5", str: "geometric"}[typ]
-           for k, typ in exp.schema.items()}
-    params = experiments._coerce_params(exp, {**raw, key: text})
+    params = experiments._coerce_params(exp, {**_plain_params(exp), key: text})
     assert type(params[key]) is float and params[key] == float(text)
 
 
@@ -382,7 +399,7 @@ def test_cli_dump_permutations_and_growth(tmp_path):
     assert run_cli("dump", "--kind", "permutation", "--count", "3", "--n", "9",
                    "--seed", "2", "--out", str(out)) == 0
     for line in out.read_text().splitlines():
-        assert permutations.perm_from_line(line).n == 9
+        assert permutations.perm_from_line(line).size == 9
     out2 = tmp_path / "gt.txt"
     assert run_cli("dump", "--kind", "growth-tree", "--chain", "ba",
                    "--count", "2", "--n", "7", "--seed", "2",
@@ -420,7 +437,7 @@ def _read_dump(kind, lines):
     if kind == "plane-tree":
         return [trees.plane_tree_from_line(line).child_counts.tolist() for line in lines]
     if kind == "permutation":
-        return [permutations.perm_from_line(line).images.tolist() for line in lines]
+        return [permutations.perm_from_line(line).tolist() for line in lines]
     return [growth.growing_tree_from_line(line).parent.tolist() for line in lines]
 
 
@@ -431,7 +448,7 @@ def _sample(kind, n, stream):
         return trees.sample_bgw_conditioned(exact.OffspringLaw.geometric(0.5),
                                             n, stream).child_counts.tolist()
     if kind == "permutation":
-        return permutations.sample_perm(n, stream).images.tolist()
+        return permutations.sample_perm(n, stream).tolist()
     chain = growth.rrt_chain if kind.endswith("rrt") else growth.ba_chain
     return chain(n, stream).parent.tolist()
 

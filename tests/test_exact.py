@@ -76,6 +76,12 @@ def test_plane_forest_counts():
     assert exact.plane_forest_count(1, 6) == exact.catalan(6)
     assert exact.plane_forest_count(2, 1) == 2
     assert exact.plane_forest_count(3, 2) == 9
+    # the integer division is exact: the ballot form f/(2n+f) C(2n+f, n)
+    for f in range(1, 21):
+        for n in range(31):
+            value = Fraction(f, 2 * n + f) * math.comb(2 * n + f, n)
+            assert value.denominator == 1
+            assert exact.plane_forest_count(f, n) == value.numerator
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,15 @@ def ref_connected(g):
 
 def ref_explore(g):
     """Per-component first-in first-out loop: roots in increasing order, each
-    vertex touched when first seen.  Returns (increments, component sizes,
-    stack sizes)."""
+    vertex touched when first seen.  Returns (increments, component sizes)."""
     touched = np.zeros(g.n, dtype=bool)
-    increments, comp_sizes, stack_sizes = [], [], []
+    increments, comp_sizes = [], []
     for root in range(g.n):
         if touched[root]:
             continue
         touched[root] = True
         queue, size = deque([root]), 0
         while queue:
-            stack_sizes.append(len(queue))
             x = queue.popleft()
             size += 1
             fresh = 0
@@ -136,7 +134,7 @@ def ref_explore(g):
             increments.append(fresh - 1)
         comp_sizes.append(size)
     return tuple(np.array(v, dtype=np.int64)
-                 for v in (increments, comp_sizes, stack_sizes))
+                 for v in (increments, comp_sizes))
 
 
 def ref_spectral(g, k_max):
@@ -368,8 +366,8 @@ def test_components_and_connected_match_reference():
 def explore_as_reference(g):
     """explore_luka(g), checked bit for bit against ref_explore."""
     trace = graphs.explore_luka(g)
-    for got, want in zip((trace.walk.increments, trace.component_sizes,
-                          trace.stack_sizes), ref_explore(g)):
+    for got, want in zip((trace.walk.increments, trace.component_sizes),
+                         ref_explore(g)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
     return trace

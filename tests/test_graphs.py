@@ -103,7 +103,7 @@ def test_explore_empty_graph():
 def test_explore_graph_without_vertices():
     # no phantom component of size 0: there is nothing to explore
     trace = graphs.explore_luka(Graph(0, []))
-    for values in (trace.walk.increments, trace.component_sizes, trace.stack_sizes):
+    for values in (trace.walk.increments, trace.component_sizes):
         assert values.dtype == np.int64 and values.size == 0
 
 
@@ -123,9 +123,6 @@ def test_explore_matches_union_find_components():
                               graphs.components(g))
         prefix = np.concatenate([[0], trace.walk.prefix_sums()])
         assert prefix[-1] == -trace.component_sizes.size
-        # stack size identity at every step
-        mins = np.minimum.accumulate(prefix)
-        assert np.array_equal(trace.stack_sizes, prefix[:-1] - mins[:-1] + 1)
 
 
 def test_exploration_increment_law():
@@ -135,7 +132,9 @@ def test_exploration_increment_law():
     g = graphs.sample_gnp(n, p, make_stream(2, 6))
     trace = graphs.explore_luka(g)
     prefix = np.concatenate([[0], trace.walk.prefix_sums()])
-    untouched = n - np.arange(n) - trace.stack_sizes
+    # the queue before each step: the walk above its running minimum, plus one
+    queue = prefix[:-1] - np.minimum.accumulate(prefix)[:-1] + 1
+    untouched = n - np.arange(n) - queue
     observed = np.bincount(trace.walk.increments + 1, minlength=16)[:16]
     ks = np.arange(16)
     expected_probs = sps.binom.pmf(ks[None, :], untouched[:, None], p).sum(axis=0)

@@ -7,13 +7,12 @@ from stats_helpers import chi_square_two_sample
 
 from randstruct import exact, permutations as perms, rng as rng_module
 from randstruct.errors import FormatError, InvalidParameterError
-from randstruct.permutations import Permutation
 from randstruct.rng import make_stream
 from randstruct.stats import chi_square_counts, chi_square_gof, ks_test, mean_ci
 
 
 def test_sample_identity_for_n_one():
-    assert perms.sample_perm(1, make_stream(3, 0)).images.tolist() == [1]
+    assert perms.sample_perm(1, make_stream(3, 0)).tolist() == [1]
 
 
 def test_sample_perm_uniform_n3():
@@ -282,7 +281,8 @@ def test_table_one_fraction_uniform():
 
 
 def test_perm_dump_roundtrip():
-    perm = Permutation(np.array([3, 1, 2]))
-    assert perms.perm_from_line(perms.perm_to_line(perm)).images.tolist() == [3, 1, 2]
-    with pytest.raises(FormatError):
-        perms.perm_from_line("1 2 2")
+    images = np.array([3, 1, 2])
+    assert perms.perm_from_line(perms.perm_to_line(images)).tolist() == [3, 1, 2]
+    for line in ("1 2 2", "", "0 1", "1 x", "1 " + "9" * 30):
+        with pytest.raises(FormatError):
+            perms.perm_from_line(line)

@@ -1,12 +1,14 @@
 """The exact-law clauses of criteria 16 and 17 accept samples of the law they
 test and reject samples of a neighbouring one; the batch samplers the
-criteria call draw what one call per row drew before them; and the suite
+criteria call draw what one call per row drew before them; criterion 01's
+forest counter agrees with the edge-subset enumeration; and the suite
 reaches the sampler modules through their public names only, and draws only
 through them."""
 
 import ast
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +56,53 @@ def test_pills_clause_rejects_leftovers_of_smaller_n():
         assert "D vs Exp(1)" in detail
 
 
+def ref_forest_counts_by_roots(n):
+    """count[k] = acyclic edge subsets of K_n with n - k edges keeping the
+    vertices 0..k-1 pairwise disconnected, by union-find over every subset:
+    criterion 01's counter before its parent-map form."""
+    all_edges = list(itertools.combinations(range(n), 2))
+    counts = {k: 0 for k in range(1, n + 1)}
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(all_edges, n - k):
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            acyclic = True
+            for u, v in subset:
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    acyclic = False
+                    break
+                parent[ru] = rv
+            if acyclic and len({find(r) for r in range(k)}) == k:
+                counts[k] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_forest_counts_by_roots_match_edge_subsets(n):
+    counts = verify._forest_counts_by_roots(n)
+    assert counts == ref_forest_counts_by_roots(n)
+    assert counts == {k: exact.cayley_forest_count(k, n) for k in range(1, n + 1)}
+
+
+def test_forest_counts_by_roots_memory_at_criterion_size():
+    # the full profile counts up to n = 8: 8^7 parent maps at k = 1
+    tracemalloc.start()
+    try:
+        counts = verify._forest_counts_by_roots(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[1] == exact.cayley_count(8)
+    assert peak <= 200 * 2 ** 20, peak / 2 ** 20
+
+
 def _same_draws(batch, sequential, seed, index):
     r1, r2 = make_stream(seed, index), make_stream(seed, index)
     want, got = sequential(r1), batch(r2)
@@ -83,7 +132,7 @@ def ref_rrt_rows(n, reps, rng):
 def test_criterion_12_rows_are_sample_perm_draws(seed, n, reps):
     # criterion 12 draws its direct rows at n = 6 from stream 121
     for batch in (lambda r: permutations.sample_perm_batch(n, reps, r),
-                  lambda r: np.array([permutations.sample_perm(n, r).images
+                  lambda r: np.array([permutations.sample_perm(n, r)
                                       for _ in range(reps)],
                                      dtype=np.int64).reshape(reps, n)):
         want, got, same_next = _same_draws(
@@ -156,9 +205,7 @@ def test_verify_imports_no_private_sampler_names():
 
 # Functions of verify.py and experiments.py that may draw from a stream
 # themselves; every other draw goes through a sampler module.
-DRAW_ALLOWLIST = {
-    "criterion_11_spectral": "draws the size and density of each brute-force graph",
-}
+DRAW_ALLOWLIST: dict[str, str] = {}
 
 
 def test_verify_draws_only_through_the_samplers():
