@@ -62,6 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--only", action="append", default=[],
                         help="run only criteria whose name contains this token")
+    verify.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="worker processes for criteria 09, 16 and 17 "
+                             "(default 2, capped by the usable CPUs); the "
+                             "table does not depend on it")
 
     dump = sub.add_parser("dump", help="write a corpus of sampled structures")
     dump.add_argument("--kind", required=True,
@@ -106,7 +110,8 @@ def _cmd_verify(args) -> int:
     from .verify import MASTER_SEED, run_suite
     seed = MASTER_SEED if args.seed is None else args.seed
     make_stream(seed)  # rejects a seed outside [0, 2^64) before any criterion runs
-    results = run_suite(args.suite, seed, names=args.only or None)
+    results = run_suite(args.suite, seed, names=args.only or None,
+                        workers=args.workers)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:

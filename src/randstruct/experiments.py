@@ -106,6 +106,14 @@ def _run_chunk(args):
     return [exp.rep_fn(params, make_stream(seed, r)) for r in range(lo, hi)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps
+    one, else every CPU of the machine.  Worker pools never exceed it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _plan_workers(workers: int, reps: int, cpus: int | None) -> tuple[int, list]:
     """Pool size and replicate ranges [lo, hi): the pool never exceeds the
     workers asked for, the CPUs, or the number of ranges."""
@@ -123,7 +131,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     exp = REGISTRY[cfg.experiment]
     params = _coerce_params(exp, cfg.params)
     start = time.perf_counter()
-    pool_size, bounds = _plan_workers(cfg.workers, cfg.reps, os.cpu_count())
+    pool_size, bounds = _plan_workers(cfg.workers, cfg.reps, usable_cpus())
     if pool_size == 1:
         rows = _run_chunk((exp.name, params, cfg.master_seed, 0, cfg.reps))
     else:

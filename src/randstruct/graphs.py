@@ -101,15 +101,17 @@ def graph_to_lines(g: Graph) -> list[str]:
 
 
 def graph_from_lines(lines) -> Graph:
-    it = iter(lines)
+    """The graph of a ``graph_to_lines`` dump: a header "n m", then m lines
+    of two 1-based endpoints, every number within int64."""
     try:
-        n, m = map(int, next(it).split())
-        edges = [tuple(int(t) - 1 for t in line.split()) for line in it]
-    except (ValueError, StopIteration) as exc:
+        header, *rows = ([int(t) for t in line.split()] for line in lines)
+        n, m = np.array(header, dtype=np.int64).tolist()
+        edges = np.array(rows, dtype=np.int64).reshape(len(rows), 2) - 1
+    except (ValueError, OverflowError) as exc:
         raise InvalidParameterError("malformed graph dump") from exc
     if len(edges) != m:
         raise InvalidParameterError("edge count does not match header")
-    return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +136,19 @@ def _pair_from_linear(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
         k -= over
 
 
+def _geometric_gaps(p: float, size: int, rng: RngStream) -> np.ndarray:
+    """``rng.gen.geometric(p, size)`` saturated at _POSITION_CAP, the same
+    values and draws.  Below p = 1/3 numpy inverts one standard exponential
+    E per gap, ceil(E / -log1p(-p)); that expression on one array of
+    exponentials skips numpy's per-draw loop.  A tiny p divides to inf,
+    which saturates like numpy's INT64_MAX."""
+    if p >= 1 / 3:
+        return np.minimum(rng.gen.geometric(p, size=size), _POSITION_CAP)
+    with np.errstate(over="ignore"):
+        gaps = np.ceil(rng.gen.standard_exponential(size) / -math.log1p(-p))
+    return np.minimum(gaps, _POSITION_CAP).astype(np.int64)
+
+
 def _gap_positions(p: float, stop: int, rng: RngStream, last: int = -1) -> np.ndarray:
     """Positions after ``last`` of a Geometric(p) gap sequence, in chunks up
     to the first chunk that reaches ``stop``: the first holds the expected
@@ -147,7 +162,7 @@ def _gap_positions(p: float, stop: int, rng: RngStream, last: int = -1) -> np.nd
     mean = (stop - 1 - last) * p
     size, chunks = int(mean + 6 * math.sqrt(mean + 1) + 16), []
     while last < stop:
-        gaps = np.minimum(rng.gen.geometric(p, size=size), _POSITION_CAP)
+        gaps = _geometric_gaps(p, size, rng)
         positions = last + np.cumsum(gaps)
         beyond = np.argmax(positions >= _POSITION_CAP - 1)
         if positions[beyond] >= _POSITION_CAP - 1:

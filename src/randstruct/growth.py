@@ -74,10 +74,10 @@ def growing_tree_to_line(tree: GrowingTree) -> str:
 
 def growing_tree_from_line(line: str) -> GrowingTree:
     try:
-        parent = [int(tok) for tok in line.split()]
-    except ValueError as exc:
+        parent = np.array([int(tok) for tok in line.split()], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"bad tree line: {line!r}") from exc
-    return GrowingTree(np.array(parent, dtype=np.int64))
+    return GrowingTree(parent)
 
 
 def rrt_chain(n: int, rng: RngStream) -> GrowingTree:

@@ -93,8 +93,8 @@ def plane_tree_to_line(tree: PlaneTree) -> str:
 
 def plane_tree_from_line(line: str) -> PlaneTree:
     try:
-        counts = [int(tok) for tok in line.split()]
-    except ValueError as exc:
+        counts = np.array([int(tok) for tok in line.split()], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"bad tree line: {line!r}") from exc
     return PlaneTree(counts)
 

@@ -1,10 +1,15 @@
 """Acceptance suite: every criterion is implemented at its stated scale and
 tolerance ("full") plus a reduced smoke profile ("fast").  Each criterion
 returns a verdict with a one-line detail; the CLI prints the table and exits
-nonzero on any failure."""
+nonzero on any failure.  The heavy parts of criteria 09, 16 and 17 run on
+worker processes; each draws from streams of its own, and every clause is
+decided in the calling process, so the table does not depend on the worker
+count."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import inspect
 import itertools
 import math
 import time
@@ -17,11 +22,12 @@ import numpy as np
 from . import exact, graphs, growth, permutations, trees, walks
 from .errors import InvalidParameterError
 from .exact import OffspringLaw
-from .experiments import ExperimentConfig, _per_rep_path, run_experiment
+from .experiments import ExperimentConfig, _per_rep_path, run_experiment, usable_cpus
 from .rng import make_stream
 from .stats import chi_square_counts, chi_square_gof, ks_test
 
 MASTER_SEED = 20260810
+WORKERS = 2  # worker processes of a verify run, capped by the usable CPUs
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,26 @@ class _Check:
 
 def _sigma_bound(p: float, reps: int, k: float = 3.0) -> float:
     return k * math.sqrt(max(p * (1.0 - p), 1e-12) / reps)
+
+
+def run_tasks(calls, workers: int) -> list:
+    """The results of ``calls``, each ``(function, *args)``, in call order.
+    Up to ``workers`` processes, and no more than the usable CPUs or the
+    calls, take the calls in list order, so callers list the longest first;
+    at one worker the calls run in this process.  A call must draw only from
+    streams it makes itself and return what it computes, so its result does
+    not depend on where it runs."""
+    size = min(workers, usable_cpus(), len(calls))
+    if size <= 1:
+        return [fn(*args) for fn, *args in calls]
+    with concurrent.futures.ProcessPoolExecutor(size) as pool:
+        futures = [pool.submit(*call) for call in calls]
+        return [future.result() for future in futures]
+
+
+def _on_stream(fn, seed: int, index: int, *args):
+    """``fn(*args, rng)`` on the stream (seed, index), made where it runs."""
+    return fn(*args, make_stream(seed, index))
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +309,15 @@ def criterion_08_fluid(scale: str, seed: int) -> tuple[bool, str]:
     return chk.result()
 
 
-def criterion_09_connectivity(scale: str, seed: int) -> tuple[bool, str]:
+def criterion_09_connectivity(scale: str, seed: int,
+                              workers: int = WORKERS) -> tuple[bool, str]:
     chk = _Check()
     n = 10_000 if scale == "full" else 3_000
     reps = 2_000 if scale == "full" else 400
     for i, c in enumerate((-1.0, 0.0, 2.0)):
         connected = run_experiment(ExperimentConfig(
             "connectivity", {"n": n, "c": c}, master_seed=seed * 200 + i,
-            reps=reps)).summary["connected_mean"]
+            reps=reps, workers=workers)).summary["connected_mean"]
         target = exact.connectivity_limit(c)
         hw = 2.576 * math.sqrt(max(connected * (1 - connected), 1e-12) / reps)
         chk.add(f"c={c} CI brackets limit", abs(connected - target) <= hw,
@@ -521,7 +548,28 @@ def _height_clauses(chk: _Check, label: str, heights: np.ndarray,
              f"mean ratio {ratios.mean():.3f} (exact {mean / norm:.3f})")
 
 
-def criterion_16_extremes(scale: str, seed: int) -> tuple[bool, str]:
+def _rrt_chains(n: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max out-degree over log2 n and height of ``reps`` uniform-attachment
+    chains, one after another on the stream (seed, 16)."""
+    rng = make_stream(seed, 16)
+    ratios = np.empty(reps)
+    heights = np.empty(reps, dtype=np.int64)
+    for r in range(reps):
+        tree = growth.rrt_chain(n, rng)
+        ratios[r] = tree.out_degrees().max() / math.log2(n)
+        heights[r] = tree.height()
+    return ratios, heights
+
+
+def _ba_heights(n: int, reps: int, seed: int) -> np.ndarray:
+    """Heights of ``reps`` preferential chains, one after another on the
+    stream (seed, 161)."""
+    rng = make_stream(seed, 161)
+    return np.array([growth.ba_chain(n, rng).height() for _ in range(reps)])
+
+
+def criterion_16_extremes(scale: str, seed: int,
+                          workers: int = WORKERS) -> tuple[bool, str]:
     """Heights of both chains are tested against their exact laws at the
     sampled n (``exact.rrt_height_cdf``, ``exact.ba_height_cdf``), with the
     +-15% band around the log-scale constants kept as a reported fraction
@@ -538,24 +586,18 @@ def criterion_16_extremes(scale: str, seed: int) -> tuple[bool, str]:
     band = (0.85, 1.15)
     degree_band = band if scale == "full" else (0.80, 1.30)
     need = 0.9
-    rng = make_stream(seed, 16)
-    ratios_deg = np.empty(reps)
-    heights_rrt = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        tree = growth.rrt_chain(n, rng)
-        ratios_deg[r] = tree.out_degrees().max() / math.log2(n)
-        heights_rrt[r] = tree.height()
-    rng = make_stream(seed, 161)
-    heights_ba = np.array([growth.ba_chain(n, rng).height() for _ in range(reps)])
+    cdf_rrt, cdf_ba, heights_ba, (ratios_deg, heights_rrt) = run_tasks([
+        (exact.rrt_height_cdf, n, _HEIGHT_LEVELS),
+        (exact.ba_height_cdf, n, _HEIGHT_LEVELS),
+        (_ba_heights, n, reps, seed),
+        (_rrt_chains, n, reps, seed)], workers)
     lo, hi = degree_band
     frac = float(np.mean((ratios_deg >= lo) & (ratios_deg <= hi)))
     chk.add("rrt max-degree in band", frac >= need,
             f" ({frac:.2f} in [{lo},{hi}], mean ratio {ratios_deg.mean():.3f})")
-    _height_clauses(chk, "rrt height", heights_rrt,
-                    exact.rrt_height_cdf(n, _HEIGHT_LEVELS),
+    _height_clauses(chk, "rrt height", heights_rrt, cdf_rrt,
                     math.e * math.log(n), band)
-    _height_clauses(chk, "ba height", heights_ba,
-                    exact.ba_height_cdf(n, _HEIGHT_LEVELS),
+    _height_clauses(chk, "ba height", heights_ba, cdf_ba,
                     exact.ba_height_constant() * math.log(n), band)
     return chk.result()
 
@@ -574,35 +616,37 @@ def _pills_clause(chk: _Check, leftovers: np.ndarray, n: int):
              f"{exact.pills_limit_distance(n):.4f}, KS thr {ks.threshold:.4f})")
 
 
-def criterion_17_yule_classics(scale: str, seed: int) -> tuple[bool, str]:
+def _yule_counts(reps: int, seed: int) -> np.ndarray:
+    """Particles alive at t = 2 in ``reps`` binary Yule processes on the
+    stream (seed, 17)."""
+    return 1 + growth.yule_simulate(2, reps, make_stream(seed, 17), t=2.0).n_jumps
+
+
+def criterion_17_yule_classics(scale: str, seed: int,
+                               workers: int = WORKERS) -> tuple[bool, str]:
     chk = _Check()
-    # geometric particle-count law at t = 2
     reps = 100_000 if scale == "full" else 20_000
-    rng = make_stream(seed, 17)
-    counts = 1 + growth.yule_simulate(2, reps, rng, t=2.0).n_jumps
+    creps, n = (10_000 if scale == "full" else 2_000), 10_000  # coupons and duel
+    preps, pn = (10_000, 100_000) if scale == "full" else (4_000, 3_000)
+    draws, survivors, counts, leftovers = run_tasks([
+        (_on_stream, growth.coupon_collector_batch, seed, 171, n, creps),
+        (_on_stream, growth.ok_corral_batch, seed, 173, n, creps),
+        (_yule_counts, reps, seed),
+        (_on_stream, growth.pills_batch, seed, 172, pn, preps)], workers)
+    # geometric particle-count law at t = 2
     q = math.exp(-2.0)
     pmf = [0.0] + [q * (1 - q) ** (k - 1) for k in range(1, counts.max() + 1)]
     report = chi_square_gof(counts, pmf, alpha_level=0.01)
     chk.test("splitting count geometric at t=2", report)
     # coupon collector Gumbel limit
-    creps = 10_000 if scale == "full" else 2_000
-    n = 10_000
-    rng = make_stream(seed, 171)
-    draws = growth.coupon_collector_batch(n, creps, rng)
     sample = np.sort((draws - n * math.log(n)) / n)
     report = ks_test(sample, lambda x: np.exp(-np.exp(-x)), alpha_level=0.01)
     chk.add("coupon collector KS vs Gumbel", report.passed,
             f" (D {report.statistic:.4f} thr {report.threshold:.4f})")
     # pill leftovers against their exact law at the sampled n
-    preps, pn = (10_000, 100_000) if scale == "full" else (4_000, 3_000)
-    rng = make_stream(seed, 172)
-    _pills_clause(chk, growth.pills_batch(pn, preps, rng), pn)
+    _pills_clause(chk, leftovers, pn)
     # last-man-standing duel
-    oreps = 10_000 if scale == "full" else 2_000
-    on = 10_000
-    rng = make_stream(seed, 173)
-    survivors = growth.ok_corral_batch(on, oreps, rng)
-    scaled = survivors / on ** 0.75
+    scaled = survivors / n ** 0.75
     target = (8.0 / 3.0) ** 0.25 * 2.0 ** 0.25 * math.gamma(0.75) / math.sqrt(math.pi)
     chk.mean("duel survivors mean", scaled, target)
     return chk.result()
@@ -664,9 +708,15 @@ CRITERIA = [
 
 
 def run_suite(scale: str = "fast", seed: int = MASTER_SEED,
-              names: list[str] | None = None) -> list[CriterionResult]:
+              names: list[str] | None = None,
+              workers: int | None = None) -> list[CriterionResult]:
+    """The named criteria, in table order; those that take ``workers`` run
+    their heavy parts on that many processes (``WORKERS`` when None)."""
     if scale not in ("fast", "full"):
         raise ValueError("scale must be fast or full")
+    workers = WORKERS if workers is None else workers
+    if workers < 1:
+        raise InvalidParameterError("workers must be >= 1")
     for token in names or ():
         if not any(token in name for name, _ in CRITERIA):
             raise InvalidParameterError(f"no criterion name contains {token!r}")
@@ -674,8 +724,9 @@ def run_suite(scale: str = "fast", seed: int = MASTER_SEED,
     for name, fn in CRITERIA:
         if names and not any(token in name for token in names):
             continue
+        parallel = "workers" in inspect.signature(fn).parameters
         start = time.perf_counter()
-        passed, detail = fn(scale, seed)
+        passed, detail = fn(scale, seed, **({"workers": workers} if parallel else {}))
         results.append(CriterionResult(name, passed, detail,
                                        time.perf_counter() - start))
     return results

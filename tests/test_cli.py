@@ -491,6 +491,23 @@ def test_cli_verify_fast_subset(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_verify_workers_below_one_is_a_usage_error(workers, capsys):
+    assert run_cli("verify", "--only", "03", "--workers", workers) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["usage error: workers must be >= 1"]
+
+
+def test_cli_verify_workers_not_an_int_is_argparses_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--only", "03", "--workers", "abc")
+    assert exc.value.code == cli.EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["randstruct verify: error: argument --workers: "
+                      "invalid int value: 'abc'"]
+
+
 def test_cli_verify_only_a_token_no_criterion_has(capsys):
     assert run_cli("verify", "--only", "03", "--only", "zzz") == cli.EXIT_USAGE
     captured = capsys.readouterr()

@@ -225,6 +225,19 @@ def test_gap_positions_match_the_unsaturated_sequence(n, p):
         assert rng.gen.random() == ref_rng.gen.random()
 
 
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-17, 1e-5, 0.003, 0.1, 0.2, 0.3,
+                               0.33, np.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0])
+def test_geometric_gaps_are_numpys_draws(p):
+    # the inversion below 1/3 and numpy's own draws on both sides of it:
+    # equal gaps, saturated alike, and the stream left at the same place
+    for size in (1, 7, 12_000):
+        rng, ref_rng = make_stream(35, size), make_stream(35, size)
+        got = graphs._geometric_gaps(p, size, rng)
+        want = np.minimum(ref_rng.gen.geometric(p, size=size), graphs._POSITION_CAP)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert rng.gen.random() == ref_rng.gen.random()
+
+
 def test_tiny_p_ends_at_once():
     # the gaps near 10^18 and, below p ~ 1e-19, numpy's cap of 2^63 - 1 used
     # to wrap the position sums and keep the gap loop drawing forever

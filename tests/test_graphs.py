@@ -32,6 +32,18 @@ def test_graph_dump_roundtrip():
     assert np.array_equal(back.edge_array(), g.edge_array())
 
 
+@pytest.mark.parametrize("lines", [
+    [], ["3"], ["3 1 1"], ["3 1", "1 x"], ["3 2", "1", "2"],
+    # lines of three numbers, whose six numbers would fill three edges
+    ["4 2", "1 2 3", "2 3 4"],
+    # numbers outside int64
+    ["1" + "0" * 22 + " 0"], ["3 1", "1 " + "1" + "0" * 22],
+    ["3 1", "1 -" + "1" + "0" * 22]])
+def test_graph_dump_reader_refuses_malformed_dumps(lines):
+    with pytest.raises(InvalidParameterError, match="malformed graph dump"):
+        graphs.graph_from_lines(lines)
+
+
 def test_gnp_extremes():
     rng = make_stream(2, 0)
     assert graphs.sample_gnp(6, 0.0, rng).m == 0

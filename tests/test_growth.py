@@ -25,6 +25,9 @@ def test_growing_tree_dump_roundtrip():
     tree = GrowingTree(np.array([-1, 0, 0, 2]))
     line = growth.growing_tree_to_line(tree)
     assert growth.growing_tree_from_line(line).parent.tolist() == [-1, 0, 0, 2]
+    for bad in ("-1 x", "-1 " + "1" + "0" * 22, "-1 -" + "1" + "0" * 22):
+        with pytest.raises(FormatError, match="bad tree line"):
+            growth.growing_tree_from_line(bad)
 
 
 def test_rrt_first_steps():

@@ -69,8 +69,9 @@ def test_cayley_distance_pmf():
 def test_tree_line_roundtrip():
     tree = trees.PlaneTree([3, 0, 2, 0, 1, 0, 0])
     assert trees.plane_tree_from_line(trees.plane_tree_to_line(tree)) == tree
-    with pytest.raises(FormatError):
-        trees.plane_tree_from_line("2 0 x")
+    for bad in ("2 0 x", "1" + "0" * 22 + " 0", "-" + "1" + "0" * 22):
+        with pytest.raises(FormatError, match="bad tree line"):
+            trees.plane_tree_from_line(bad)
 
 
 # ---------------------------------------------------------------------------

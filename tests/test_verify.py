@@ -1,13 +1,15 @@
 """The exact-law clauses of criteria 16 and 17 accept samples of the law they
 test and reject samples of a neighbouring one; the batch samplers the
 criteria call draw what one call per row drew before them; criterion 01's
-forest counter agrees with the edge-subset enumeration; and the suite
-reaches the sampler modules through their public names only, and draws only
-through them."""
+forest counter agrees with the edge-subset enumeration; the suite reaches
+the sampler modules through their public names only, and draws only through
+them; and its verdicts do not depend on the worker count."""
 
 import ast
+import concurrent.futures
 import itertools
 import math
+import os
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -238,3 +240,36 @@ def test_ba_shape_law_at_n4():
             parent.append(r // 2 + 1 if r & 1 else parent[r // 2 + 1])
         picks[parent[2] * 16 + parent[3] * 4 + parent[4]] += 1
     assert law == {key: Fraction(count, 48) for key, count in picks.items()}
+
+
+def test_parallel_criteria_give_the_same_verdicts_at_any_worker_count():
+    # criteria 09, 16 and 17 split their sampling and oracles over workers
+    def table(workers):
+        return [(r.name, r.passed, r.detail) for r in verify.run_suite(
+            "fast", verify.MASTER_SEED, names=["09", "16", "17"], workers=workers)]
+
+    serial = table(1)
+    assert [name[:2] for name, _, _ in serial] == ["09", "16", "17"]
+    assert table(2) == serial
+    assert table(3) == serial
+
+
+def test_run_tasks_returns_results_in_call_order():
+    calls = [(divmod, 7, 2), (abs, -3), (pow, 2, 10)]
+    assert verify.run_tasks(calls, 1) == verify.run_tasks(calls, 2) == [(3, 1), 3, 1024]
+
+
+def test_pools_are_capped_by_the_usable_cpus(monkeypatch):
+    # a request of 10^6 workers on one usable CPU plans one process, and
+    # run_tasks then makes no pool: the calls run in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert experiments.usable_cpus() == 1
+    assert experiments._plan_workers(10**6, 100, experiments.usable_cpus())[0] == 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    assert verify.run_tasks([(divmod, 7, 2), (abs, -3)], 10**6) == [(3, 1), 3]
+    # without an affinity mask, the machine's CPU count, or one if unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert experiments.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments.usable_cpus() == 1
